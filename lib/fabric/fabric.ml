@@ -145,12 +145,13 @@ let max_machines = 62
 
 (* "M1" .. "M62", built once: machine names are per-fabric-creation
    otherwise, and fabric creation is on the fuzz campaign's per-cell
-   path. *)
+   path.  Eager, not [lazy]: campaign workers on several domains would
+   race to force it ([CamlinternalLazy.Undefined]). *)
 let default_names =
-  lazy (Array.init max_machines (fun i -> Printf.sprintf "M%d" (i + 1)))
+  Array.init max_machines (fun i -> Printf.sprintf "M%d" (i + 1))
 
 let default_name i =
-  if i >= 0 && i < max_machines then (Lazy.force default_names).(i)
+  if i >= 0 && i < max_machines then default_names.(i)
   else Printf.sprintf "M%d" (i + 1)
 
 let create ?(model = Latency.default) ?topology ?(seed = 0)

@@ -1,7 +1,7 @@
 (** Sharded durable KV over {!Dstruct.Hmap} + the open-loop serving
-    engine, with optional primary/backup replication and failover.  See
-    the interface for the correctness argument (locality of durable
-    linearizability, and the write-all replication invariant) and the
+    engine, with optional primary/backup replication.  See the interface
+    for the correctness argument (locality of durable linearizability,
+    the write-all replication invariant and the read rule) and the
     open-loop clock contract. *)
 
 exception Unavailable
@@ -20,15 +20,17 @@ type replica = {
 }
 
 type shard = {
-  reps : replica array;        (** [reps.(0)] is the configured primary *)
-  mutable acting : int;        (** index of the replica serving reads *)
+  reps : replica array;        (** [reps.(0)] is the primary *)
   mutable log : int array;     (** keys of every write, append-only *)
   mutable log_len : int;
   mutable lock : (int * int) option;
-      (** write lock: (holder machine, its crash epoch at acquire) —
+      (** shard lock: (holder machine, its crash epoch at acquire) —
           stolen when the holder's machine has crashed since *)
-  mutable down_since : int;    (** cycle the acting replica went dark; -1 = healthy *)
-  mutable unavail_since : int; (** open unavailability window start; -1 = none *)
+  mutable reading : int;
+      (** replica the last read was served from; telemetry only (its
+          changes are the [failovers] count) *)
+  mutable unavail_since : int;
+      (** open window with no replica the read rule may read; -1 = none *)
   mutable last_trusted : int;
       (** trusted-replica count last published to the tracer's Trust
           gauge; only maintained when traced *)
@@ -51,8 +53,7 @@ type t = {
   shards : shard array;
   replicas : int;
   deadline : int;          (** per-request cycle budget when replicated *)
-  failover_timeout : int;  (** dark cycles before promoting a backup *)
-  mutable failovers : int;
+  mutable failovers : int; (** read-path switches between replicas *)
   mutable rejoins : int;
   mutable timed_out : int; (** requests that exhausted their deadline *)
   spans : (int, span_state) Hashtbl.t;
@@ -63,15 +64,13 @@ type t = {
 }
 
 let create ctx ?(pflag = true) ?(shards = 4) ?buckets ?(replicas = 1)
-    ?(deadline = 4_000) ?(failover_timeout = 400) ~flit ~home () =
+    ?(deadline = 4_000) ~flit ~home () =
   if shards <= 0 then invalid_arg "Kv.create: shards must be positive";
   if replicas <= 0 then invalid_arg "Kv.create: replicas must be positive";
   let n_machines = Fabric.n_machines ctx.Runtime.Sched.fab in
   if replicas > n_machines then
     invalid_arg "Kv.create: replicas must not exceed the machine count";
   if deadline <= 0 then invalid_arg "Kv.create: deadline must be positive";
-  if failover_timeout <= 0 then
-    invalid_arg "Kv.create: failover_timeout must be positive";
   let sched = ctx.Runtime.Sched.sched in
   let t = {
     shards =
@@ -90,17 +89,15 @@ let create ctx ?(pflag = true) ?(shards = 4) ?buckets ?(replicas = 1)
                     watermark = 0;
                     validated = Runtime.Sched.crash_epoch sched r_home;
                   });
-            acting = 0;
             log = Array.make 16 0;
             log_len = 0;
             lock = None;
-            down_since = -1;
+            reading = 0;
             unavail_since = -1;
             last_trusted = replicas;
           });
     replicas;
     deadline;
-    failover_timeout;
     failovers = 0;
     rejoins = 0;
     timed_out = 0;
@@ -140,13 +137,22 @@ let now ctx = Fabric.cycles ctx.Runtime.Sched.fab
 let epoch ctx m = Runtime.Sched.crash_epoch ctx.Runtime.Sched.sched m
 let up ctx m = Runtime.Sched.machine_is_up ctx.Runtime.Sched.sched m
 
-(* [servable]: safe to *read* — home up and not crashed since the
-   replica was last validated (a crash may have eaten unflushed writes:
-   Finding F1).  [trusted]: safe to *ack against* — additionally holds
-   every logged write, so all trusted replicas carry identical logical
-   content. *)
+(* [servable]: home up and not crashed since the replica was last
+   validated (a crash may have eaten unflushed writes: Finding F1).
+   [trusted]: additionally holds every logged write, so all trusted
+   replicas carry identical logical content.  Only the primary is ever
+   read on servability alone; everything else needs trust. *)
 let servable ctx rep = up ctx rep.r_home && rep.validated = epoch ctx rep.r_home
 let trusted ctx sh rep = servable ctx rep && rep.watermark = sh.log_len
+
+(* Index of the lowest trusted replica, or -1. *)
+let lowest_trusted ctx sh =
+  let rec from j =
+    if j = Array.length sh.reps then -1
+    else if trusted ctx sh sh.reps.(j) then j
+    else from (j + 1)
+  in
+  from 0
 
 let emit ctx ev =
   match Fabric.tracer ctx.Runtime.Sched.fab with
@@ -223,8 +229,9 @@ let log_push sh k =
   sh.log_len <- sh.log_len + 1
 
 (* One poll step: yield, and if nothing else moved the clock, charge a
-   heartbeat so failover timeouts make progress even when every fibre is
-   waiting on the same dead shard. *)
+   heartbeat so the clock keeps moving (and cycle-windowed faults such
+   as a down link expire) even when every fibre is waiting on the same
+   dead shard. *)
 let heartbeat = 16
 
 let poll_wait ctx =
@@ -255,67 +262,42 @@ let timed_poll ctx st kind =
    can never time out. *)
 let patience t = max 1 (t.deadline / heartbeat)
 
-(* The failover state machine, run lazily at the top of every op on the
-   shard.  All transitions are plain host-state mutations with no
-   scheduling point, so they are atomic under the cooperative
-   scheduler. *)
-let step_failover t ctx i sh =
+(* Telemetry, run at the top of every replicated op: unavailability
+   windows (the read rule has no replica to read: the primary is not
+   servable and none is trusted) and the Trust gauge.  It decides
+   nothing. *)
+let observe t ctx i sh =
   let n = now ctx in
-  if servable ctx sh.reps.(sh.acting) then begin
-    sh.down_since <- -1;
+  if servable ctx sh.reps.(0) || lowest_trusted ctx sh >= 0 then begin
     if sh.unavail_since >= 0 then begin
       emit ctx
         (Obs.Event.Unavail
            { shard = i; cycles = n - sh.unavail_since; cycle = n });
       sh.unavail_since <- -1
-    end;
-    (* re-demotion: hand the role back to the configured primary once it
-       is fully caught up, keeping steady state deterministic *)
-    if sh.acting <> 0 && trusted ctx sh sh.reps.(0) then begin
-      emit ctx
-        (Obs.Event.Failover
-           {
-             shard = i;
-             from_machine = sh.reps.(sh.acting).r_home;
-             to_machine = sh.reps.(0).r_home;
-             cycle = n;
-           });
-      t.failovers <- t.failovers + 1;
-      sh.acting <- 0
     end
   end
-  else begin
-    if sh.down_since < 0 then sh.down_since <- n;
-    if sh.unavail_since < 0 then sh.unavail_since <- n;
-    if n - sh.down_since >= t.failover_timeout then begin
-      (* heartbeat timeout: promote the first servable replica (the
-         configured primary wins ties, so re-demotion converges) *)
-      let cand = ref (-1) in
-      Array.iteri
-        (fun j rep -> if !cand < 0 && servable ctx rep then cand := j)
-        sh.reps;
-      if !cand >= 0 then begin
-        emit ctx
-          (Obs.Event.Failover
-             {
-               shard = i;
-               from_machine = sh.reps.(sh.acting).r_home;
-               to_machine = sh.reps.(!cand).r_home;
-               cycle = n;
-             });
-        t.failovers <- t.failovers + 1;
-        sh.acting <- !cand;
-        sh.down_since <- -1
-      end
-    end
-  end;
-  (* keep the trusted-replica gauge current: this runs at the top of
-     every replicated op, so crashes show up on the timeline promptly *)
+  else if sh.unavail_since < 0 then sh.unavail_since <- n;
   note_trust t ctx sh
 
-(* Acquire the shard write lock, stealing it when the holder's machine
-   has crashed since acquiring (the holder fibre died without
-   unwinding).  [polls] is the request's remaining waiting budget. *)
+(* Telemetry: a read was served from replica [j]; a change of replica is
+   a read-path switch, counted as a failover. *)
+let note_read t ctx i sh j =
+  if j <> sh.reading then begin
+    emit ctx
+      (Obs.Event.Failover
+         {
+           shard = i;
+           from_machine = sh.reps.(sh.reading).r_home;
+           to_machine = sh.reps.(j).r_home;
+           cycle = now ctx;
+         });
+    t.failovers <- t.failovers + 1;
+    sh.reading <- j
+  end
+
+(* Acquire the shard lock, stealing it when the holder's machine has
+   crashed since acquiring (the holder fibre died without unwinding).
+   [polls] is the request's remaining waiting budget. *)
 let rec lock_shard ctx sh ~polls ~st =
   let me = ctx.Runtime.Sched.machine in
   match sh.lock with
@@ -329,22 +311,19 @@ let rec lock_shard ctx sh ~polls ~st =
 
 (* Heal every non-trusted, up replica from a trusted peer: replay the
    write log (each key once, newest first) reading the authoritative
-   value from the source.  Caller holds the write lock, so the log
+   value from the source.  Caller holds the shard lock, so the log
    cannot grow underneath the replay.  Epochs of both ends are captured
    first and re-checked before declaring success: a crash on either side
    mid-replay aborts the heal (the replica stays distrusted and is
    retried later). *)
 let resync t ctx i sh =
-  let src = ref (-1) in
-  Array.iteri
-    (fun j rep -> if !src < 0 && trusted ctx sh rep then src := j)
-    sh.reps;
-  if !src >= 0 then begin
-    let src_rep = sh.reps.(!src) in
+  let src = lowest_trusted ctx sh in
+  if src >= 0 then begin
+    let src_rep = sh.reps.(src) in
     let src_e0 = epoch ctx src_rep.r_home in
     Array.iteri
       (fun j rep ->
-        if j <> !src && (not (trusted ctx sh rep)) && up ctx rep.r_home then begin
+        if j <> src && (not (trusted ctx sh rep)) && up ctx rep.r_home then begin
           let tgt_e0 = epoch ctx rep.r_home in
           let seen = Hashtbl.create 64 in
           try
@@ -381,23 +360,12 @@ let resync t ctx i sh =
       sh.reps
   end
 
-type write_op = Put of int * int | Del of int
-
-let key_of_op = function Put (k, _) | Del k -> k
-
-let apply_op op map ctx =
-  match op with
-  | Put (k, v) -> Dstruct.Hmap.put map ctx k v
-  | Del k -> Dstruct.Hmap.del map ctx k
-
-(* Replicated write: write-all under the shard lock.  An op only
-   acknowledges when every replica applied it and none crashed while it
-   was in flight, so every acknowledged write lives on all [replicas]
-   distinct machines — that is the invariant that makes acknowledged
-   updates survive any single home crash.  Backups apply *before* the
-   acting replica: a value readable at the acting replica is already
-   everywhere, so promotion can never un-publish an observed value. *)
-let replicated_write t ctx i sh op =
+(* The locked path shared by writes and degraded reads: take the shard
+   lock, resync what can be healed, and run [body] on the healed shard.
+   [body] returns [None] to hand the lock back, wait one poll and try
+   again, until the deadline raises {!Unavailable}; an exception from
+   [body] releases the lock and propagates. *)
+let under_lock t ctx i sh body =
   let polls = ref (patience t) in
   let st = span_st t ctx in
   (* resync time books as failover-wait, minus any retry backoff charged
@@ -415,71 +383,19 @@ let replicated_write t ctx i sh op =
           s.s_wait_degraded + (now ctx - t0) - (fibre_retry ctx - r0)
   in
   let rec attempt () =
-    step_failover t ctx i sh;
+    observe t ctx i sh;
     lock_shard ctx sh ~polls ~st;
-    let decision =
+    match
       Fun.protect
-        ~finally:(fun () -> sh.lock <- None)
+        ~finally:(fun () ->
+          sh.lock <- None;
+          note_trust t ctx sh)
         (fun () ->
           timed_resync ();
-          if not (Array.for_all (fun rep -> trusted ctx sh rep) sh.reps) then
-            `Retry
-          else begin
-            let epochs0 =
-              Array.map (fun rep -> epoch ctx rep.r_home) sh.reps
-            in
-            log_push sh (key_of_op op);
-            let acting = sh.acting in
-            let ret = ref Dstruct.Absent.absent in
-            let fault = ref None in
-            let apply_to j =
-              let rep = sh.reps.(j) in
-              match apply_op op rep.map ctx with
-              | v ->
-                  rep.watermark <- sh.log_len;
-                  if j = acting then ret := v;
-                  mark ctx st
-                    (if j = acting then Obs.Event.P_apply_acting
-                     else Obs.Event.P_apply_backup)
-                    ~replica:j ()
-              | exception Runtime.Ops.Fault f ->
-                  (* the replica's state for this key is now uncertain:
-                     its watermark stays behind, distrusting it until a
-                     resync replays the authoritative value *)
-                  if !fault = None then fault := Some f
-            in
-            for j = 0 to Array.length sh.reps - 1 do
-              if j <> acting then apply_to j
-            done;
-            apply_to acting;
-            match !fault with
-            | Some f -> `Fault f
-            | None ->
-                let crashed = ref false in
-                Array.iteri
-                  (fun j rep ->
-                    if epoch ctx rep.r_home <> epochs0.(j) then begin
-                      crashed := true;
-                      (* the write may have died in the crash's unflushed
-                         window; distrust the replica *)
-                      rep.watermark <- min rep.watermark (sh.log_len - 1)
-                    end)
-                  sh.reps;
-                if !crashed then
-                  `Fault
-                    (Fabric.Faults.Nack
-                       {
-                         from_m = ctx.Runtime.Sched.machine;
-                         to_m = sh.reps.(acting).r_home;
-                       })
-                else `Ack !ret
-          end)
-    in
-    note_trust t ctx sh;
-    match decision with
-    | `Ack v -> v
-    | `Fault f -> raise (Runtime.Ops.Fault f)
-    | `Retry ->
+          body st)
+    with
+    | Some v -> v
+    | None ->
         if !polls <= 0 then begin
           t.timed_out <- t.timed_out + 1;
           raise Unavailable
@@ -490,35 +406,97 @@ let replicated_write t ctx i sh op =
   in
   attempt ()
 
-(* Replicated read: serve from the acting replica, lock-free.  The only
-   hazard is a crash of the acting home *during* the read (the observed
-   value may already be post-wipe), so the epoch is captured before and
-   re-checked after; concurrent writes are harmless (the chain applies
-   to the acting replica last, so any value visible here is already on
-   every backup). *)
+type write_op = Put of int * int | Del of int
+
+let key_of_op = function Put (k, _) | Del k -> k
+
+let apply_op op map ctx =
+  match op with
+  | Put (k, v) -> Dstruct.Hmap.put map ctx k v
+  | Del k -> Dstruct.Hmap.del map ctx k
+
+(* Replicated write: write-all under the shard lock, once every replica
+   is trusted.  An op only acknowledges when every replica applied it
+   and none crashed while it was in flight, so every acknowledged write
+   lives on all [replicas] distinct machines — that is the invariant
+   that makes acknowledged updates survive any single home crash.  The
+   primary applies *last*: a value readable there lock-free is already
+   on every backup. *)
+let replicated_write t ctx i sh op =
+  under_lock t ctx i sh (fun st ->
+      if not (Array.for_all (trusted ctx sh) sh.reps) then None
+      else begin
+        let epochs0 = Array.map (fun rep -> epoch ctx rep.r_home) sh.reps in
+        log_push sh (key_of_op op);
+        let ret = ref Dstruct.Absent.absent in
+        let fault = ref None in
+        let apply_to j =
+          let rep = sh.reps.(j) in
+          match apply_op op rep.map ctx with
+          | v ->
+              rep.watermark <- sh.log_len;
+              if j = 0 then ret := v;
+              mark ctx st
+                (if j = 0 then Obs.Event.P_apply_acting
+                 else Obs.Event.P_apply_backup)
+                ~replica:j ()
+          | exception Runtime.Ops.Fault f ->
+              (* the replica's state for this key is now uncertain: its
+                 watermark stays behind, distrusting it until a resync
+                 replays the authoritative value *)
+              if !fault = None then fault := Some f
+        in
+        for j = 1 to Array.length sh.reps - 1 do
+          apply_to j
+        done;
+        apply_to 0;
+        Option.iter (fun f -> raise (Runtime.Ops.Fault f)) !fault;
+        let crashed = ref false in
+        Array.iteri
+          (fun j rep ->
+            if epoch ctx rep.r_home <> epochs0.(j) then begin
+              crashed := true;
+              (* the write may have died in the crash's unflushed
+                 window; distrust the replica *)
+              rep.watermark <- min rep.watermark (sh.log_len - 1)
+            end)
+          sh.reps;
+        if !crashed then
+          raise
+            (Runtime.Ops.Fault
+               (Fabric.Faults.Nack
+                  {
+                    from_m = ctx.Runtime.Sched.machine;
+                    to_m = sh.reps.(0).r_home;
+                  }));
+        Some !ret
+      end)
+
+(* Replicated read, by the read rule.  A servable primary is read
+   lock-free: the only hazard is a crash of its home *during* the read
+   (the observed value may already be post-wipe), so the epoch is
+   captured before and re-checked after; concurrent writes are harmless,
+   since the primary applies last.  Otherwise the read goes through the
+   locked path and reads the lowest trusted replica — never a merely
+   servable backup, whose watermark may trail a write that faulted on
+   it. *)
 let replicated_read t ctx i sh k =
-  let polls = ref (patience t) in
-  let st = span_st t ctx in
-  let rec attempt () =
-    step_failover t ctx i sh;
-    let rep = sh.reps.(sh.acting) in
-    if servable ctx rep then begin
-      let e0 = epoch ctx rep.r_home in
-      match Dstruct.Hmap.get rep.map ctx k with
-      | v when epoch ctx rep.r_home = e0 -> v
-      | _ -> retry ()
+  let read_at j =
+    let rep = sh.reps.(j) in
+    let e0 = epoch ctx rep.r_home in
+    let v = Dstruct.Hmap.get rep.map ctx k in
+    if epoch ctx rep.r_home = e0 then begin
+      note_read t ctx i sh j;
+      Some v
     end
-    else retry ()
-  and retry () =
-    if !polls <= 0 then begin
-      t.timed_out <- t.timed_out + 1;
-      raise Unavailable
-    end;
-    decr polls;
-    timed_poll ctx st `Degraded;
-    attempt ()
+    else None
   in
-  attempt ()
+  observe t ctx i sh;
+  match if servable ctx sh.reps.(0) then read_at 0 else None with
+  | Some v -> v
+  | None ->
+      under_lock t ctx i sh (fun _ ->
+          match lowest_trusted ctx sh with -1 -> None | j -> read_at j)
 
 (* Opportunistic heal, run from restart recovery hooks: lock each shard
    that has a distrusted-but-up replica and resync it, so replication
@@ -534,16 +512,8 @@ let heal t ctx =
             (fun rep -> up ctx rep.r_home && not (trusted ctx sh rep))
             sh.reps
         in
-        if needs then begin
-          let polls = ref (patience t) in
-          match lock_shard ctx sh ~polls ~st:None with
-          | () ->
-              Fun.protect
-                ~finally:(fun () -> sh.lock <- None)
-                (fun () -> resync t ctx i sh);
-              step_failover t ctx i sh
-          | exception Unavailable -> ()
-        end)
+        if needs then
+          try under_lock t ctx i sh (fun _ -> Some ()) with Unavailable -> ())
       t.shards
 
 (* ------------------------------------------------------------------ *)
@@ -642,8 +612,7 @@ let map_op (r : Traffic.request) =
   | Traffic.Update | Traffic.Insert ->
       ("put", [ r.Traffic.key + 1; r.Traffic.value ])
 
-let serve ?tracer ?jobs (c : serve_config) : serve_result =
-  ignore jobs;
+let serve ?tracer (c : serve_config) : serve_result =
   (match Traffic.validate c.traffic with
   | Ok () -> ()
   | Error m -> invalid_arg ("Kv.serve: " ^ m));
@@ -904,8 +873,8 @@ let serve ?tracer ?jobs (c : serve_config) : serve_result =
       (if total = 0 then 1.0 else float_of_int total_served /. float_of_int total);
   }
 
-let check ?jobs (c : serve_config) : Lincheck.Durable.verdict =
-  let r = serve ?jobs { c with record_history = true } in
+let check (c : serve_config) : Lincheck.Durable.verdict =
+  let r = serve { c with record_history = true } in
   Lincheck.Durable.check
     ~provenance:
       (Printf.sprintf "kv/%s shards=%d%s %s"

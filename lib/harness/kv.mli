@@ -1,8 +1,7 @@
 (** Sharded durable KV service: {!Dstruct.Hmap} shards homed round-robin
     across machines, every operation going through a FliT transformation
-    instance — plus optional primary/backup replication with failover,
-    and the open-loop serving engine that drives it with {!Traffic}
-    schedules.
+    instance — plus optional primary/backup replication, and the
+    open-loop serving engine that drives it with {!Traffic} schedules.
 
     Correctness, unreplicated: the shards partition the keyspace, each
     shard is durably linearizable under the map specification, and
@@ -19,16 +18,23 @@
     any replica whose home has crashed since it was last validated —
     even though its non-volatile map survives, the crash may have eaten
     completed-but-unflushed stores (Finding F1) — until a re-sync
-    replays the shard's write log from a trusted peer.  Reads are served
-    by the *acting* replica only, with the home's crash epoch
-    re-checked around the read; after a heartbeat timeout a servable
-    backup is promoted, and the configured primary is re-demoted into
-    the role once it is caught back up.  Because reads come only from
-    crash-validated replicas, acknowledged writes come from all of
-    them, and shards with no trusted replica left simply stop answering
-    (deadline expiry, {!Unavailable} → [Faulted]), the composite stays
-    durably linearizable against the map spec under *any* storm of
-    single-home crashes — availability degrades, correctness does not.
+    replays the shard's write log from a trusted peer.
+
+    Reads follow one fixed rule.  While the primary (replica 0) is
+    servable — up, and validated at its home's current crash epoch — it
+    is read lock-free, with the epoch re-checked around the read; the
+    primary applies every write last, so a value visible there is
+    already on every backup.  Otherwise the read takes the shard lock,
+    re-syncs what it can, and reads the lowest-index *trusted* replica,
+    polling until the deadline when there is none.  A backup that is
+    servable but not trusted is never read: a write that faulted on it
+    left its copy stale.  Because reads come only from the crash-
+    validated primary or from replicas holding every logged write,
+    acknowledged writes come from all of them, and shards with no
+    trusted replica left simply stop answering (deadline expiry,
+    {!Unavailable} → [Faulted]), the composite stays durably
+    linearizable against the map spec under *any* storm of single-home
+    crashes — availability degrades, correctness does not.
     The {!Objects.Kv} kind puts exactly this composite under the
     fuzzer's crash + RAS envelopes. *)
 
@@ -47,7 +53,6 @@ val create :
   ?buckets:int ->
   ?replicas:int ->
   ?deadline:int ->
-  ?failover_timeout:int ->
   flit:Flit.Flit_intf.instance ->
   home:int ->
   unit ->
@@ -60,20 +65,19 @@ val create :
     4000) is the per-request cycle budget — accounted in waiting
     heartbeats (16 cycles each), so a request that never waits never
     times out and the open-loop engine's idle fast-forwards cannot
-    expire in-flight requests — and [failover_timeout] (default 400,
-    wall cycles) the heartbeat timeout before promoting a backup; both
-    only matter when [replicas > 1].  Must run inside a scheduled
-    thread.  [buckets] per shard as in {!Dstruct.Hmap.create}.
+    expire in-flight requests; it only matters when [replicas > 1].
+    Must run inside a scheduled thread.  [buckets] per shard as in
+    {!Dstruct.Hmap.create}.
     @raise Invalid_argument when [shards <= 0], [replicas <= 0],
-    [replicas] exceeds the machine count, or a timeout is
-    non-positive. *)
+    [replicas] exceeds the machine count, or [deadline <= 0]. *)
 
 val n_shards : t -> int
 val n_replicas : t -> int
 
 val failovers : t -> int
-(** Acting-replica changes so far: promotions after a heartbeat timeout
-    plus re-demotions to the configured primary. *)
+(** Read-path switches so far: changes of the replica reads are served
+    from (the primary to a trusted backup while the primary is not
+    servable, and back once it is re-synced). *)
 
 val rejoins : t -> int
 (** Completed replica re-syncs (write-log replays from a trusted
@@ -94,8 +98,8 @@ val del : t -> Runtime.Sched.ctx -> int -> int
 
 val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
 (** ["put" [k; v]], ["get" [k]], ["del" [k]] — the map-spec op surface,
-    routed to the owning shard (and, when replicated, through the
-    failover state machine).
+    routed to the owning shard (and, when replicated, through the read
+    rule or the write-all path).
     @raise Unavailable when the per-request deadline expires. *)
 
 val heal : t -> Runtime.Sched.ctx -> unit
@@ -139,7 +143,7 @@ type serve_result = {
   faulted : int;       (** ops aborted by a RAS fault past the retry policy *)
   timed_out : int;     (** requests that exhausted their deadline budget *)
   dropped : int;       (** requests lost to crashes / never claimed *)
-  failovers : int;     (** acting-replica changes during the run *)
+  failovers : int;     (** read-path switches during the run ({!failovers}) *)
   rejoins : int;       (** completed replica re-syncs during the run *)
   availability : float;  (** served / offered, in [0, 1] *)
 }
@@ -148,7 +152,7 @@ val op_index : Traffic.op_type -> int
 (** [Read] = 0, [Update] = 1, [Insert] = 2 — the index into [served]
     and [latencies]. *)
 
-val serve : ?tracer:Obs.Tracer.t -> ?jobs:int -> serve_config -> serve_result
+val serve : ?tracer:Obs.Tracer.t -> serve_config -> serve_result
 (** Run the service: preload the keyspace, spawn [servers_per_machine]
     serving threads on every up machine, drain the {!Traffic.stream}
     schedule open-loop (a server ahead of schedule advances the fabric
@@ -158,11 +162,10 @@ val serve : ?tracer:Obs.Tracer.t -> ?jobs:int -> serve_config -> serve_result
     get fresh serving threads, and — when replicated — a healer fibre
     that re-syncs the replicas homed there), and return throughput
     counters, per-op-type latency histograms, failover counts and
-    availability.  Deterministic in the config; [jobs] is accepted for
-    compatibility and ignored (the schedule never depended on it).
+    availability.  Deterministic in the config.
     @raise Invalid_argument when the traffic spec fails
     {!Traffic.validate} or [replicas] is out of range. *)
 
-val check : ?jobs:int -> serve_config -> Lincheck.Durable.verdict
+val check : serve_config -> Lincheck.Durable.verdict
 (** {!serve} with history recording forced on, then the durability
     checker against the map spec. *)

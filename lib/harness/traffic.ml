@@ -1,8 +1,8 @@
 (** Open-loop serving traffic: sessions, arrival schedules, Zipfian
     skew, op mixes.  See the interface for the determinism contract —
     the short version is that every random draw comes from a per-session
-    [Random.State] seeded by [(spec.seed, session)], so neither [~jobs]
-    nor evaluation order can change a byte of the schedule. *)
+    [Random.State] seeded by [(spec.seed, session)], so evaluation order
+    cannot change a byte of the schedule. *)
 
 module Zipf = struct
   (* The YCSB generator (Gray et al., "Quickly generating
@@ -134,9 +134,8 @@ let total_ops (s : spec) = s.sessions * s.ops_per_session
 
 (* Mean inter-arrival gap per session, in cycles: [rate] is the
    aggregate offered load per 1000 cycles, spread evenly across
-   sessions. *)
+   sessions.  [stream] validated [rate > 0]. *)
 let mean_gap (s : spec) =
-  if s.rate <= 0.0 then invalid_arg "Traffic.generate: rate must be positive";
   float_of_int s.sessions *. 1000.0 /. s.rate
 
 (* Exponential inter-arrival (Poisson session), truncated to a whole
@@ -251,13 +250,10 @@ let step_cell (s : spec) zipf (c : cell) : cell option =
         c_pending = pending;
       }
 
-let validate_exn ~ctx s =
-  match validate s with
-  | Ok () -> ()
-  | Error m -> invalid_arg (Printf.sprintf "Traffic.%s: %s" ctx m)
-
 let stream (s : spec) : request Seq.t =
-  validate_exn ~ctx:"stream" s;
+  (match validate s with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Traffic.stream: " ^ m));
   let zipf = Zipf.create ~theta:s.theta ~n:s.keyspace in
   let init = ref E in
   for session = s.sessions - 1 downto 0 do
@@ -289,11 +285,3 @@ let stream (s : spec) : request Seq.t =
           Seq.Cons (c.c_pending, seq_of rest)
   in
   seq_of !init
-
-let generate ?jobs (s : spec) : request array =
-  (* [jobs] sharded schedule *pregeneration* in the materialising
-     engine; the streaming merge is sequential and jobs-independent by
-     construction, so the parameter survives only for caller compat *)
-  ignore jobs;
-  validate_exn ~ctx:"generate" s;
-  Array.of_seq (stream s)

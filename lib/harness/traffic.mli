@@ -5,14 +5,13 @@
     schedule — every request stamped with its arrival cycle — as a lazy
     persistent sequence in arrival order, holding O(sessions) state
     rather than the whole materialised schedule (a pairing-heap merge of
-    per-session generators).  {!generate} is [Array.of_seq] over the
-    same stream, kept for callers that index the schedule.  Both are
-    deterministic in [seed] alone: every random draw comes from a
-    per-session RNG, so neither [?jobs] nor evaluation order can change
-    a byte.  The serving engine ({!Kv.serve}) drains the schedule
-    open-loop: a request's latency is measured from its *arrival* cycle,
-    so queueing delay under overload is visible, unlike the closed-loop
-    {!Workload} shape where each worker waits for its previous op. *)
+    per-session generators).  It is deterministic in [seed] alone:
+    every random draw comes from a per-session RNG, so evaluation order
+    cannot change a byte.  The serving engine ({!Kv.serve}) drains the
+    schedule open-loop: a request's latency is measured from its
+    *arrival* cycle, so queueing delay under overload is visible, unlike
+    the closed-loop {!Workload} shape where each worker waits for its
+    previous op. *)
 
 module Zipf : sig
   (** The YCSB Zipfian generator (Gray et al.): rank [0] is the most
@@ -90,19 +89,10 @@ val validate : spec -> (unit, string) result
 
 val stream : spec -> request Seq.t
 (** The request schedule as a lazy *persistent* sequence in
-    [(arrival, session, seq)] order.  Element-for-element identical to
-    [generate] for the same spec; forcing a node twice replays the
-    identical draws (each step copies its session RNG), so the sequence
+    [(arrival, session, seq)] order ([Array.of_seq] materialises it);
+    forcing a node twice replays the identical draws (each step copies its session RNG), so the sequence
     can be shared or re-traversed.  Memory is O(sessions) — independent
     of [ops_per_session].
-    @raise Invalid_argument when {!validate} rejects the spec. *)
-
-val generate : ?jobs:int -> spec -> request array
-(** [Array.of_seq (stream spec)]: the full materialised schedule, sorted
-    by [(arrival, session, seq)].  Byte-identical for a fixed
-    [spec.seed] across every [jobs] value — the streaming merge is
-    sequential, so [?jobs] is accepted only for caller compatibility and
-    ignored.
     @raise Invalid_argument when {!validate} rejects the spec. *)
 
 val total_ops : spec -> int

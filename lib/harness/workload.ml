@@ -187,10 +187,12 @@ let install_crash_plan sched (c : config) ~record
 let install_fault_plan sched (c : config) =
   Runcore.install_fault_plan sched (env_of_config c)
 
-let worker_names = lazy (Array.init 16 (fun i -> Printf.sprintf "w%d" i))
+(* Eager for the same reason as [Fabric.default_names]: campaign workers
+   on several domains share it. *)
+let worker_names = Array.init 16 (fun i -> Printf.sprintf "w%d" i)
 
 let worker_name i =
-  if i < 16 then (Lazy.force worker_names).(i) else Printf.sprintf "w%d" i
+  if i < 16 then worker_names.(i) else Printf.sprintf "w%d" i
 
 let run ?tracer (c : config) : result =
   let fab = build_fabric ?tracer c in

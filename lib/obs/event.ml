@@ -63,7 +63,7 @@ let all_prims =
 type span_phase =
   | P_dispatch      (** a server claimed the request; [t0] = arrival stamp *)
   | P_apply_backup  (** backup replica [replica] applied the write *)
-  | P_apply_acting  (** the acting replica applied the write *)
+  | P_apply_acting  (** the primary (replica 0) applied the write, last *)
   | P_ack           (** terminal: the request completed successfully *)
   | P_timeout       (** terminal: deadline exhausted ([Kv.Unavailable]) *)
   | P_fault         (** terminal: a RAS fault surfaced past the retry policy *)
@@ -122,15 +122,17 @@ type t =
   | Switch of { step : int; tid : int; machine : int; cycle : int }
       (** the scheduler switched thread [tid] in at decision [step] *)
   | Failover of { shard : int; from_machine : int; to_machine : int; cycle : int }
-      (** the replicated KV promoted shard [shard]'s acting primary from
-          [from_machine] to [to_machine] (re-demotion back to the
-          original primary is the same event with the roles swapped) *)
+      (** the replicated KV's read rule moved shard [shard]'s reads from
+          the replica on [from_machine] to the one on [to_machine]: to
+          a trusted backup when the primary stopped being servable, and
+          back once it was re-synced *)
   | Rejoin of { shard : int; machine : int; cycle : int }
       (** a stale replica of [shard] homed on [machine] finished
-          re-syncing and is promotable again *)
+          re-syncing and is trusted again *)
   | Unavail of { shard : int; cycles : int; cycle : int }
       (** shard [shard] came back after [cycles] simulated cycles during
-          which no trusted primary could answer for it *)
+          which the read rule had no replica to read: the primary was
+          not servable and no replica was trusted *)
   | Mark of {
       session : int;        (** request identity: generating session… *)
       seq : int;            (** …and sequence number within it *)

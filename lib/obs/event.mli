@@ -47,7 +47,7 @@ val fault_kind_name : fault_kind -> string
 type span_phase =
   | P_dispatch      (** a server claimed the request; [t0] = arrival stamp *)
   | P_apply_backup  (** backup replica [replica] applied the write *)
-  | P_apply_acting  (** the acting replica applied the write *)
+  | P_apply_acting  (** the primary (replica 0) applied the write, last *)
   | P_ack           (** terminal: the request completed successfully *)
   | P_timeout       (** terminal: deadline exhausted ([Kv.Unavailable]) *)
   | P_fault         (** terminal: a RAS fault surfaced past the retry policy *)
@@ -77,14 +77,14 @@ type t =
   | Switch of { step : int; tid : int; machine : int; cycle : int }
       (** the scheduler switched thread [tid] in at decision [step] *)
   | Failover of { shard : int; from_machine : int; to_machine : int; cycle : int }
-      (** the replicated KV promoted shard [shard]'s acting primary from
-          [from_machine] to [to_machine] (re-demotion is the same event
-          with the roles swapped) *)
+      (** the replicated KV's read rule moved shard [shard]'s reads from
+          the replica on [from_machine] to the one on [to_machine] (to a
+          trusted backup, or back to the re-synced primary) *)
   | Rejoin of { shard : int; machine : int; cycle : int }
       (** a stale replica of [shard] on [machine] finished re-syncing *)
   | Unavail of { shard : int; cycles : int; cycle : int }
-      (** shard [shard] came back after [cycles] cycles with no trusted
-          primary *)
+      (** shard [shard] came back after [cycles] cycles with no replica
+          the read rule could read *)
   | Mark of {
       session : int;        (** request identity: generating session… *)
       seq : int;            (** …and sequence number within it *)

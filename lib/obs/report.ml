@@ -15,7 +15,7 @@ type t = {
   machine_ops : int array;       (** primitives issued by each machine *)
   machine_cycles : int array;    (** cycles spent by each machine *)
   line_ops : (int, int) Hashtbl.t;  (** location -> primitives touching it *)
-  mutable failovers : int;       (** KV shard promotions/re-demotions *)
+  mutable failovers : int;       (** KV read-path switches *)
   mutable rejoins : int;         (** stale replicas re-synced *)
   unavail : Hist.t;  (** lengths of shard unavailability windows, cycles *)
   mutable dropped : int;

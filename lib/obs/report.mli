@@ -14,8 +14,8 @@ val observe : t -> prim:Event.prim -> machine:int -> loc:int -> cycles:int -> un
 val observe_failover : t -> unit
 val observe_rejoin : t -> unit
 val observe_unavail : t -> cycles:int -> unit
-(** Record replicated-KV failover machinery events (shard promotion /
-    replica re-sync / a completed unavailability window).  Called by
+(** Record replicated-KV events (a read-path switch / replica re-sync /
+    a completed unavailability window).  Called by
     {!Tracer.emit} on the corresponding {!Event.t} variants. *)
 
 val observe_dropped : t -> unit

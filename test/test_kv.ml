@@ -1,5 +1,5 @@
 (* The sharded KV service and its open-loop serving engine: shard
-   spread, request accounting, run-twice and cross-jobs determinism,
+   spread, request accounting, run-twice determinism,
    queueing visibility (open-loop latency grows under overload), crash
    behaviour, and end-to-end durability of small serving runs. *)
 
@@ -74,10 +74,8 @@ let test_serve_accounting () =
   Alcotest.(check bool) "clock advanced" true (r.K.cycles > 0)
 
 let test_serve_deterministic () =
-  let a = K.serve ~jobs:1 (config ()) and b = K.serve ~jobs:1 (config ()) in
+  let a = K.serve (config ()) and b = K.serve (config ()) in
   Alcotest.(check string) "run-twice identical" (fingerprint a) (fingerprint b);
-  let c = K.serve ~jobs:4 (config ()) in
-  Alcotest.(check string) "jobs-independent" (fingerprint a) (fingerprint c);
   let d =
     K.serve { (config ()) with K.traffic = { small_traffic with T.seed = 4 } }
   in
@@ -154,7 +152,7 @@ let test_serve_history_matches_counts () =
     (Lincheck.History.well_formed r.K.history)
 
 (* ------------------------------------------------------------------ *)
-(* Replication and failover                                            *)
+(* Replication and the read rule                                      *)
 (* ------------------------------------------------------------------ *)
 
 let rconfig ?(traffic = small_traffic) ?(crashes = []) ?(faults = [])
@@ -182,7 +180,7 @@ let degraded =
 
 let test_replicated_quiet () =
   (* without crashes, replication must not cost any requests: everything
-     is served, availability is 1, and no failover machinery fires *)
+     is served, availability is 1, and reads never leave the primary *)
   let r = K.serve (rconfig ()) in
   let total = r.K.served.(0) + r.K.served.(1) + r.K.served.(2) in
   Alcotest.(check int) "all served" (T.total_ops small_traffic) total;
@@ -203,7 +201,8 @@ let test_unreplicated_unchanged () =
 let test_storm_conservation () =
   (* a 5-cycle shard-home crash storm under a degraded link: every
      request still accounted for, the service survives with partial
-     availability, and the failover machinery demonstrably fired *)
+     availability, and reads demonstrably left the primary or replicas
+     were re-synced *)
   let r = K.serve (rconfig ~crashes:(storm ()) ~faults:degraded ()) in
   let total = r.K.served.(0) + r.K.served.(1) + r.K.served.(2) in
   Alcotest.(check int) "conservation" (T.total_ops small_traffic)
@@ -243,10 +242,11 @@ let test_storm_deterministic () =
   Alcotest.(check string) "storm run-twice identical" (fp a) (fp b)
 
 let test_recovery_interleavings () =
-  (* Sched.restart racing the failover machinery: a fast restart lands
-     before the heartbeat timeout promotes a backup (heal-in-place), a
-     slow one lands after promotion (heal then re-demotion); both must
-     stay durable with every request accounted for *)
+  (* Sched.restart racing the read rule: while the primary's home is
+     down, reads go to the trusted backup under the shard lock; a fast
+     restart heals the primary almost at once, a slow one only after a
+     long stretch of backup reads.  Both must stay durable with every
+     request accounted for *)
   List.iter
     (fun (at, restart_at) ->
       let crashes =
@@ -277,8 +277,7 @@ let test_no_fibre_leak () =
   ignore
     (Runtime.Sched.spawn sched ~machine:2 ~name:"init" (fun ctx ->
          let kv =
-           K.create ctx ~replicas:2 ~deadline:600 ~failover_timeout:100 ~flit
-             ~home:2 ()
+           K.create ctx ~replicas:2 ~deadline:600 ~flit ~home:2 ()
          in
          kv_ref := Some kv;
          for m = 0 to 1 do
@@ -306,6 +305,63 @@ let test_no_fibre_leak () =
   ignore (Runtime.Sched.run sched);
   Alcotest.(check int) "no leaked fibres" 0 (Runtime.Sched.alive sched)
 
+(* One crash of machine 2 (the primary's home with one shard) and one
+   down link between machines 1 and 0 (the backups' homes) on a single
+   key: a write that faults on a backup over the link leaves it
+   servable but stale.  The tuple is (seed, crash step, restart step,
+   link-down cycle, link-up cycle). *)
+let stale_backup ~replicas (seed, at, restart_at, from_cycle, until_cycle) =
+  let traffic =
+    { T.default_spec with T.sessions = 3; ops_per_session = 6; keyspace = 1;
+      rate = 3.0; mix = T.mix_of_string "50:50:0"; seed }
+  in
+  let c =
+    K.default_serve_config ~transform:Flit.Registry.alg3'_weakest ~traffic
+  in
+  { c with
+    K.shards = 1;
+    replicas;
+    env =
+      { c.K.env with
+        R.seed;
+        crashes =
+          [ { R.at; machine = 2; restart_at; recovery_threads = 0;
+              recovery_ops = 0 } ];
+        faults = [ R.Down_link { m1 = 1; m2 = 0; from_cycle; until_cycle } ] } }
+
+let decided_durable name c =
+  let v = K.check c in
+  Alcotest.(check bool) (name ^ " decided") true
+    (v.Lincheck.Durable.skipped = None);
+  Alcotest.(check bool) (name ^ " durable") true v.Lincheck.Durable.durable
+
+let test_stale_backup_never_read () =
+  (* two runs that were not durable when a heartbeat timeout could
+     promote a stale backup to serve reads; reads may only fall back to
+     a trusted replica *)
+  List.iter
+    (fun ((seed, _, _, _, _) as w) ->
+      decided_durable (Fmt.str "seed %d" seed) (stale_backup ~replicas:2 w))
+    [ (784, 200, 890, 2500, 5300); (897, 150, 350, 2300, 4600) ]
+
+let test_read_rule_sweep () =
+  (* random crash and down-link windows of the same shape: every run
+     must come back decided and durable *)
+  List.iter
+    (fun replicas ->
+      for seed = 1 to 500 do
+        let rng = Random.State.make [| seed; replicas |] in
+        let at = 100 + Random.State.int rng 200 in
+        let restart_at = at + 100 + Random.State.int rng 800 in
+        let from_cycle = 1500 + Random.State.int rng 1500 in
+        let until_cycle = from_cycle + 1500 + Random.State.int rng 2500 in
+        decided_durable
+          (Fmt.str "replicas=%d seed %d" replicas seed)
+          (stale_backup ~replicas
+             (seed, at, restart_at, from_cycle, until_cycle))
+      done)
+    [ 2; 3 ]
+
 let test_replica_validation () =
   Alcotest.check_raises "replicas > machines"
     (Invalid_argument "Kv.serve: replicas must not exceed the machine count")
@@ -323,9 +379,9 @@ let test_replica_validation () =
 (* Request tracing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let traced_serve ?jobs ?series c =
+let traced_serve ?series c =
   let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) ?series () in
-  let r = K.serve ~tracer ?jobs c in
+  let r = K.serve ~tracer c in
   (r, tracer)
 
 let stormy () = rconfig ~crashes:(storm ()) ~faults:degraded ()
@@ -417,15 +473,12 @@ let test_span_phase_order () =
     spans
 
 let test_span_determinism () =
-  (* the digest folds into --sig: it must be identical run to run and
-     across --jobs, and unchanged by the tracer being attached *)
-  let digest ?jobs () =
-    let _, tr = traced_serve ?jobs (stormy ()) in
+  (* the digest folds into --sig: it must be identical run to run *)
+  let digest () =
+    let _, tr = traced_serve (stormy ()) in
     Obs.Span.digest (Obs.Span.assemble tr)
   in
-  let a = digest ~jobs:1 () in
-  Alcotest.(check string) "run-twice identical" a (digest ~jobs:1 ());
-  Alcotest.(check string) "jobs-independent" a (digest ~jobs:4 ())
+  Alcotest.(check string) "run-twice identical" (digest ()) (digest ())
 
 let test_tracer_inert_serving () =
   (* attaching a tracer must not perturb the serving run: identical
@@ -502,6 +555,9 @@ let () =
           Alcotest.test_case "recovery interleavings" `Quick
             test_recovery_interleavings;
           Alcotest.test_case "no fibre leak" `Quick test_no_fibre_leak;
+          Alcotest.test_case "stale backup never read" `Quick
+            test_stale_backup_never_read;
+          Alcotest.test_case "read-rule sweep" `Quick test_read_rule_sweep;
           Alcotest.test_case "validation" `Quick test_replica_validation;
         ] );
       ( "tracing",

@@ -1,7 +1,7 @@
 (* The traffic layer: Zipfian generator shape (rank-frequency
    monotonicity, theta-skew ordering), mix parsing, and the schedule
    determinism contract — byte-identical request streams for a fixed
-   seed across --jobs values and across reruns. *)
+   seed across reruns and re-traversals. *)
 
 module T = Harness.Traffic
 
@@ -95,22 +95,10 @@ let spec =
   { T.default_spec with T.sessions = 13; ops_per_session = 9; keyspace = 32;
     seed = 7 }
 
-let test_jobs_identical_streams () =
-  (* the satellite contract: byte-identical key streams for a fixed seed
-     across --jobs, and across reruns *)
-  let base = T.generate ~jobs:1 spec in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Fmt.str "jobs=%d identical" jobs)
-        true
-        (T.generate ~jobs spec = base))
-    [ 1; 2; 4; 7 ];
-  Alcotest.(check bool) "seed matters" true
-    (T.generate ~jobs:1 { spec with T.seed = 8 } <> base)
+let schedule spec = Array.of_seq (T.stream spec)
 
 let test_schedule_well_formed () =
-  let reqs = T.generate ~jobs:1 { spec with T.mix = T.mix_of_string "90:5:5" } in
+  let reqs = schedule { spec with T.mix = T.mix_of_string "90:5:5" } in
   Alcotest.(check int) "all ops scheduled" (T.total_ops spec)
     (Array.length reqs);
   let last_arrival = ref 0 in
@@ -144,16 +132,18 @@ let test_schedule_well_formed () =
     (List.length !insert_keys)
     (List.length (List.sort_uniq compare !insert_keys))
 
-let test_stream_equals_generate () =
-  (* the streaming engine's contract: element-for-element equal to the
-     materialised schedule, persistent (forcing twice replays the same
-     draws), and O(sessions) in state — the big spec here would blow an
-     eager engine's memory budget times over if it materialised *)
-  let arr = T.generate spec in
+let test_stream_persistent () =
+  (* the streaming engine's contract: deterministic in the seed,
+     persistent (forcing twice replays the same draws), and O(sessions)
+     in state — the big spec here would blow an eager engine's memory
+     budget times over if it materialised *)
   let s = T.stream spec in
-  Alcotest.(check bool) "stream = generate" true (Array.of_seq s = arr);
+  let arr = Array.of_seq s in
+  Alcotest.(check bool) "rerun identical" true (schedule spec = arr);
   Alcotest.(check bool) "stream is persistent" true
     (Array.of_seq s = arr);
+  Alcotest.(check bool) "seed matters" true
+    (schedule { spec with T.seed = 8 } <> arr);
   let big = { spec with T.sessions = 3; ops_per_session = 100_000 } in
   let n = Seq.fold_left (fun n (_ : T.request) -> n + 1) 0 (T.stream big) in
   Alcotest.(check int) "lazy stream drains fully" (T.total_ops big) n
@@ -177,18 +167,18 @@ let test_validate () =
   err
     { spec with T.mix = { T.reads = 0; updates = 0; inserts = 0 } }
     "mix weights must be non-negative and sum to > 0";
-  (* generate/stream raise the same message, prefixed by their entry
-     point — the CLI shares validate, so cxl0-kv rejects identically *)
-  Alcotest.check_raises "generate raises"
-    (Invalid_argument "Traffic.generate: rate must be positive") (fun () ->
-      ignore (T.generate { spec with T.rate = -1.0 }));
+  (* stream raises the validate message, prefixed by its entry point —
+     the CLI shares validate, so cxl0-kv rejects identically *)
+  Alcotest.check_raises "stream raises on rate"
+    (Invalid_argument "Traffic.stream: rate must be positive") (fun () ->
+      ignore (T.stream { spec with T.rate = -1.0 } : T.request Seq.t));
   Alcotest.check_raises "stream raises"
     (Invalid_argument "Traffic.stream: sessions must be positive") (fun () ->
       ignore (T.stream { spec with T.sessions = 0 } : T.request Seq.t))
 
 let test_mix_respected () =
   let all_ops mix =
-    Array.to_list (T.generate ~jobs:1 { spec with T.mix })
+    Array.to_list (schedule { spec with T.mix })
     |> List.map (fun r -> r.T.op)
   in
   Alcotest.(check bool) "mix c is read-only" true
@@ -215,11 +205,9 @@ let () =
       ("mix", [ Alcotest.test_case "parsing" `Quick test_mix_parsing ]);
       ( "schedule",
         [
-          Alcotest.test_case "jobs-identical streams" `Quick
-            test_jobs_identical_streams;
           Alcotest.test_case "well-formed" `Quick test_schedule_well_formed;
-          Alcotest.test_case "stream equals generate" `Quick
-            test_stream_equals_generate;
+          Alcotest.test_case "stream persistent" `Quick
+            test_stream_persistent;
           Alcotest.test_case "validate" `Quick test_validate;
           Alcotest.test_case "mix respected" `Quick test_mix_respected;
         ] );
