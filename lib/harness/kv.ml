@@ -594,6 +594,8 @@ type serve_result = {
   latencies : Obs.Hist.t array;
   faulted : int;
   timed_out : int;
+  claimed : int;
+  killed : int;
   dropped : int;
   failovers : int;
   rejoins : int;
@@ -664,14 +666,23 @@ let serve ?tracer (c : serve_config) : serve_result =
      shared clock over ops still in flight, billing them phantom
      queueing delay.
 
-     The stall bound: a server that has yielded [stall_limit] times
-     without seeing the clock move claims anyway.  In a healthy run the
-     clock always moves while anyone is busy (every primitive charges),
-     so the bound only fires when a crash killed a busy server — whose
-     in-flight increment nobody will ever undo — and the survivors must
-     not spin forever behind it. *)
+     The stall bound: a server whose claim test has failed [stall_limit]
+     times in a row without seeing the clock move claims anyway.  In a
+     healthy run the clock always moves while anyone is busy (every
+     primitive charges), so the bound only fires when a crash killed a
+     busy server — whose in-flight increment nobody will ever undo — and
+     the survivors must not spin forever behind it.
+
+     The claim test ([ready] in [server]) is one function, with the
+     stall counter folded in: the server calls it once before claiming,
+     and hands it to {!Runtime.Sched.wait} as the poll while it idles.
+     It touches only the stream head and server-local counters, never
+     the fabric, so the scheduler may run it in place of the fibre: each
+     failed poll is still one scheduling decision, the fibre is resumed
+     only to claim (or to exit once the stream is drained). *)
   let stall_limit = 64 in
   let busy = ref 0 in
+  let claimed = ref 0 in
   let serve_one kv ctx (r : Traffic.request) =
     let op, args = map_op r in
     record (Lincheck.History.Inv { tid = ctx.Runtime.Sched.tid; op; args });
@@ -726,29 +737,42 @@ let serve ?tracer (c : serve_config) : serve_result =
         close Obs.Event.P_timeout
   in
   let server kv ctx =
-    let rec loop stalls last_seen =
+    let stalls = ref 0 in
+    let last_seen = ref (-1) in
+    (* true when the head may be claimed now, or the stream is drained
+       (the server then exits) *)
+    let ready () =
       refill ();
+      match !next_req with
+      | None -> true
+      | Some r ->
+          let now = Fabric.cycles fab in
+          if r.Traffic.arrival <= now || !busy = 0 || !stalls >= stall_limit
+          then true
+          else begin
+            stalls := if now = !last_seen then !stalls + 1 else 0;
+            last_seen := now;
+            false
+          end
+    in
+    let rec loop () =
+      if not (ready ()) then Runtime.Sched.wait ctx ready;
       match !next_req with
       | None -> ()
       | Some r ->
+          next_req := None;
           let now = Fabric.cycles fab in
-          if r.Traffic.arrival <= now || !busy = 0 || stalls >= stall_limit
-          then begin
-            next_req := None;
-            if now < r.Traffic.arrival then
-              Fabric.charge fab (r.Traffic.arrival - now);
-            busy := !busy + 1;
-            serve_one kv ctx r;
-            busy := !busy - 1;
-            loop 0 (Fabric.cycles fab)
-          end
-          else begin
-            Runtime.Sched.yield ctx;
-            let stalls = if now = last_seen then stalls + 1 else 0 in
-            loop stalls now
-          end
+          if now < r.Traffic.arrival then
+            Fabric.charge fab (r.Traffic.arrival - now);
+          incr claimed;
+          busy := !busy + 1;
+          serve_one kv ctx r;
+          busy := !busy - 1;
+          stalls := 0;
+          last_seen := Fabric.cycles fab;
+          loop ()
     in
-    loop 0 (-1)
+    loop ()
   in
   let spawn_servers s ~machine ~tag kv =
     for r = 0 to c.servers_per_machine - 1 do
@@ -853,6 +877,15 @@ let serve ?tracer (c : serve_config) : serve_result =
   ignore (Runtime.Sched.run sched);
   let total_served = served.(0) + served.(1) + served.(2) in
   let total = Traffic.total_ops c.traffic in
+  (* a server killed mid-request never decremented [busy]: what is left
+     is the count of requests killed in flight *)
+  let killed = !busy in
+  if !claimed <> total_served + !faulted + !req_timed_out + killed then
+    failwith
+      (Printf.sprintf
+         "Kv.serve: %d claimed <> %d served + %d faulted + %d timed out + \
+          %d killed"
+         !claimed total_served !faulted !req_timed_out killed);
   let kv_failovers, kv_rejoins =
     match !kv_ref with
     | None -> (0, 0)
@@ -866,7 +899,9 @@ let serve ?tracer (c : serve_config) : serve_result =
     latencies;
     faulted = !faulted;
     timed_out = !req_timed_out;
-    dropped = total - total_served - !faulted - !req_timed_out;
+    claimed = !claimed;
+    killed;
+    dropped = total - !claimed + killed;
     failovers = kv_failovers;
     rejoins = kv_rejoins;
     availability =

@@ -142,7 +142,14 @@ type serve_result = {
   latencies : Obs.Hist.t array;  (** completion − arrival, by {!op_index} *)
   faulted : int;       (** ops aborted by a RAS fault past the retry policy *)
   timed_out : int;     (** requests that exhausted their deadline budget *)
-  dropped : int;       (** requests lost to crashes / never claimed *)
+  claimed : int;       (** requests a server took off the schedule *)
+  killed : int;
+      (** claimed requests whose server a crash killed in flight; every
+          claim ends exactly once, so
+          [claimed = served + faulted + timed_out + killed] (checked) *)
+  dropped : int;
+      (** requests lost: never claimed, plus killed in flight —
+          [(offered − claimed) + killed] *)
   failovers : int;     (** read-path switches during the run ({!failovers}) *)
   rejoins : int;       (** completed replica re-syncs during the run *)
   availability : float;  (** served / offered, in [0, 1] *)
@@ -155,14 +162,17 @@ val op_index : Traffic.op_type -> int
 val serve : ?tracer:Obs.Tracer.t -> serve_config -> serve_result
 (** Run the service: preload the keyspace, spawn [servers_per_machine]
     serving threads on every up machine, drain the {!Traffic.stream}
-    schedule open-loop (a server ahead of schedule advances the fabric
-    clock to the next arrival; a server behind serves immediately, and
+    schedule open-loop (a server behind schedule serves immediately, and
     the request's latency — completion minus *arrival* — shows the
-    queueing delay), crash/restart per the env plan (restarted machines
+    queueing delay; a request not yet arrived is claimed only when no op
+    is in flight, advancing the fabric clock to its arrival; an idle
+    server polls its claim test inside the scheduler via
+    {!Runtime.Sched.wait}), crash/restart per the env plan (restarted machines
     get fresh serving threads, and — when replicated — a healer fibre
     that re-syncs the replicas homed there), and return throughput
     counters, per-op-type latency histograms, failover counts and
     availability.  Deterministic in the config.
+    @raise Failure if the request counts do not balance (a bug).
     @raise Invalid_argument when the traffic spec fails
     {!Traffic.validate} or [replicas] is out of range. *)
 

@@ -22,7 +22,9 @@
     seeded selection draw sees live tasks in spawn order — exactly the
     set the list-based loop saw), the crash-plan is an array scanned in
     registration order, and crashed machines are an int bitmask.  Only a
-    suspension allocates (the fresh continuation's one-word wrapper). *)
+    suspension allocates (the fresh continuation's one-word wrapper); a
+    failed {!wait} poll allocates nothing, and dead tasks are compacted
+    only after one has died. *)
 
 type ctx = {
   sched : t;
@@ -31,14 +33,16 @@ type ctx = {
   tid : int;      (** globally unique thread id (never reused) *)
 }
 
-and status = Done | Suspended of (unit, status) Effect.Deep.continuation
-
-(* What resuming a task means: run its fibre from the start, continue a
-   suspended continuation, or nothing — finished/killed tasks stay
-   [Dead] until the next in-place compaction drops them. *)
+(* A task's state, which is also what its fibre hands back when it
+   stops: run the fibre from the start, continue a suspended
+   continuation, poll a waiting one (continuing it only once its poll
+   holds), or nothing — a finished fibre returns [Dead], and
+   finished/killed tasks stay [Dead] until the next in-place compaction
+   drops them. *)
 and tstate =
-  | Start of (unit -> status)
-  | Cont of (unit, status) Effect.Deep.continuation
+  | Start of (unit -> tstate)
+  | Cont of (unit, tstate) Effect.Deep.continuation
+  | Poll of (unit -> bool) * (unit, tstate) Effect.Deep.continuation
   | Dead
 
 and task = {
@@ -66,6 +70,9 @@ and t = {
   fabric : Fabric.t;
   mutable tasks : task array;  (** [0, n_tasks) in spawn order *)
   mutable n_tasks : int;
+  mutable n_dead : int;
+      (** tasks that died since the last compaction; the run loop
+          compacts only when it is non-zero *)
   mutable next_tid : int;
   mutable step : int;          (** scheduling decisions taken so far *)
   mutable plan : plan_entry array;
@@ -87,7 +94,9 @@ and t = {
           it), read by span phase marks to attribute retry time *)
 }
 
-type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t +=
+  | Yield : unit Effect.t
+  | Wait : (unit -> bool) -> unit Effect.t
 
 let dummy_task = { task_tid = -1; task_machine = 0; name = ""; state = Dead }
 let dummy_entry = { pstep = 0; paction = Crash 0; pdone = true }
@@ -97,6 +106,7 @@ let create ?(seed = 42) fabric =
     fabric;
     tasks = Array.make 8 dummy_task;
     n_tasks = 0;
+    n_dead = 0;
     next_tid = 0;
     step = 0;
     plan = Array.make 4 dummy_entry;
@@ -153,19 +163,20 @@ let restart t i =
            { machine = i; cycle = Fabric.cycles t.fabric; step = t.step })
 
 (* Wrap a thread body as an effect-handled fibre. *)
-let fiber (body : unit -> unit) : unit -> status =
+let fiber (body : unit -> unit) : unit -> tstate =
  fun () ->
   Effect.Deep.match_with body ()
     {
-      retc = (fun () -> Done);
+      retc = (fun () -> Dead);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Yield ->
+              Some (fun (k : (a, tstate) Effect.Deep.continuation) -> Cont k)
+          | Wait p ->
               Some
-                (fun (k : (a, status) Effect.Deep.continuation) ->
-                  Suspended k)
+                (fun (k : (a, tstate) Effect.Deep.continuation) -> Poll (p, k))
           | _ -> None);
     }
 
@@ -193,6 +204,14 @@ let spawn t ~machine ~name (body : ctx -> unit) =
 (** [yield ctx] — a scheduling point; every {!Ops} primitive calls this. *)
 let yield _ctx = Effect.perform Yield
 
+(** [wait ctx p] — [yield; while not (p ()) do yield done], with the
+    polling done by the scheduler: every failed poll is still a full
+    scheduling decision, but the fibre is resumed (and a continuation
+    captured) only once.  [p] must be exactly what the fibre would
+    compute between resuming and its next yield, with no fabric access
+    and no side effect on the simulation. *)
+let wait _ctx p = Effect.perform (Wait p)
+
 (** [jitter ctx n] — a retry-backoff jitter draw in [\[0, max 1 n)], from
     the scheduler's dedicated retry stream (seeded alongside the
     interleaving stream but independent of it). *)
@@ -219,7 +238,12 @@ let crash_now t i =
   t.crashed <- t.crashed lor (1 lsl i);
   for k = 0 to t.n_tasks - 1 do
     let task = t.tasks.(k) in
-    if task.task_machine = i then task.state <- Dead
+    if task.task_machine = i then
+      match task.state with
+      | Dead -> ()
+      | Start _ | Cont _ | Poll _ ->
+          task.state <- Dead;
+          t.n_dead <- t.n_dead + 1
   done
 
 let run_action t = function
@@ -246,12 +270,13 @@ let run_due_actions t =
    order, so the selection draw below indexes the same set the
    list-based filter produced. *)
 let prune_dead t =
+  t.n_dead <- 0;
   let w = ref 0 in
   for r = 0 to t.n_tasks - 1 do
     let task = t.tasks.(r) in
     match task.state with
     | Dead -> ()
-    | Start _ | Cont _ ->
+    | Start _ | Cont _ | Poll _ ->
         if !w <> r then t.tasks.(!w) <- task;
         incr w
   done;
@@ -266,7 +291,7 @@ let prune_dead t =
 let run t =
   let rec loop () =
     run_due_actions t;
-    prune_dead t;
+    if t.n_dead > 0 then prune_dead t;
     if t.n_tasks = 0 then
       if t.plan_pending = 0 then t.step
       else begin
@@ -296,20 +321,23 @@ let run t =
                  machine = chosen.task_machine;
                  cycle = Fabric.cycles t.fabric;
                }));
-      let st = chosen.state in
-      chosen.state <- Dead;
-      (match
-         (match st with
-         | Start f -> f ()
-         | Cont k -> Effect.Deep.continue k ()
-         | Dead -> Done (* unreachable: pruned above *))
-       with
-      | Done -> ()
-      | Suspended k ->
-          (* The task's machine may have crashed while it ran (a thread
-             can call {!crash_now} directly); if so the task is already
-             marked dead — drop the continuation. *)
-          if machine_is_up t chosen.task_machine then chosen.state <- Cont k);
+      (match chosen.state with
+      | Poll (p, _) when not (p ()) -> () (* still waiting: stays queued *)
+      | st -> (
+          chosen.state <- Dead;
+          match
+            match st with
+            | Start f -> f ()
+            | Cont k | Poll (_, k) -> Effect.Deep.continue k ()
+            | Dead -> Dead (* unreachable: pruned above *)
+          with
+          | Dead -> t.n_dead <- t.n_dead + 1
+          | next ->
+              (* The task's machine may have crashed while it ran (a
+                 thread can call {!crash_now} directly); if so the task
+                 is already marked dead — drop the continuation. *)
+              if machine_is_up t chosen.task_machine then chosen.state <- next
+              else t.n_dead <- t.n_dead + 1));
       loop ()
     end
   in
@@ -319,6 +347,8 @@ let run t =
 let alive t =
   let n = ref 0 in
   for k = 0 to t.n_tasks - 1 do
-    match t.tasks.(k).state with Dead -> () | Start _ | Cont _ -> incr n
+    match t.tasks.(k).state with
+    | Dead -> ()
+    | Start _ | Cont _ | Poll _ -> incr n
   done;
   !n

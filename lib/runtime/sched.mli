@@ -14,8 +14,6 @@ type ctx = private {
   tid : int;      (** globally unique thread id (never reused) *)
 }
 
-and status
-
 and action =
   | Crash of int          (** crash machine [i] *)
   | Call of (t -> unit)   (** arbitrary hook, e.g. recovery spawning *)
@@ -51,6 +49,22 @@ val spawn : t -> machine:int -> name:string -> (ctx -> unit) -> int
 
 val yield : ctx -> unit
 (** A scheduling point; every memory primitive calls this. *)
+
+val wait : ctx -> (unit -> bool) -> unit
+(** [wait ctx p] behaves exactly like
+    [yield ctx; while not (p ()) do yield ctx done], but the scheduler
+    runs the poll itself when it picks the waiting thread and resumes the
+    fibre only once [p ()] holds.  Each failed poll is still one full
+    scheduling decision (step count, eviction chance, selection draw,
+    traced [Switch], due plan actions), so a run is step-for-step
+    identical to the [yield] loop; only the per-poll fibre round trip and
+    continuation allocation are saved.
+
+    Contract: [p] is exactly what the fibre would compute between
+    resuming and its next yield.  It makes no fabric access (reading the
+    clock is fine; a primitive, a charge or a scheduler call is not) and
+    has no side effect on the simulation — it may update state private
+    to the waiting fibre.  An exception from [p] escapes {!run}. *)
 
 val jitter : ctx -> int -> int
 (** [jitter ctx n] — a retry-backoff jitter draw in [\[0, max 1 n)] from

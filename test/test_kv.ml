@@ -100,6 +100,20 @@ let test_open_loop_queueing () =
     true
     (fast > 2.0 *. slow)
 
+(* Request conservation through counted terms: every claim ends exactly
+   once (served, faulted, timed out, or killed in flight with its
+   server), and a request is dropped iff it was never claimed or was
+   killed.  [Kv.serve] raises on the first identity; the second pins
+   how [dropped] is derived. *)
+let check_conservation (traffic : T.spec) (r : K.serve_result) =
+  let total = r.K.served.(0) + r.K.served.(1) + r.K.served.(2) in
+  Alcotest.(check int) "claimed = served + faulted + timed out + killed"
+    r.K.claimed
+    (total + r.K.faulted + r.K.timed_out + r.K.killed);
+  Alcotest.(check int) "dropped = never claimed + killed"
+    (T.total_ops traffic - r.K.claimed + r.K.killed)
+    r.K.dropped
+
 let test_serve_crash_accounting () =
   (* crash a serving machine mid-run without restart: every request is
      still accounted for — served, faulted, or dropped *)
@@ -112,7 +126,29 @@ let test_serve_crash_accounting () =
   let total = r.K.served.(0) + r.K.served.(1) + r.K.served.(2) in
   Alcotest.(check int) "conservation" (T.total_ops traffic)
     (total + r.K.faulted + r.K.dropped);
+  check_conservation traffic r;
   Alcotest.(check int) "crash recorded in stats" 1 r.K.stats.Fabric.Stats.crashes
+
+let test_crash_kills_busy_server () =
+  (* a crash lands while a server on the felled machine is mid-request:
+     that request is neither served, faulted nor timed out — it is
+     killed in flight, and counted as such.  Its [busy] increment is
+     never undone, yet the stall bound keeps the survivors (and the
+     restarted machine's fresh servers) claiming: every other request
+     is claimed, so the killed ones are all that is dropped *)
+  let crashes =
+    [ { R.at = 150; machine = 0; restart_at = 400; recovery_threads = 0;
+        recovery_ops = 0 } ]
+  in
+  let traffic = { small_traffic with T.sessions = 8; ops_per_session = 6 } in
+  let r = K.serve (config ~traffic ~crashes ()) in
+  check_conservation traffic r;
+  Alcotest.(check bool)
+    (Fmt.str "a busy server was killed (killed=%d)" r.K.killed)
+    true (r.K.killed >= 1);
+  Alcotest.(check int) "every request claimed" (T.total_ops traffic)
+    r.K.claimed;
+  Alcotest.(check int) "only killed requests dropped" r.K.killed r.K.dropped
 
 let test_serve_history_checked () =
   (* a small crash+fault serving run through the durability checker,
@@ -207,6 +243,7 @@ let test_storm_conservation () =
   let total = r.K.served.(0) + r.K.served.(1) + r.K.served.(2) in
   Alcotest.(check int) "conservation" (T.total_ops small_traffic)
     (total + r.K.faulted + r.K.timed_out + r.K.dropped);
+  check_conservation small_traffic r;
   Alcotest.(check int) "all crashes landed" 5 r.K.stats.Fabric.Stats.crashes;
   Alcotest.(check bool)
     (Fmt.str "some availability (%.2f)" r.K.availability)
@@ -260,7 +297,8 @@ let test_recovery_interleavings () =
       let r = K.serve (rconfig ~crashes ()) in
       let total = r.K.served.(0) + r.K.served.(1) + r.K.served.(2) in
       Alcotest.(check int) "conservation" (T.total_ops small_traffic)
-        (total + r.K.faulted + r.K.timed_out + r.K.dropped))
+        (total + r.K.faulted + r.K.timed_out + r.K.dropped);
+      check_conservation small_traffic r)
     [ (180, 200); (180, 1200) ]
 
 let test_no_fibre_leak () =
@@ -533,6 +571,8 @@ let () =
             test_open_loop_queueing;
           Alcotest.test_case "crash accounting" `Quick
             test_serve_crash_accounting;
+          Alcotest.test_case "crash kills a busy server" `Quick
+            test_crash_kills_busy_server;
           Alcotest.test_case "history well-formed" `Quick
             test_serve_history_matches_counts;
         ] );

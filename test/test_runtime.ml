@@ -147,6 +147,153 @@ let test_plan_fires_when_idle () =
   Alcotest.(check bool) "fired" true !fired
 
 (* ------------------------------------------------------------------ *)
+(* Scheduler-side waits and dead-task compaction                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every traced switch as (step, tid, cycle). *)
+let switches tr =
+  List.filter_map
+    (function
+      | Obs.Event.Switch { step; tid; cycle; _ } -> Some (step, tid, cycle)
+      | _ -> None)
+    (Obs.Tracer.events tr)
+
+(* Workers bump a shared FAA counter (mirrored in a host-side count);
+   waiters block until the count reaches each of their targets, then
+   load the counter.  [`Sched] waits with [S.wait]; [`Loop] spells out
+   the yield loop [S.wait] must be indistinguishable from.  Machine 1 is
+   crashed while its waiter (whose target is never reached) waits, then
+   restarted with a fresh waiter and worker. *)
+let wait_scenario mode seed =
+  let tr = Obs.Tracer.create ~capacity:(1 lsl 18) () in
+  let fab = F.uniform ~seed ~evict_prob:0.2 ~tracer:tr 3 in
+  let s = S.create ~seed:(seed + 100) fab in
+  let x = F.alloc fab ~owner:2 in
+  let count = ref 0 in
+  let finished = ref [] in
+  let worker ctx =
+    for _ = 1 to 25 do
+      ignore (O.faa ctx x 1);
+      incr count
+    done
+  in
+  let waiter name targets polls ctx =
+    List.iter
+      (fun n ->
+        (* a failed poll bumps fibre-private state only *)
+        let p () = !count >= n || (incr polls; false) in
+        (match mode with
+        | `Sched -> S.wait ctx p
+        | `Loop ->
+            S.yield ctx;
+            while not (p ()) do
+              S.yield ctx
+            done);
+        ignore (O.load ctx x))
+      targets;
+    finished := name :: !finished
+  in
+  let polls = Array.init 4 (fun _ -> ref 0) in
+  ignore (S.spawn s ~machine:0 ~name:"w0" worker);
+  ignore (S.spawn s ~machine:2 ~name:"w2" worker);
+  ignore (S.spawn s ~machine:0 ~name:"a" (waiter "a" [ 5; 20; 40 ] polls.(0)));
+  ignore
+    (S.spawn s ~machine:1 ~name:"victim" (waiter "victim" [ 1000 ] polls.(1)));
+  ignore (S.spawn s ~machine:2 ~name:"b" (waiter "b" [ 10; 45 ] polls.(2)));
+  S.at_step s 40 (S.Crash 1);
+  S.at_step s 60
+    (S.Call
+       (fun s ->
+         S.restart s 1;
+         ignore
+           (S.spawn s ~machine:1 ~name:"c" (waiter "c" [ 30; 55 ] polls.(3)));
+         ignore (S.spawn s ~machine:1 ~name:"w1" worker)));
+  let steps = S.run s in
+  ( steps,
+    F.Stats.copy (F.stats fab),
+    switches tr,
+    Array.map ( ! ) polls,
+    List.sort compare !finished,
+    F.load fab 0 x )
+
+let test_wait_matches_yield_loop () =
+  List.iter
+    (fun seed ->
+      let steps, stats, sw, polls, finished, v = wait_scenario `Sched seed in
+      let steps', stats', sw', polls', finished', v' =
+        wait_scenario `Loop seed
+      in
+      let name what = Fmt.str "seed %d: %s" seed what in
+      Alcotest.(check int) (name "steps") steps' steps;
+      Alcotest.(check bool) (name "fabric stats") true (stats = stats');
+      Alcotest.(check (list (triple int int int))) (name "switches") sw' sw;
+      Alcotest.(check (array int)) (name "failed polls") polls' polls;
+      Alcotest.(check (list string)) (name "finished") finished' finished;
+      Alcotest.(check int) (name "counter") v' v;
+      Alcotest.(check int) (name "every switch traced") steps (List.length sw);
+      Alcotest.(check bool) (name "evictions happened") true
+        (stats.F.Stats.evictions_horizontal + stats.F.Stats.evictions_vertical
+         > 0);
+      Alcotest.(check bool) (name "victim waited, then died") true
+        (polls.(1) > 0 && not (List.mem "victim" finished));
+      Alcotest.(check (list string)) (name "survivors finished")
+        [ "a"; "b"; "c" ] finished)
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+(* Short fibres finish at different steps; a fibre alone on machine 3
+   crashes it and yields (so only its suspension can count the death),
+   another crashes its own machine 0, killing a long fibre, and returns;
+   the plan restarts both machines, spawns fresh fibres and crashes
+   machine 1 under them.  The (step, tid) digest was recorded
+   with the compact-every-step loop, so it pins that compacting only
+   after a death picks the same task at every step. *)
+let test_prune_on_death_pinned () =
+  let tr = Obs.Tracer.create ~capacity:(1 lsl 16) () in
+  let fab = F.uniform ~seed:5 ~evict_prob:0.1 ~tracer:tr 4 in
+  let s = S.create ~seed:23 fab in
+  let x = F.alloc fab ~owner:2 in
+  let work n ctx =
+    for _ = 1 to n do
+      ignore (O.faa ctx x 1)
+    done
+  in
+  for m = 0 to 2 do
+    for k = 1 to 3 do
+      ignore (S.spawn s ~machine:m ~name:"short" (work (k * (m + 1))))
+    done
+  done;
+  ignore (S.spawn s ~machine:0 ~name:"long" (work 40));
+  ignore
+    (S.spawn s ~machine:3 ~name:"crash-then-yield" (fun ctx ->
+         work 4 ctx;
+         S.crash_now s 3;
+         S.yield ctx;
+         Alcotest.fail "resumed on a crashed machine"));
+  ignore
+    (S.spawn s ~machine:0 ~name:"crash-then-return" (fun ctx ->
+         work 6 ctx;
+         S.crash_now s 0));
+  S.at_step s 50
+    (S.Call
+       (fun s ->
+         S.restart s 0;
+         S.restart s 3;
+         for m = 0 to 1 do
+           ignore (S.spawn s ~machine:m ~name:"late" (work 30))
+         done));
+  S.at_step s 60 (S.Crash 1);
+  S.at_step s 70 (S.Call (fun s -> S.restart s 1));
+  let steps = S.run s in
+  let b = Buffer.create 1024 in
+  List.iter (fun (step, tid, _) -> Printf.bprintf b "%d:%d;" step tid)
+    (switches tr);
+  Alcotest.(check int) "steps" 90 steps;
+  Alcotest.(check string) "(step, tid) digest"
+    "f6a580497f5a20c333ad7c1038efb199"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  Alcotest.(check int) "none left" 0 (S.alive s)
+
+(* ------------------------------------------------------------------ *)
 (* Crash/restart edges                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -547,6 +694,10 @@ let () =
           Alcotest.test_case "restart + recovery" `Quick
             test_plan_call_and_restart;
           Alcotest.test_case "idle plan fires" `Quick test_plan_fires_when_idle;
+          Alcotest.test_case "wait = yield loop" `Quick
+            test_wait_matches_yield_loop;
+          Alcotest.test_case "compaction after deaths pinned" `Quick
+            test_prune_on_death_pinned;
         ] );
       ( "crash edges",
         [
