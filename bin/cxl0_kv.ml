@@ -293,6 +293,16 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
                   let attrib = Obs.Attrib.of_spans sp in
                   Fmt.pr "  tail attribution (exact per-phase cycle totals; \
                           dominant = heaviest phase over the p99 tail):@.";
+                  (* the totals are exact per span, but spans come from
+                     the ring: say how much of the run they cover *)
+                  Option.iter
+                    (fun tr ->
+                      Fmt.pr
+                        "  spans cover %d of %d claimed requests (the trace \
+                         ring dropped %d of %d events)@."
+                        (List.length sp) r.K.claimed (Obs.Tracer.dropped tr)
+                        (Obs.Tracer.emitted tr))
+                    tracer;
                   Fmt.pr "  @[<v>%a@]@." Obs.Attrib.pp attrib;
                   List.iteri
                     (fun i s ->

@@ -73,15 +73,19 @@ let create ~window =
 let window t = t.window
 
 (* Close windows until [cycle] lands inside the open one.  Gap windows
-   carry the gauges forward with zero counters. *)
+   carry the gauges forward with zero counters.  The division runs only
+   once [cycle] reaches the open window's end (should that product
+   overflow, the division still decides). *)
 let advance t cycle =
-  let target = cycle / t.window in
-  while t.cur.index < target do
-    t.cur.inflight <- t.inflight;
-    t.cur.trusted <- t.trusted;
-    t.closed <- t.cur :: t.closed;
-    t.cur <- fresh_row (t.cur.index + 1) t.inflight t.trusted
-  done
+  if cycle >= (t.cur.index + 1) * t.window then begin
+    let target = cycle / t.window in
+    while t.cur.index < target do
+      t.cur.inflight <- t.inflight;
+      t.cur.trusted <- t.trusted;
+      t.closed <- t.cur :: t.closed;
+      t.cur <- fresh_row (t.cur.index + 1) t.inflight t.trusted
+    done
+  end
 
 let observe t e =
   advance t (Event.cycle e);

@@ -146,7 +146,7 @@ let assemble tr =
     Hashtbl.create 256
   in
   let order = ref [] in
-  Tracer.iter
+  Tracer.iter_marks
     (fun e ->
       match e with
       | Event.Mark

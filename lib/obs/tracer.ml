@@ -12,12 +12,19 @@
     When the buffer is full the *oldest* events are overwritten (the tail
     of a run is what explains its outcome); [dropped] counts the
     overwrites, and the report — updated on emission — still covers every
-    primitive ever emitted. *)
+    primitive ever emitted.
+
+    The ring is packed (slot layout in tracer.mli): [stride] unboxed
+    ints per event in one flat [int array], so a retained event is not a
+    heap block the minor GC must promote, and a store into the ring
+    passes no write barrier.  Only [Mark] records are kept boxed, in the
+    [marks] side array. *)
 
 type t = {
-  buf : Event.t array;
+  buf : int array;        (** [stride * cap] ints, one slot per event *)
+  marks : Event.t array;  (** [Mark] records by slot; [filler] elsewhere *)
   cap : int;
-  mutable start : int;    (** index of the oldest retained event *)
+  mutable start : int;    (** slot of the oldest retained event *)
   mutable len : int;      (** retained events, <= [cap] *)
   mutable dropped : int;  (** events overwritten after wrap *)
   report : Report.t;
@@ -27,14 +34,40 @@ type t = {
 }
 
 let default_capacity = 1 lsl 16
+let stride = 4
+let max_small = (1 lsl 54) - 2
 
-(* Any event works as the array filler; [len] guards all reads. *)
+(* Slot tags are the {!Event.t} constructors numbered in declaration
+   order (Prim 0 ... Trust 13); [store] and [load] list them so. *)
+let tag_mark = 12
+
+(* Any event works as the side-array filler; slot tags guard all reads. *)
 let filler = Event.Switch { step = 0; tid = -1; machine = -1; cycle = 0 }
+
+let prims =
+  let a = Array.make Event.n_prims Event.Load in
+  List.iter (fun p -> a.(Event.prim_index p) <- p) Event.all_prims;
+  a
+
+let evict_index = function Event.Horizontal -> 0 | Event.Vertical -> 1
+let evict_kinds = [| Event.Horizontal; Event.Vertical |]
+
+let fault_index = function
+  | Event.Nack -> 0
+  | Event.Timeout -> 1
+  | Event.Delay -> 2
+  | Event.Poison_hit -> 3
+  | Event.Poison_set -> 4
+
+let fault_kinds =
+  [| Event.Nack; Event.Timeout; Event.Delay; Event.Poison_hit;
+     Event.Poison_set |]
 
 let create ?(capacity = default_capacity) ?series () =
   if capacity < 1 then invalid_arg "Obs.Tracer.create: capacity < 1";
   {
-    buf = Array.make capacity filler;
+    buf = Array.make (stride * capacity) 0;
+    marks = Array.make capacity filler;
     cap = capacity;
     start = 0;
     len = 0;
@@ -42,6 +75,84 @@ let create ?(capacity = default_capacity) ?series () =
     report = Report.create ();
     series;
   }
+
+let put t i tag sub small w1 w2 w3 =
+  if small < -1 || small > max_small then
+    invalid_arg "Obs.Tracer.emit: machine or shard out of range";
+  let o = stride * i in
+  if t.buf.(o) land 15 = tag_mark then t.marks.(i) <- filler;
+  t.buf.(o) <- tag lor (sub lsl 4) lor ((small + 1) lsl 8);
+  t.buf.(o + 1) <- w1;
+  t.buf.(o + 2) <- w2;
+  t.buf.(o + 3) <- w3
+
+(* Pack [e] into slot [i]. *)
+let store t i e =
+  match e with
+  | Event.Prim { prim; machine; loc; t0; t1 } ->
+      put t i 0 (Event.prim_index prim) machine loc t0 t1
+  | Event.Evict { kind; machine; loc; cycle } ->
+      put t i 1 (evict_index kind) machine loc cycle 0
+  | Event.Crash { machine; cycle } -> put t i 2 0 machine cycle 0 0
+  | Event.Restart { machine; cycle; step } ->
+      put t i 3 0 machine cycle step 0
+  | Event.Fault { kind; machine; to_machine; loc; cycle } ->
+      put t i 4 (fault_index kind) machine to_machine loc cycle
+  | Event.Retry { machine; attempt; backoff; cycle } ->
+      put t i 5 0 machine attempt backoff cycle
+  | Event.Fallback { machine; loc; cycle } ->
+      put t i 6 0 machine loc cycle 0
+  | Event.Counter { machine; loc; value; cycle } ->
+      put t i 7 0 machine loc value cycle
+  | Event.Switch { step; tid; machine; cycle } ->
+      put t i 8 0 machine step tid cycle
+  | Event.Failover { shard; from_machine; to_machine; cycle } ->
+      put t i 9 0 shard from_machine to_machine cycle
+  | Event.Rejoin { shard; machine; cycle } ->
+      put t i 10 0 shard machine cycle 0
+  | Event.Unavail { shard; cycles; cycle } ->
+      put t i 11 0 shard cycles cycle 0
+  | Event.Mark _ ->
+      t.buf.(stride * i) <- tag_mark;
+      t.marks.(i) <- e
+  | Event.Trust { trusted; cycle } -> put t i 13 0 (-1) trusted cycle 0
+
+(* Unpack slot [i]; a mark comes back as the record that was emitted. *)
+let load t i =
+  let o = stride * i in
+  let w0 = t.buf.(o) in
+  let sub = (w0 lsr 4) land 15 and small = (w0 lsr 8) - 1 in
+  let w1 = t.buf.(o + 1) and w2 = t.buf.(o + 2) and w3 = t.buf.(o + 3) in
+  match w0 land 15 with
+  | 0 ->
+      Event.Prim
+        { prim = prims.(sub); machine = small; loc = w1; t0 = w2; t1 = w3 }
+  | 1 ->
+      Event.Evict
+        { kind = evict_kinds.(sub); machine = small; loc = w1; cycle = w2 }
+  | 2 -> Event.Crash { machine = small; cycle = w1 }
+  | 3 -> Event.Restart { machine = small; cycle = w1; step = w2 }
+  | 4 ->
+      Event.Fault
+        { kind = fault_kinds.(sub); machine = small; to_machine = w1; loc = w2;
+          cycle = w3 }
+  | 5 ->
+      Event.Retry { machine = small; attempt = w1; backoff = w2; cycle = w3 }
+  | 6 -> Event.Fallback { machine = small; loc = w1; cycle = w2 }
+  | 7 -> Event.Counter { machine = small; loc = w1; value = w2; cycle = w3 }
+  | 8 -> Event.Switch { step = w1; tid = w2; machine = small; cycle = w3 }
+  | 9 ->
+      Event.Failover
+        { shard = small; from_machine = w1; to_machine = w2; cycle = w3 }
+  | 10 -> Event.Rejoin { shard = small; machine = w1; cycle = w2 }
+  | 11 -> Event.Unavail { shard = small; cycles = w1; cycle = w2 }
+  | 12 -> t.marks.(i)
+  | _ -> Event.Trust { trusted = w1; cycle = w2 }
+
+(* The slot of the [k]-th oldest retained event. *)
+let slot t k =
+  let i = t.start + k in
+  if i >= t.cap then i - t.cap else i
 
 let emit t e =
   (match e with
@@ -53,12 +164,12 @@ let emit t e =
   | _ -> ());
   (match t.series with None -> () | Some s -> Series.observe s e);
   if t.len < t.cap then begin
-    t.buf.((t.start + t.len) mod t.cap) <- e;
+    store t (slot t t.len) e;
     t.len <- t.len + 1
   end
   else begin
-    t.buf.(t.start) <- e;
-    t.start <- (t.start + 1) mod t.cap;
+    store t t.start e;
+    t.start <- (if t.start + 1 = t.cap then 0 else t.start + 1);
     t.dropped <- t.dropped + 1;
     Report.observe_dropped t.report
   end
@@ -71,15 +182,22 @@ let report t = t.report
 let series t = t.series
 
 let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.buf.((t.start + i) mod t.cap)
+  for k = 0 to t.len - 1 do
+    f (load t (slot t k))
   done
 
-let events t = List.init t.len (fun i -> t.buf.((t.start + i) mod t.cap))
+let iter_marks f t =
+  for k = 0 to t.len - 1 do
+    let i = slot t k in
+    if t.buf.(stride * i) land 15 = tag_mark then f t.marks.(i)
+  done
+
+let events t = List.init t.len (fun k -> load t (slot t k))
 
 let clear t =
   t.start <- 0;
   t.len <- 0;
   t.dropped <- 0;
+  Array.fill t.marks 0 t.cap filler;
   Report.clear t.report;
   match t.series with None -> () | Some s -> Series.clear s

@@ -473,6 +473,228 @@ let test_attrib () =
     (contains table "incomplete")
 
 (* ------------------------------------------------------------------ *)
+(* Packed ring against a plain list                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Random event streams over every constructor, biased to the packing's
+   edge values: -1 ("not applicable"), machine 61, and cycles near
+   [max_int / 4].  Mark identities come from a small space so spans
+   form, split and lose their heads to ring wrap. *)
+module G = QCheck.Gen
+
+let near_big = G.map (fun d -> (max_int / 4) - d) (G.int_bound 1000)
+let g_machine = G.oneof [ G.oneofl [ -1; 0; 61 ]; G.int_bound 61 ]
+
+let g_field =
+  G.oneof
+    [ G.oneofl [ -1; 0; 61; max_int / 4 ]; G.int_range (-1) 1000; near_big ]
+
+let g_cycle = G.oneof [ G.int_bound 1000; near_big ]
+
+let g_event =
+  let open G in
+  let open Obs.Event in
+  oneof
+    [
+      (let* prim = oneofl all_prims and* machine = g_machine
+       and* loc = g_field and* t0 = g_field and* t1 = g_cycle in
+       return (Prim { prim; machine; loc; t0; t1 }));
+      (let* kind = oneofl [ Horizontal; Vertical ] and* machine = g_machine
+       and* loc = g_field and* cycle = g_cycle in
+       return (Evict { kind; machine; loc; cycle }));
+      (let* machine = g_machine and* cycle = g_cycle in
+       return (Crash { machine; cycle }));
+      (let* machine = g_machine and* cycle = g_cycle and* step = g_field in
+       return (Restart { machine; cycle; step }));
+      (let* kind = oneofl [ Nack; Timeout; Delay; Poison_hit; Poison_set ]
+       and* machine = g_machine and* to_machine = g_field
+       and* loc = g_field and* cycle = g_cycle in
+       return (Fault { kind; machine; to_machine; loc; cycle }));
+      (let* machine = g_machine and* attempt = g_field
+       and* backoff = g_field and* cycle = g_cycle in
+       return (Retry { machine; attempt; backoff; cycle }));
+      (let* machine = g_machine and* loc = g_field and* cycle = g_cycle in
+       return (Fallback { machine; loc; cycle }));
+      (let* machine = g_machine and* loc = g_field and* value = g_field
+       and* cycle = g_cycle in
+       return (Counter { machine; loc; value; cycle }));
+      (let* step = g_field and* tid = g_field and* machine = g_machine
+       and* cycle = g_cycle in
+       return (Switch { step; tid; machine; cycle }));
+      (let* shard = g_machine and* from_machine = g_field
+       and* to_machine = g_field and* cycle = g_cycle in
+       return (Failover { shard; from_machine; to_machine; cycle }));
+      (let* shard = g_machine and* machine = g_field and* cycle = g_cycle in
+       return (Rejoin { shard; machine; cycle }));
+      (let* shard = g_machine and* cycles = g_field and* cycle = g_cycle in
+       return (Unavail { shard; cycles; cycle }));
+      (let* trusted = g_field and* cycle = g_cycle in
+       return (Trust { trusted; cycle }));
+      (let* session = int_bound 3 and* seq = int_bound 2 and* op = int_bound 2
+       and* phase =
+         oneofl
+           [ P_dispatch; P_apply_backup; P_apply_acting; P_ack; P_timeout;
+             P_fault ]
+       and* replica = g_field and* t0 = g_field and* wait_lock = g_field
+       and* wait_degraded = g_field and* retry = g_field
+       and* cycle = g_cycle in
+       return
+         (Mark
+            { session; seq; op; phase; replica; t0; wait_lock; wait_degraded;
+              retry; cycle }));
+    ]
+
+(* A run: a capacity in 1..17 and a stream of emits with interleaved
+   clears ([None]). *)
+let arb_ring_run =
+  let gen =
+    G.pair (G.int_range 1 17)
+      (G.list_size (G.int_bound 80)
+         (G.frequency [ (1, G.return None); (30, G.map Option.some g_event) ]))
+  in
+  QCheck.make gen ~print:(fun (cap, ops) ->
+      Fmt.str "cap %d: %a" cap
+        Fmt.(list ~sep:sp (option ~none:(any "clear") Obs.Event.pp))
+        ops)
+
+(* What the tracer must hold after [ops]: everything emitted since the
+   last clear, in order. *)
+let since_clear ops =
+  List.fold_left
+    (fun acc -> function None -> [] | Some e -> e :: acc)
+    [] ops
+  |> List.rev
+
+let rec drop n l = if n <= 0 then l else drop (n - 1) (List.tl l)
+
+(* The report and series a tracer must have fed, rebuilt from the plain
+   list of events emitted since the last clear. *)
+let model_report ~dropped evs =
+  let r = Obs.Report.create () in
+  List.iter
+    (function
+      | Obs.Event.Prim { prim; machine; loc; t0; t1 } ->
+          Obs.Report.observe r ~prim ~machine ~loc ~cycles:(t1 - t0)
+      | Obs.Event.Failover _ -> Obs.Report.observe_failover r
+      | Obs.Event.Rejoin _ -> Obs.Report.observe_rejoin r
+      | Obs.Event.Unavail { cycles; _ } -> Obs.Report.observe_unavail r ~cycles
+      | _ -> ())
+    evs;
+  for _ = 1 to dropped do
+    Obs.Report.observe_dropped r
+  done;
+  r
+
+let report_fingerprint r =
+  ( Fmt.str "%a" Obs.Report.pp r,
+    Obs.Report.total_ops r,
+    Obs.Report.machines r,
+    Obs.Report.lines r,
+    (Obs.Report.failovers r, Obs.Report.rejoins r, Obs.Report.dropped r),
+    hist_fingerprint (Obs.Report.unavail r) )
+
+let series_window = max_int / 64
+
+let prop_ring_matches_list =
+  QCheck.Test.make ~name:"packed ring = last cap events of a plain list"
+    ~count:500 arb_ring_run (fun (cap, ops) ->
+      let series = Obs.Series.create ~window:series_window in
+      let tr = Obs.Tracer.create ~capacity:cap ~series () in
+      List.iter
+        (function None -> Obs.Tracer.clear tr | Some e -> Obs.Tracer.emit tr e)
+        ops;
+      let all = since_clear ops in
+      let n = List.length all in
+      let kept = drop (n - cap) all and dropped = max 0 (n - cap) in
+      let iterated = ref [] in
+      Obs.Tracer.iter (fun e -> iterated := e :: !iterated) tr;
+      let marks = ref [] in
+      Obs.Tracer.iter_marks (fun e -> marks := e :: !marks) tr;
+      let model_series = Obs.Series.create ~window:series_window in
+      List.iter (Obs.Series.observe model_series) all;
+      Obs.Tracer.events tr = kept
+      && List.rev !iterated = kept
+      && List.rev !marks
+         = List.filter (function Obs.Event.Mark _ -> true | _ -> false) kept
+      && Obs.Tracer.length tr = List.length kept
+      && Obs.Tracer.dropped tr = dropped
+      && Obs.Tracer.emitted tr = n
+      && report_fingerprint (Obs.Tracer.report tr)
+         = report_fingerprint (model_report ~dropped all)
+      && Obs.Series.to_json series = Obs.Series.to_json model_series)
+
+(* [Span.assemble] as it read the ring before the mark-only walk: a full
+   {!Obs.Tracer.iter} scan, every slot decoded. *)
+let assemble_full_scan tr =
+  let tbl = Hashtbl.create 16 and order = ref [] in
+  Obs.Tracer.iter
+    (function
+      | Obs.Event.Mark
+          { session; seq; op; phase; replica; t0; wait_lock; wait_degraded;
+            retry; cycle } -> (
+          let m =
+            { Obs.Span.phase; replica; cycle; wait_lock; wait_degraded; retry }
+          in
+          match Hashtbl.find_opt tbl (session, seq) with
+          | Some cell ->
+              let op', arr, ms = !cell in
+              cell := (op', arr, m :: ms)
+          | None ->
+              if phase = Obs.Event.P_dispatch then begin
+                Hashtbl.replace tbl (session, seq) (ref (op, t0, [ m ]));
+                order := (session, seq) :: !order
+              end)
+      | _ -> ())
+    tr;
+  List.rev_map
+    (fun (session, seq) ->
+      let op, arrival, ms = !(Hashtbl.find tbl (session, seq)) in
+      { Obs.Span.session; seq; op; arrival; marks = List.rev ms })
+    !order
+  |> List.sort (fun (a : Obs.Span.t) b ->
+         compare (a.arrival, a.session, a.seq) (b.arrival, b.session, b.seq))
+
+let prop_assemble_mark_walk =
+  QCheck.Test.make ~name:"mark-only assemble = full-scan assemble"
+    ~count:500 arb_ring_run (fun (cap, ops) ->
+      let tr = Obs.Tracer.create ~capacity:cap () in
+      List.iter
+        (function None -> Obs.Tracer.clear tr | Some e -> Obs.Tracer.emit tr e)
+        ops;
+      Obs.Span.assemble tr = assemble_full_scan tr)
+
+let test_assemble_wrapped () =
+  (* the properties above, pinned on one ring that certainly wrapped
+     with spans straddling the overwrite point *)
+  let tr = Obs.Tracer.create ~capacity:5 () in
+  List.iter (Obs.Tracer.emit tr)
+    [
+      mark ~session:1 ~seq:0 ~op:1 ~phase:Obs.Event.P_dispatch ~t0:1 10;
+      ev 11;
+      mark ~session:2 ~seq:0 ~op:0 ~phase:Obs.Event.P_dispatch ~t0:5 12;
+      mark ~session:1 ~seq:0 ~op:1 ~phase:Obs.Event.P_ack 13;
+      ev 14;
+      mark ~session:3 ~seq:0 ~op:0 ~phase:Obs.Event.P_dispatch ~t0:9 15;
+      ev 16;
+      mark ~session:2 ~seq:0 ~op:0 ~phase:Obs.Event.P_ack 17;
+    ];
+  Alcotest.(check int) "wrapped" 3 (Obs.Tracer.dropped tr);
+  let spans = Obs.Span.assemble tr in
+  Alcotest.(check bool) "equals full scan" true
+    (spans = assemble_full_scan tr);
+  (* session 1 lost its dispatch, session 2 kept only its ack *)
+  Alcotest.(check (list int)) "surviving spans" [ 3 ]
+    (List.map (fun s -> s.Obs.Span.session) spans)
+
+let test_packed_small_field_range () =
+  let tr = Obs.Tracer.create ~capacity:2 () in
+  Alcotest.check_raises "machine below -1"
+    (Invalid_argument "Obs.Tracer.emit: machine or shard out of range")
+    (fun () ->
+      Obs.Tracer.emit tr
+        (Obs.Event.Crash { machine = -2; cycle = 0 }))
+
+(* ------------------------------------------------------------------ *)
 (* Windowed series                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -660,6 +882,12 @@ let () =
             test_ring_report_survives_wrap;
           Alcotest.test_case "capacity validation" `Quick
             test_tracer_capacity_validation;
+          Alcotest.test_case "small-field range" `Quick
+            test_packed_small_field_range;
+          Alcotest.test_case "assemble on a wrapped ring" `Quick
+            test_assemble_wrapped;
+          QCheck_alcotest.to_alcotest prop_ring_matches_list;
+          QCheck_alcotest.to_alcotest prop_assemble_mark_walk;
         ] );
       ( "events",
         [
