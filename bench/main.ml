@@ -55,9 +55,9 @@ let prop1 () =
 
 let durability_matrix () =
   hr "E7: durability matrix (12 seeds each; fails/seeds)";
-  let crash_spec ~machine seed : Harness.Workload.crash_spec =
+  let crash_spec ~machine seed : Harness.Runcore.crash_spec =
     {
-      Harness.Workload.at = 15 + (seed mod 17);
+      Harness.Runcore.at = 15 + (seed mod 17);
       machine;
       restart_at = 22 + (seed mod 17);
       recovery_threads = 1;
@@ -581,7 +581,7 @@ let bechamel_tests =
                Harness.Workload.crashes =
                  [
                    {
-                     Harness.Workload.at = 20;
+                     Harness.Runcore.at = 20;
                      machine = 0;
                      restart_at = 26;
                      recovery_threads = 1;

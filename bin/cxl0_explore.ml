@@ -21,7 +21,7 @@ let max_machine_in labels =
       max acc (max m o))
     0 labels
 
-let run events n volatile outcomes_for verbose por sym no_reduction =
+let run events n volatile outcomes_for verbose reduction =
   match Cxl0.Parse.program events with
   | Error e ->
       Fmt.epr "parse error: %s@."
@@ -44,12 +44,12 @@ let run events n volatile outcomes_for verbose por sym no_reduction =
          orbit representatives, so it is switched off whenever the
          reachable set itself is printed or queried. *)
       let reduction =
-        if no_reduction then Cxl0.Explore.Fast.no_reduction
-        else
-          {
-            Cxl0.Explore.Fast.por;
-            sym = (sym && (not verbose) && outcomes_for = None);
-          }
+        {
+          reduction with
+          Cxl0.Explore.Fast.sym =
+            reduction.Cxl0.Explore.Fast.sym && (not verbose)
+            && outcomes_for = None;
+        }
       in
       let reach =
         let fast () =
@@ -128,35 +128,12 @@ let verbose =
     value & flag
     & info [ "v"; "verbose" ] ~doc:"Print the reachable configurations.")
 
-let por =
-  Arg.(
-    value & opt bool true
-    & info [ "por" ] ~docv:"BOOL"
-        ~doc:"Sleep-set partial-order reduction (default on).")
-
-let sym =
-  Arg.(
-    value & opt bool true
-    & info [ "sym" ] ~docv:"BOOL"
-        ~doc:
-          "Symmetry (orbit-representative) reduction (default on; \
-           automatically disabled when the reachable set is printed or \
-           queried, so output is always exact).")
-
-let no_reduction =
-  Arg.(
-    value & flag
-    & info [ "no-reduction" ]
-        ~doc:
-          "Disable every state-space reduction (equivalent to $(b,--por)=false \
-           $(b,--sym)=false).")
-
 let cmd =
   Cmd.v
     (Cmd.info "cxl0-explore"
        ~doc:"Decide feasibility of CXL0 event sequences")
     Term.(
-      const run $ events $ n $ volatile $ outcomes_for $ verbose $ por $ sym
-      $ no_reduction)
+      const run $ events $ n $ volatile $ outcomes_for $ verbose
+      $ Cli.reduction)
 
 let () = exit (Cmd.eval' cmd)

@@ -12,60 +12,6 @@
 
 open Cmdliner
 
-let resolve_transforms names =
-  let expand name =
-    match name with
-    | "flit" | "durable" ->
-        Ok (List.map (fun t -> t) Flit.Registry.durable)
-    | "all" -> Ok (Flit.Registry.all @ Flit.Registry.extensions)
-    | "noflush" -> Ok [ Flit.Registry.noflush ]
-    | name -> (
-        match Flit.Registry.find name with
-        | Some t -> Ok [ t ]
-        | None -> Error name)
-  in
-  let expanded = List.map expand names in
-  match
-    List.find_map (function Error n -> Some n | Ok _ -> None) expanded
-  with
-  | Some bad -> Error bad
-  | None ->
-      (* keep first occurrence order, drop duplicates *)
-      let all =
-        List.concat_map (function Ok l -> l | Error _ -> []) expanded
-      in
-      let seen = Hashtbl.create 8 in
-      Ok
-        (List.filter
-           (fun t ->
-             let name = Flit.Flit_intf.name t in
-             if Hashtbl.mem seen name then false
-             else begin
-               Hashtbl.add seen name ();
-               true
-             end)
-           all)
-
-let fault_env_of_name = function
-  | "none" -> Some Fuzz.Gen.Fault_free
-  | "transient" -> Some Fuzz.Gen.Transient_only
-  | "degraded" -> Some Fuzz.Gen.Degraded_env
-  | "poison" -> Some Fuzz.Gen.Poison_env
-  | _ -> None
-
-let restrict_kinds profile = function
-  | None -> Ok profile
-  | Some name -> (
-      match Harness.Objects.kind_of_name name with
-      | None -> Error name
-      | Some k ->
-          if List.mem k profile.Fuzz.Gen.kinds then
-            Ok { profile with Fuzz.Gen.kinds = [ k ] }
-          else
-            (* outside the profile's envelope (e.g. a queue under the
-               buffered oracle): honour the request, flag nothing found *)
-            Ok { profile with Fuzz.Gen.kinds = [ k ] })
-
 let print_summary (s : Fuzz.Campaign.summary) =
   Fmt.pr "%-16s %5d cells: %5d ok, %3d skipped, %3d violation(s)@."
     s.transform_name s.cells s.ok s.skipped
@@ -108,95 +54,54 @@ let run campaign seed jobs transforms kind fault_env corpus_dir
   match replay with
   | Some path -> replay_file path ~trace
   | None -> (
-      let jobs =
-        match jobs with
-        | Some j -> max 1 j
-        | None -> Cxl0.Parallel.default_jobs ()
-      in
-      match
+      (* a kind outside the profile's envelope (e.g. a queue under the
+         buffered oracle) is honoured too: the campaign flags nothing *)
+      let restrict p =
+        let p =
+          match kind with
+          | None -> p
+          | Some k -> { p with Fuzz.Gen.kinds = [ k ] }
+        in
         match fault_env with
-        | None -> Ok None
-        | Some name -> (
-            match fault_env_of_name name with
-            | Some e -> Ok (Some e)
-            | None -> Error name)
-      with
-      | Error bad ->
-          Fmt.epr
-            "unknown fault env %S; known: none, transient, degraded, poison@."
-            bad;
-          2
-      | Ok env_override -> (
-      match resolve_transforms transforms with
-      | Error bad ->
-          Fmt.epr "unknown transform %S; known: %a@." bad
-            Fmt.(list ~sep:comma string)
-            Flit.Registry.names;
-          2
-      | Ok transforms -> (
-          let profiles =
-            List.map
-              (fun t ->
-                restrict_kinds (Fuzz.Gen.profile_of_transform t) kind)
-              transforms
-          in
-          match
-            List.find_map
-              (function Error k -> Some k | Ok _ -> None)
-              profiles
-          with
-          | Some bad ->
-              Fmt.epr "unknown kind %S@." bad;
-              2
-          | None ->
-              let profiles =
-                List.filter_map
-                  (function Ok p -> Some p | Error _ -> None)
-                  profiles
-              in
-              let profiles =
-                match env_override with
-                | None -> profiles
-                | Some env ->
-                    List.map
-                      (fun p -> { p with Fuzz.Gen.fault_env = env })
-                      profiles
-              in
-              Fmt.pr
-                "fuzzing %d transform(s), %d cells each, seed %d, %d job(s)@."
-                (List.length profiles) campaign seed jobs;
-              let summaries =
-                List.map
-                  (fun p ->
-                    let s =
-                      Fuzz.Campaign.run ~jobs ~corpus_dir p ~cells:campaign
-                        ~seed ()
-                    in
-                    print_summary s;
-                    s)
-                  profiles
-              in
-              let total =
-                List.fold_left
-                  (fun acc (s : Fuzz.Campaign.summary) ->
-                    acc + List.length s.violations)
-                  0 summaries
-              in
-              Fmt.pr "total: %d violation(s)@." total;
-              if total < min_violations then begin
-                Fmt.epr
-                  "FAIL: expected at least %d violation(s), found %d@."
-                  min_violations total;
-                1
-              end
-              else
-                match max_violations with
-                | Some m when total > m ->
-                    Fmt.epr
-                      "FAIL: expected at most %d violation(s), found %d@." m
-                      total;
-                    1
-                | _ -> 0)))
+        | None -> p
+        | Some env -> { p with Fuzz.Gen.fault_env = env }
+      in
+      let profiles =
+        List.map
+          (fun t -> restrict (Fuzz.Gen.profile_of_transform t))
+          transforms
+      in
+      Fmt.pr "fuzzing %d transform(s), %d cells each, seed %d, %d job(s)@."
+        (List.length profiles) campaign seed jobs;
+      let summaries =
+        List.map
+          (fun p ->
+            let s =
+              Fuzz.Campaign.run ~jobs ~corpus_dir p ~cells:campaign ~seed ()
+            in
+            print_summary s;
+            s)
+          profiles
+      in
+      let total =
+        List.fold_left
+          (fun acc (s : Fuzz.Campaign.summary) ->
+            acc + List.length s.violations)
+          0 summaries
+      in
+      Fmt.pr "total: %d violation(s)@." total;
+      if total < min_violations then begin
+        Fmt.epr "FAIL: expected at least %d violation(s), found %d@."
+          min_violations total;
+        1
+      end
+      else
+        match max_violations with
+        | Some m when total > m ->
+            Fmt.epr "FAIL: expected at most %d violation(s), found %d@." m
+              total;
+            1
+        | _ -> 0)
 
 let campaign =
   Arg.(
@@ -213,35 +118,31 @@ let seed =
            fully deterministic in the seed, for every $(b,--jobs) value.")
 
 let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"J"
-        ~doc:
-          "Worker domains to shard cells over (default: the number of \
-           cores).")
+  Cli.jobs
+    ~doc:"Worker domains to shard cells over (default: the number of cores)."
 
 let transforms =
   Arg.(
     value
-    & opt (list string) [ "noflush" ]
+    & opt Cli.transforms [ Flit.Registry.noflush ]
     & info [ "transform"; "t" ] ~docv:"NAMES"
         ~doc:
           "Comma-separated transforms to fuzz; $(b,flit) expands to the \
-           four durable FliT algorithms, $(b,all) to everything \
-           including the extensions.")
+           four durable FliT algorithms (so does $(b,durable)), $(b,all) \
+           to everything including the extensions, $(b,noflush) to the \
+           control.")
 
 let kind =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Cli.kind) None
     & info [ "kind"; "k" ] ~docv:"KIND"
         ~doc:"Restrict sampling to one object kind.")
 
 let fault_env =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some Cli.fault_env) None
     & info [ "fault-env" ] ~docv:"ENV"
         ~doc:
           "Override every profile's fault envelope: $(b,none) (the \

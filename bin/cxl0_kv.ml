@@ -22,15 +22,15 @@ module R = Harness.Runcore
 (* Deterministic crash schedule: scheduler steps, early enough that a
    default-size run has plenty of serving on both sides of the crash. *)
 let crash_schedule ~crash ~home seed : R.crash_spec list =
-  match crash with
-  | "none" -> []
-  | "home" ->
+  match (crash : Cli.crash) with
+  | No_crash -> []
+  | Home_crash ->
       [
         { R.at = 400 + (seed mod 29); machine = home;
           restart_at = 900 + (seed mod 29); recovery_threads = 1;
           recovery_ops = 0 };
       ]
-  | _ ->
+  | Worker_crash ->
       (* worker: a serving machine that is not the shard-0 home *)
       [
         { R.at = 400 + (seed mod 29); machine = 0;
@@ -42,15 +42,15 @@ let crash_schedule ~crash ~home seed : R.crash_spec list =
    with cycle windows sized for serving runs (arrivals stretch over
    ~total_ops/rate kilocycles, not a few hundred cycles). *)
 let fault_schedule ~faults ~home seed : R.fault_spec list =
-  match faults with
-  | "none" -> []
-  | "transient" ->
+  match (faults : Fuzz.Gen.fault_env) with
+  | Fault_free -> []
+  | Transient_only ->
       [
         R.Degrade_link
           { m1 = seed mod 2; m2 = home; nack_prob = 0.1; delay_prob = 0.1;
             delay_cycles = 40 };
       ]
-  | "degraded" ->
+  | Degraded_env ->
       [
         R.Degrade_link
           { m1 = seed mod 2; m2 = home; nack_prob = 0.4; delay_prob = 0.3;
@@ -60,7 +60,7 @@ let fault_schedule ~faults ~home seed : R.fault_spec list =
             from_cycle = 2000 + (seed mod 7 * 200);
             until_cycle = 6000 + (seed mod 7 * 200) };
       ]
-  | _ -> [ R.Poison_at { at = 150 + (seed mod 23); loc_seed = seed } ]
+  | Poison_env -> [ R.Poison_at { at = 150 + (seed mod 23); loc_seed = seed } ]
 
 (* Chaos storm: [storm] sequential crash/restart cycles rotating over
    the machines — with replication on, every one is a shard-home crash
@@ -158,7 +158,7 @@ let print_combo transform mix (r : K.serve_result) =
 
 let run sessions ops rate theta keys mixes transforms shards servers machines
     replicas deadline storm seed crash faults check sig_only trace json
-    append label explain_tail timeline window trace_out =
+    label explain_tail timeline window trace_out =
   (* typed argument validation, exit 2 with the offending field named;
      the traffic fields share Traffic.validate with the library so the
      CLI and Kv.serve reject with the same message *)
@@ -185,37 +185,6 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
   if deadline <= 0 then reject "deadline must be positive";
   if explain_tail < 0 then reject "explain-tail must be non-negative";
   if window <= 0 then reject "window must be positive";
-  let transforms =
-    List.map
-      (fun n ->
-        match Flit.Registry.find n with
-        | Some t -> t
-        | None ->
-            Fmt.epr "unknown transformation %S; available: %a@." n
-              Fmt.(list ~sep:comma string)
-              Flit.Registry.names;
-            exit 2)
-      (String.split_on_char ',' transforms)
-  in
-  let mixes =
-    List.map
-      (fun s ->
-        try T.mix_of_string s
-        with Invalid_argument m ->
-          Fmt.epr "%s@." m;
-          exit 2)
-      (String.split_on_char ',' mixes)
-  in
-  if not (List.mem faults [ "none"; "transient"; "degraded"; "poison" ])
-  then begin
-    Fmt.epr "unknown fault envelope %S (none/transient/degraded/poison)@."
-      faults;
-    exit 2
-  end;
-  if not (List.mem crash [ "none"; "worker"; "home" ]) then begin
-    Fmt.epr "unknown crash regime %S (none/worker/home)@." crash;
-    exit 2
-  end;
   let home = machines - 1 in
   let config transform mix =
     let traffic =
@@ -342,9 +311,6 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
   if trace && not sig_only then
     Fmt.pr "@.merged fabric-wide report (all combos):@.%a@." Obs.Report.pp
       merged_report;
-  let total_seconds =
-    List.fold_left (fun a (_, _, _, s) -> a +. s) 0.0 results
-  in
   (match json with
   | None -> ()
   | Some file ->
@@ -358,7 +324,8 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
          %s\n\
          \  ] }\n"
         label seed sessions ops rate theta keys shards machines replicas
-        deadline storm crash faults
+        deadline storm (Cli.name Cli.crash crash)
+        (Cli.name Cli.fault_env faults)
         (String.concat ",\n"
            (List.map
               (fun (t, m, r, s) -> combo_json t m r ~seconds:s)
@@ -382,32 +349,6 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
               !series_acc));
       close_out oc;
       Fmt.epr "wrote %s@." file);
-  (match append with
-  | None -> ()
-  | Some file ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-      let offered = List.length results * sessions * ops in
-      let served_all =
-        List.fold_left (fun a (_, _, r, _) -> a + total_served r) 0 results
-      in
-      (* aggregate latency shape over every op type and combo;
-         schema-additive fields so older history lines parse unchanged *)
-      let lat_all = Obs.Hist.create () in
-      List.iter
-        (fun (_, _, r, _) ->
-          Array.iter (fun h -> Obs.Hist.merge ~into:lat_all h) r.K.latencies)
-        results;
-      Printf.fprintf oc
-        "{ \"label\": %S, \"seed\": %d, \"combos\": %d, \"replicas\": %d, \
-         \"storm\": %d, \"ops\": %d, \"availability\": %.4f, \"lat_n\": %d, \
-         \"lat_mean\": %.1f, \"lat_p50\": %d, \"lat_p99\": %d, \"seconds\": \
-         %.3f }\n"
-        label seed (List.length results) replicas storm served_all
-        (if offered = 0 then 0.0
-         else float_of_int served_all /. float_of_int offered)
-        (Obs.Hist.count lat_all) (Obs.Hist.mean lat_all)
-        (Obs.Hist.p50 lat_all) (Obs.Hist.p99 lat_all) total_seconds;
-      close_out oc);
   if !failures > 0 then 1 else 0
 
 let sessions =
@@ -438,8 +379,15 @@ let keys =
     & info [ "keys" ] ~docv:"N" ~doc:"Preloaded keyspace size.")
 
 let mix =
+  let mix_conv =
+    Arg.conv' ~docv:"MIX"
+      ( (fun s ->
+          try Ok (T.mix_of_string s) with Invalid_argument m -> Error m),
+        fun ppf m -> Fmt.string ppf (T.mix_name m) )
+  in
   Arg.(
-    value & opt string "b"
+    value
+    & opt (list mix_conv) [ T.mix_of_string "b" ]
     & info [ "mix" ] ~docv:"MIXES"
         ~doc:
           "Comma-separated op mixes: R:U:I weights (95:4:1) or YCSB \
@@ -448,9 +396,13 @@ let mix =
 let transform =
   Arg.(
     value
-    & opt string "alg2-mstore,alg3'-weakest,adaptive"
+    & opt Cli.transforms
+        Flit.Registry.[ alg2_mstore; alg3'_weakest; adaptive ]
     & info [ "transform" ] ~docv:"TS"
-        ~doc:"Comma-separated transformations to sweep.")
+        ~doc:
+          "Comma-separated transformations to sweep; the aliases \
+           $(b,flit) (or $(b,durable)), $(b,all) and $(b,noflush) expand \
+           as in cxl0-fuzz.")
 
 let shards =
   Arg.(
@@ -500,7 +452,8 @@ let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Run seed.")
 
 let crash =
   Arg.(
-    value & opt string "none"
+    value
+    & opt Cli.crash Cli.No_crash
     & info [ "crash" ] ~docv:"WHO"
         ~doc:
           "Crash regime: none, worker (serving machine), home (shard-0 \
@@ -509,7 +462,8 @@ let crash =
 
 let faults =
   Arg.(
-    value & opt string "none"
+    value
+    & opt Cli.fault_env Fuzz.Gen.Fault_free
     & info [ "faults" ] ~docv:"ENV"
         ~doc:
           "RAS fault envelope layered onto the crash regime: none, \
@@ -547,13 +501,6 @@ let json =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Write the full sweep results as a JSON document to $(docv).")
-
-let append =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "append" ] ~docv:"FILE"
-        ~doc:"Append a one-line timing record to $(docv) (JSONL).")
 
 let label =
   Arg.(
@@ -606,7 +553,7 @@ let cmd =
     Term.(
       const run $ sessions $ ops $ rate $ theta $ keys $ mix $ transform
       $ shards $ servers $ machines $ replicas $ deadline $ storm $ seed
-      $ crash $ faults $ check $ sig_only $ trace $ json $ append $ label
+      $ crash $ faults $ check $ sig_only $ trace $ json $ label
       $ explain_tail $ timeline $ window $ trace_out)
 
 let () = exit (Cmd.eval' cmd)

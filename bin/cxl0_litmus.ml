@@ -63,29 +63,17 @@ let trace_tests tests file =
   Fmt.pr "@.wrote %d event(s) from %d test(s) to %s@."
     (Obs.Tracer.length tracer) (List.length tests) file
 
-let run only name configs trace jobs por sym no_reduction =
-  let reduction =
-    if no_reduction then Cxl0.Explore.Fast.no_reduction
-    else { Cxl0.Explore.Fast.por; sym }
-  in
-  let tests =
-    match only with
-    | "fig4" -> Cxl0.Litmus.fig4
-    | "fig5" -> Cxl0.Litmus.fig5
-    | _ -> Cxl0.Litmus.all
-  in
+let run tests name configs trace jobs reduction =
   let tests =
     match name with
     | None -> tests
-    | Some n -> List.filter (fun t -> t.Cxl0.Litmus.name = n) tests
+    | Some (n : Cxl0.Litmus.t) ->
+        List.filter (fun t -> t.Cxl0.Litmus.name = n.Cxl0.Litmus.name) tests
   in
   if tests = [] then begin
     Fmt.epr "no litmus test matches@.";
     exit 2
   end;
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Cxl0.Parallel.default_jobs ()
-  in
   Fmt.epr "reduction: por=%b sym=%b@." reduction.Cxl0.Explore.Fast.por
     reduction.Cxl0.Explore.Fast.sym;
   let decided = Cxl0.Litmus.decide_all ~jobs ~reduction tests in
@@ -121,13 +109,24 @@ let run only name configs trace jobs por sym no_reduction =
 let only =
   Arg.(
     value
-    & opt string "all"
+    & opt
+        (enum
+           [
+             ("all", Cxl0.Litmus.all);
+             ("fig4", Cxl0.Litmus.fig4);
+             ("fig5", Cxl0.Litmus.fig5);
+           ])
+        Cxl0.Litmus.all
     & info [ "only" ] ~docv:"SET" ~doc:"Which set to run: all, fig4, or fig5.")
 
 let test_name =
   Arg.(
     value
-    & opt (some string) None
+    & opt
+        (some
+           (enum
+              (List.map (fun t -> (t.Cxl0.Litmus.name, t)) Cxl0.Litmus.all)))
+        None
     & info [ "name" ] ~docv:"NAME" ~doc:"Run a single litmus test by name.")
 
 let configs =
@@ -147,43 +146,15 @@ let trace =
            dump if $(docv) ends in .sexp).")
 
 let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"J"
-        ~doc:
-          "Worker domains to decide tests in parallel (default: the number \
-           of cores).")
-
-let por =
-  Arg.(
-    value & opt bool true
-    & info [ "por" ] ~docv:"BOOL"
-        ~doc:
-          "Sleep-set partial-order reduction (default on).  Feasibility is \
-           preserved exactly; verdicts never depend on it.")
-
-let sym =
-  Arg.(
-    value & opt bool true
-    & info [ "sym" ] ~docv:"BOOL"
-        ~doc:
-          "Symmetry (orbit-representative) reduction (default on).  \
-           Feasibility is preserved exactly; verdicts never depend on it.")
-
-let no_reduction =
-  Arg.(
-    value & flag
-    & info [ "no-reduction" ]
-        ~doc:
-          "Disable every state-space reduction (equivalent to $(b,--por)=false \
-           $(b,--sym)=false): the exploration of PR 1.")
+  Cli.jobs
+    ~doc:
+      "Worker domains to decide tests in parallel (default: the number of \
+       cores)."
 
 let cmd =
   Cmd.v
     (Cmd.info "cxl0-litmus" ~doc:"Run the paper's CXL0 litmus tests")
     Term.(
-      const run $ only $ test_name $ configs $ trace $ jobs $ por $ sym
-      $ no_reduction)
+      const run $ only $ test_name $ configs $ trace $ jobs $ Cli.reduction)
 
 let () = exit (Cmd.eval' cmd)

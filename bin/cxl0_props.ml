@@ -8,11 +8,7 @@
 
 open Cmdliner
 
-let run n locs vals item volatile jobs por sym no_reduction =
-  let reduction =
-    if no_reduction then Cxl0.Explore.Fast.no_reduction
-    else { Cxl0.Explore.Fast.por; sym }
-  in
+let run n locs vals item volatile jobs reduction =
   let persistence =
     if volatile then Cxl0.Machine.Volatile else Cxl0.Machine.Non_volatile
   in
@@ -25,9 +21,6 @@ let run n locs vals item volatile jobs por sym no_reduction =
     match item with
     | None -> Cxl0.Props.items
     | Some i -> [ Cxl0.Props.item i ]
-  in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Cxl0.Parallel.default_jobs ()
   in
   let n_configs =
     Cxl0.Props.enum_configs_count sys ~locs:locations ~vals:values
@@ -93,43 +86,15 @@ let volatile =
   Arg.(value & flag & info [ "volatile" ] ~doc:"Use volatile shared memory.")
 
 let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"J"
-        ~doc:
-          "Worker domains to shard the sweep over (default: the number of \
-           cores).  The failure list is identical for every value.")
-
-let por =
-  Arg.(
-    value & opt bool true
-    & info [ "por" ] ~docv:"BOOL"
-        ~doc:
-          "Sleep-set partial-order reduction (default on).  Never changes \
-           the verdicts or the failure list.")
-
-let sym =
-  Arg.(
-    value & opt bool true
-    & info [ "sym" ] ~docv:"BOOL"
-        ~doc:
-          "Symmetry (orbit-representative) reduction (default on).  Never \
-           changes the verdicts or the failure list.")
-
-let no_reduction =
-  Arg.(
-    value & flag
-    & info [ "no-reduction" ]
-        ~doc:
-          "Disable every state-space reduction (equivalent to $(b,--por)=false \
-           $(b,--sym)=false): the exhaustive sweep of PR 1.")
+  Cli.jobs
+    ~doc:
+      "Worker domains to shard the sweep over (default: the number of \
+       cores).  The failure list is identical for every value."
 
 let cmd =
   Cmd.v
     (Cmd.info "cxl0-props" ~doc:"Exhaustively check Proposition 1")
     Term.(
-      const run $ n $ locs $ vals $ item $ volatile $ jobs $ por $ sym
-      $ no_reduction)
+      const run $ n $ locs $ vals $ item $ volatile $ jobs $ Cli.reduction)
 
 let () = exit (Cmd.eval' cmd)

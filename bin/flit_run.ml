@@ -8,9 +8,9 @@
 
 open Cmdliner
 
-let crash_spec ~machine seed : Harness.Workload.crash_spec =
+let crash_spec ~machine seed : Harness.Runcore.crash_spec =
   {
-    Harness.Workload.at = 15 + (seed mod 17);
+    Harness.Runcore.at = 15 + (seed mod 17);
     machine;
     restart_at = 22 + (seed mod 17);
     recovery_threads = 1;
@@ -21,12 +21,12 @@ let crash_spec ~machine seed : Harness.Workload.crash_spec =
    config runs 3 machines with the object on machine 2, so the faulted
    link is worker<->home and poison lands on an allocated location.
    Everything varies only with [seed] — reruns are bit-identical. *)
-let fault_specs ~faults seed : Harness.Workload.fault_spec list =
-  match faults with
-  | "none" -> []
-  | "transient" ->
+let fault_specs ~faults seed : Harness.Runcore.fault_spec list =
+  match (faults : Fuzz.Gen.fault_env) with
+  | Fault_free -> []
+  | Transient_only ->
       [
-        Harness.Workload.Degrade_link
+        Harness.Runcore.Degrade_link
           {
             m1 = seed mod 2;
             m2 = 2;
@@ -35,9 +35,9 @@ let fault_specs ~faults seed : Harness.Workload.fault_spec list =
             delay_cycles = 40;
           };
       ]
-  | "degraded" ->
+  | Degraded_env ->
       [
-        Harness.Workload.Degrade_link
+        Harness.Runcore.Degrade_link
           {
             m1 = seed mod 2;
             m2 = 2;
@@ -45,7 +45,7 @@ let fault_specs ~faults seed : Harness.Workload.fault_spec list =
             delay_prob = 0.3;
             delay_cycles = 80;
           };
-        Harness.Workload.Down_link
+        Harness.Runcore.Down_link
           {
             m1 = (seed + 1) mod 2;
             m2 = 2;
@@ -53,20 +53,19 @@ let fault_specs ~faults seed : Harness.Workload.fault_spec list =
             until_cycle = 2500 + (seed mod 7 * 100);
           };
       ]
-  | _ ->
-      (* poison *)
+  | Poison_env ->
       [
-        Harness.Workload.Poison_at
+        Harness.Runcore.Poison_at
           { at = 5 + (seed mod 23); loc_seed = seed };
       ]
 
 let config_for kind transform ~crash ~faults seed =
   let c = Harness.Workload.default_config kind transform in
   let crashes =
-    match crash with
-    | "none" -> []
-    | "home" -> [ crash_spec ~machine:2 seed ]
-    | _ -> [ crash_spec ~machine:0 seed ]
+    match (crash : Cli.crash) with
+    | No_crash -> []
+    | Home_crash -> [ crash_spec ~machine:2 seed ]
+    | Worker_crash -> [ crash_spec ~machine:0 seed ]
   in
   { c with
     Harness.Workload.seed;
@@ -117,27 +116,22 @@ let run_one kind transform ~crash ~faults ~seeds ~verbose ~stats ~trace =
   Fmt.pr "%-10s %-16s crash=%-6s%s  %d/%d seeds durably linearizable%s@."
     (Harness.Objects.kind_name kind)
     (Flit.Flit_intf.name transform)
-    crash
-    (if faults = "none" then "" else " faults=" ^ faults)
+    (Cli.name Cli.crash crash)
+    (if faults = Fuzz.Gen.Fault_free then ""
+     else " faults=" ^ Cli.name Cli.fault_env faults)
     (seeds - fails) seeds
     (if fails > 0 then
        Fmt.str "  (failing seeds: %a)" Fmt.(list ~sep:sp int) (List.rev !failures)
      else "");
   fails
 
-let run object_ transform crash faults seeds matrix verbose stats trace =
-  if not (List.mem faults [ "none"; "transient"; "degraded"; "poison" ])
-  then begin
-    Fmt.epr "unknown fault envelope %S (none/transient/degraded/poison)@."
-      faults;
-    2
-  end
-  else if matrix then begin
+let run kind transform crash faults seeds matrix verbose stats trace =
+  if matrix then begin
     (* the full E7 matrix: every object x every transformation x both
        crash regimes; per-seed stats/trace output would drown the table *)
     List.iter
       (fun crash ->
-        Fmt.pr "@.=== crash regime: %s ===@." crash;
+        Fmt.pr "@.=== crash regime: %s ===@." (Cli.name Cli.crash crash);
         List.iter
           (fun t ->
             List.iter
@@ -147,39 +141,29 @@ let run object_ transform crash faults seeds matrix verbose stats trace =
                      ~stats:false ~trace:None))
               Harness.Objects.all_kinds)
           Flit.Registry.all)
-      [ "worker"; "home" ];
+      [ Cli.Worker_crash; Cli.Home_crash ];
     Fmt.pr
       "@.expected: durable transformations never fail under worker crashes; \
        Alg 3/3' may fail under home crashes (Finding F1, see DESIGN.md); \
        the noflush control fails under either.@.";
     0
   end
-  else
-    match (Harness.Objects.kind_of_name object_, Flit.Registry.find transform) with
-    | None, _ ->
-        Fmt.epr "unknown object %S (register/counter/stack/queue/set/map)@."
-          object_;
-        2
-    | _, None ->
-        Fmt.epr "unknown transformation %S; available: %a@." transform
-          Fmt.(list ~sep:comma string)
-          Flit.Registry.names;
-        2
-    | Some kind, Some t ->
-        if run_one kind t ~crash ~faults ~seeds ~verbose ~stats ~trace > 0
-        then 1
-        else 0
+  else if
+    run_one kind transform ~crash ~faults ~seeds ~verbose ~stats ~trace > 0
+  then 1
+  else 0
 
-let object_ =
+let kind =
   Arg.(
-    value & opt string "queue"
+    value
+    & opt Cli.kind Harness.Objects.Queue
     & info [ "object" ] ~docv:"OBJ"
         ~doc:"Object kind: register, counter, stack, queue, set, map.")
 
 let transform =
   Arg.(
     value
-    & opt string "alg3'-weakest"
+    & opt Cli.transform Flit.Registry.alg3'_weakest
     & info [ "transform" ] ~docv:"T"
         ~doc:
           "Transformation: simple, alg2-mstore, alg3-rstore, alg3'-weakest, \
@@ -187,13 +171,15 @@ let transform =
 
 let crash =
   Arg.(
-    value & opt string "worker"
+    value
+    & opt Cli.crash Cli.Worker_crash
     & info [ "crash" ] ~docv:"WHO"
         ~doc:"Crash regime: none, worker (compute node), home (data owner).")
 
 let faults =
   Arg.(
-    value & opt string "none"
+    value
+    & opt Cli.fault_env Fuzz.Gen.Fault_free
     & info [ "faults" ] ~docv:"ENV"
         ~doc:
           "RAS fault envelope, layered onto the crash regime: none, \
@@ -237,7 +223,7 @@ let cmd =
     (Cmd.info "flit-run"
        ~doc:"Crash-injected durability runs for transformed objects")
     Term.(
-      const run $ object_ $ transform $ crash $ faults $ seeds $ matrix
+      const run $ kind $ transform $ crash $ faults $ seeds $ matrix
       $ verbose $ stats $ trace)
 
 let () = exit (Cmd.eval' cmd)

@@ -26,3 +26,27 @@ let extensions : Flit_intf.t list = [ adaptive; buffered; naive_flush ]
 
 let find name = List.find_opt (fun t -> Flit_intf.name t = name) (all @ extensions)
 let names = List.map Flit_intf.name (all @ extensions)
+
+(** Names that stand for several transformations at once. *)
+let aliases =
+  [ ("flit", durable); ("durable", durable); ("all", all @ extensions);
+    ("noflush", [ noflush ]) ]
+
+let resolve names =
+  let expand name =
+    match List.assoc_opt name aliases with
+    | Some ts -> Some ts
+    | None -> Option.map (fun t -> [ t ]) (find name)
+  in
+  let add acc t =
+    if List.exists (fun u -> Flit_intf.name u = Flit_intf.name t) acc then acc
+    else t :: acc
+  in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> (
+        match expand name with
+        | None -> Error name
+        | Some ts -> go (List.fold_left add acc ts) rest)
+  in
+  go [] names

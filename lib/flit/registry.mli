@@ -29,3 +29,13 @@ val find : string -> Flit_intf.t option
 val names : string list
 (** Every registered transformation name, [all] then [extensions] —
     e.g. for "unknown transformation" error messages. *)
+
+val aliases : (string * Flit_intf.t list) list
+(** Names that expand to several transformations: [flit] and [durable]
+    to {!durable}, [all] to [all @ extensions], [noflush] to the
+    control. *)
+
+val resolve : string list -> (Flit_intf.t list, string) result
+(** Expand aliases and look up every other name, keeping the first
+    occurrence of each transformation in order; [Error n] names the
+    first name that is neither an alias nor registered. *)

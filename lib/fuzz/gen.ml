@@ -139,7 +139,7 @@ let pick rng l = List.nth l (Random.State.int rng (List.length l))
    nothing at all, keeping fault-free campaigns byte-identical to the
    pre-fault fuzzer (the corpus replay gate checks exactly this). *)
 let sample_faults (p : profile) rng (c : Harness.Workload.config) :
-    Harness.Workload.fault_spec list =
+    Harness.Runcore.fault_spec list =
   let n = c.Harness.Workload.n_machines in
   (* two distinct endpoints; [gen] guarantees n >= 2 *)
   let pick_link () =
@@ -154,7 +154,7 @@ let sample_faults (p : profile) rng (c : Harness.Workload.config) :
         (1 + Random.State.int rng 2)
         (fun _ ->
           let m1, m2 = pick_link () in
-          Harness.Workload.Degrade_link
+          Harness.Runcore.Degrade_link
             {
               m1;
               m2;
@@ -165,7 +165,7 @@ let sample_faults (p : profile) rng (c : Harness.Workload.config) :
   | Degraded_env ->
       let m1, m2 = pick_link () in
       let degrade =
-        Harness.Workload.Degrade_link
+        Harness.Runcore.Degrade_link
           {
             m1;
             m2;
@@ -177,7 +177,7 @@ let sample_faults (p : profile) rng (c : Harness.Workload.config) :
       let m1, m2 = pick_link () in
       let from_cycle = Random.State.int rng 2_000 in
       let down =
-        Harness.Workload.Down_link
+        Harness.Runcore.Down_link
           {
             m1;
             m2;
@@ -191,7 +191,7 @@ let sample_faults (p : profile) rng (c : Harness.Workload.config) :
         List.init
           (1 + Random.State.int rng 2)
           (fun _ ->
-            Harness.Workload.Poison_at
+            Harness.Runcore.Poison_at
               {
                 at = 1 + Random.State.int rng 40;
                 loc_seed = Random.State.int rng 64;
@@ -199,7 +199,7 @@ let sample_faults (p : profile) rng (c : Harness.Workload.config) :
       in
       if Random.State.int rng 2 = 0 then
         let m1, m2 = pick_link () in
-        Harness.Workload.Degrade_link
+        Harness.Runcore.Degrade_link
           { m1; m2; nack_prob = 0.1; delay_prob = 0.1; delay_cycles = 40 }
         :: poisons
       else poisons
@@ -243,7 +243,7 @@ let gen (p : profile) (rng : Random.State.t) : Harness.Workload.config =
           if workers_may_crash then Random.State.int rng 3 else 0
         in
         {
-          Harness.Workload.at;
+          Harness.Runcore.at;
           machine = pick rng crashable;
           restart_at = at + Random.State.int rng 20;
           recovery_threads;
@@ -304,7 +304,7 @@ let gen (p : profile) (rng : Random.State.t) : Harness.Workload.config =
               let restart_at = at + 1 + Random.State.int rng 12 in
               step := restart_at + 1 + Random.State.int rng 8;
               {
-                Harness.Workload.at;
+                Harness.Runcore.at;
                 machine = pick rng stormable;
                 restart_at;
                 recovery_threads = 0;

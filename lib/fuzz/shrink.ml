@@ -11,6 +11,7 @@
     fine-grained moves. *)
 
 module W = Harness.Workload
+module R = Harness.Runcore
 
 let remove_nth l n = List.filteri (fun i _ -> i <> n) l
 let mapi_nth l n f = List.mapi (fun i x -> if i = n then f x else x) l
@@ -42,16 +43,16 @@ let candidates (c : W.config) : W.config list =
   let recovery =
     List.concat
       (List.mapi
-         (fun i (s : W.crash_spec) ->
+         (fun i (s : R.crash_spec) ->
            (if s.recovery_threads > 0 then
               [ { c with
                   crashes =
                     mapi_nth c.crashes i (fun s ->
-                        let recovery_threads = s.W.recovery_threads - 1 in
+                        let recovery_threads = s.R.recovery_threads - 1 in
                         { s with
-                          W.recovery_threads;
+                          R.recovery_threads;
                           recovery_ops =
-                            (if recovery_threads = 0 then 0 else s.W.recovery_ops);
+                            (if recovery_threads = 0 then 0 else s.R.recovery_ops);
                         }) } ]
             else [])
            @
@@ -59,7 +60,7 @@ let candidates (c : W.config) : W.config list =
              [ { c with
                  crashes =
                    mapi_nth c.crashes i (fun s ->
-                       { s with W.recovery_ops = s.W.recovery_ops - 1 }) } ]
+                       { s with R.recovery_ops = s.R.recovery_ops - 1 }) } ]
            else [])
          c.crashes)
   in
@@ -95,12 +96,12 @@ let candidates (c : W.config) : W.config list =
       c.n_machines > 1 && c.home < last
       && (c.kind <> Harness.Objects.Kv || c.replicas <= last)
       && List.for_all (fun m -> m < last) c.worker_machines
-      && List.for_all (fun (s : W.crash_spec) -> s.machine < last) c.crashes
+      && List.for_all (fun (s : R.crash_spec) -> s.machine < last) c.crashes
       && List.for_all
            (function
-             | W.Degrade_link { m1; m2; _ } | W.Down_link { m1; m2; _ } ->
+             | R.Degrade_link { m1; m2; _ } | R.Down_link { m1; m2; _ } ->
                  m1 < last && m2 < last
-             | W.Poison_at _ -> true)
+             | R.Poison_at _ -> true)
            c.faults
     then [ { c with n_machines = last } ]
     else []
@@ -110,12 +111,12 @@ let candidates (c : W.config) : W.config list =
   let crash_later =
     List.concat
       (List.mapi
-         (fun i (s : W.crash_spec) ->
+         (fun i (s : R.crash_spec) ->
            if s.at >= s.restart_at then []
            else
              let move at =
                { c with
-                 crashes = mapi_nth c.crashes i (fun s -> { s with W.at }) }
+                 crashes = mapi_nth c.crashes i (fun s -> { s with R.at }) }
              in
              let mid = s.at + ((s.restart_at - s.at + 1) / 2) in
              (if mid > s.at + 1 then [ move mid ] else []) @ [ move (s.at + 1) ])
@@ -131,8 +132,8 @@ let measures (c : W.config) =
     c.ops_per_thread;
     List.length c.crashes;
     List.length c.faults;
-    sum (fun (s : W.crash_spec) -> s.recovery_threads) c.crashes;
-    sum (fun (s : W.crash_spec) -> s.recovery_threads * s.recovery_ops) c.crashes;
+    sum (fun (s : R.crash_spec) -> s.recovery_threads) c.crashes;
+    sum (fun (s : R.crash_spec) -> s.recovery_threads * s.recovery_ops) c.crashes;
     c.value_range;
     c.n_machines;
     (if c.volatile_home then 1 else 0);

@@ -86,20 +86,20 @@ let atom_bool b = Atom (string_of_bool b)
 let atom_float f = Atom (Printf.sprintf "%.17g" f)
 let field name v = List (Atom name :: v)
 
-let crash_to_sexp (s : Workload.crash_spec) =
+let crash_to_sexp (s : Runcore.crash_spec) =
   List
     [
       Atom "crash";
-      field "at" [ atom_int s.Workload.at ];
-      field "machine" [ atom_int s.Workload.machine ];
-      field "restart-at" [ atom_int s.Workload.restart_at ];
-      field "recovery-threads" [ atom_int s.Workload.recovery_threads ];
-      field "recovery-ops" [ atom_int s.Workload.recovery_ops ];
+      field "at" [ atom_int s.Runcore.at ];
+      field "machine" [ atom_int s.Runcore.machine ];
+      field "restart-at" [ atom_int s.Runcore.restart_at ];
+      field "recovery-threads" [ atom_int s.Runcore.recovery_threads ];
+      field "recovery-ops" [ atom_int s.Runcore.recovery_ops ];
     ]
 
-let fault_to_sexp (s : Workload.fault_spec) =
+let fault_to_sexp (s : Runcore.fault_spec) =
   match s with
-  | Workload.Degrade_link { m1; m2; nack_prob; delay_prob; delay_cycles } ->
+  | Runcore.Degrade_link { m1; m2; nack_prob; delay_prob; delay_cycles } ->
       List
         [
           Atom "degrade-link";
@@ -109,7 +109,7 @@ let fault_to_sexp (s : Workload.fault_spec) =
           field "delay-prob" [ atom_float delay_prob ];
           field "delay-cycles" [ atom_int delay_cycles ];
         ]
-  | Workload.Down_link { m1; m2; from_cycle; until_cycle } ->
+  | Runcore.Down_link { m1; m2; from_cycle; until_cycle } ->
       List
         [
           Atom "down-link";
@@ -118,7 +118,7 @@ let fault_to_sexp (s : Workload.fault_spec) =
           field "from-cycle" [ atom_int from_cycle ];
           field "until-cycle" [ atom_int until_cycle ];
         ]
-  | Workload.Poison_at { at; loc_seed } ->
+  | Runcore.Poison_at { at; loc_seed } ->
       List
         [
           Atom "poison";
@@ -226,7 +226,7 @@ let crash_of_sexp = function
       let* restart_at = int_field fields "restart-at" in
       let* recovery_threads = int_field fields "recovery-threads" in
       let* recovery_ops = int_field fields "recovery-ops" in
-      Ok { Workload.at; machine; restart_at; recovery_threads; recovery_ops }
+      Ok { Runcore.at; machine; restart_at; recovery_threads; recovery_ops }
   | _ -> msg "expected (crash ...)"
 
 let float_field fields name =
@@ -241,17 +241,17 @@ let fault_of_sexp = function
       let* delay_prob = float_field fields "delay-prob" in
       let* delay_cycles = int_field fields "delay-cycles" in
       Ok
-        (Workload.Degrade_link { m1; m2; nack_prob; delay_prob; delay_cycles })
+        (Runcore.Degrade_link { m1; m2; nack_prob; delay_prob; delay_cycles })
   | List (Atom "down-link" :: fields) ->
       let* m1 = int_field fields "m1" in
       let* m2 = int_field fields "m2" in
       let* from_cycle = int_field fields "from-cycle" in
       let* until_cycle = int_field fields "until-cycle" in
-      Ok (Workload.Down_link { m1; m2; from_cycle; until_cycle })
+      Ok (Runcore.Down_link { m1; m2; from_cycle; until_cycle })
   | List (Atom "poison" :: fields) ->
       let* at = int_field fields "at" in
       let* loc_seed = int_field fields "loc-seed" in
-      Ok (Workload.Poison_at { at; loc_seed })
+      Ok (Runcore.Poison_at { at; loc_seed })
   | _ -> msg "expected (degrade-link ...), (down-link ...) or (poison ...)"
 
 let rec map_result f = function

@@ -1,9 +1,8 @@
 (** The reusable core of every harness run — fabric construction, crash
     plans, RAS fault plans — shared by the closed-loop {!Workload} runner
-    and the open-loop serving engine ({!Kv.serve}).  {!Workload}'s types
-    are re-export equations of these, so existing callers and corpus
-    files are untouched; the corpus replay gate pins that the split
-    preserved every run byte for byte. *)
+    and the open-loop serving engine ({!Kv.serve}).  Both runners' configs
+    carry these crash and fault specs; the corpus replay gate pins that
+    the split preserved every run byte for byte. *)
 
 type crash_spec = {
   at : int;            (** scheduler step of the crash *)

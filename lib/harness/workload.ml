@@ -16,30 +16,9 @@
     object" — layered over the generic run machinery in {!Runcore}
     (fabric construction, crash-plan and fault-plan wiring), which the
     open-loop serving engine ({!Kv.serve}) shares.  The split is
-    behaviour-preserving: the types below are re-export equations of
-    {!Runcore}'s, every seed-derivation formula is unchanged, and the
-    corpus replay gate pins byte-identical histories. *)
-
-type crash_spec = Runcore.crash_spec = {
-  at : int;            (** scheduler step at which the machine crashes *)
-  machine : int;
-  restart_at : int;    (** step at which it recovers (>= [at]) *)
-  recovery_threads : int;  (** workers spawned on recovery *)
-  recovery_ops : int;
-}
-
-(** A scheduled RAS fault, shrunk/serialised exactly like a
-    {!crash_spec}; see {!Runcore.fault_spec}. *)
-type fault_spec = Runcore.fault_spec =
-  | Degrade_link of {
-      m1 : int;
-      m2 : int;
-      nack_prob : float;
-      delay_prob : float;
-      delay_cycles : int;
-    }
-  | Down_link of { m1 : int; m2 : int; from_cycle : int; until_cycle : int }
-  | Poison_at of { at : int; loc_seed : int }
+    behaviour-preserving: crash and fault plans are {!Runcore}'s own
+    types, every seed-derivation formula is unchanged, and the corpus
+    replay gate pins byte-identical histories. *)
 
 type config = {
   kind : Objects.kind;
@@ -49,8 +28,9 @@ type config = {
   volatile_home : bool;      (** whether [home]'s memory is volatile *)
   worker_machines : int list;  (** machine of each initial worker *)
   ops_per_thread : int;
-  crashes : crash_spec list;
-  faults : fault_spec list;  (** [] = no fault plan: byte-identical runs *)
+  crashes : Runcore.crash_spec list;
+  faults : Runcore.fault_spec list;
+      (** [] = no fault plan: byte-identical runs *)
   seed : int;
   evict_prob : float;
   cache_capacity : int;
@@ -129,9 +109,6 @@ type result = {
   phases : phases;
 }
 
-let build_fabric ?tracer (c : config) : Fabric.t =
-  Runcore.build_fabric ?tracer (env_of_config c)
-
 (* The body shared by initial and recovery workers: [ops] recorded random
    operations.  A broken transformation (the noflush control) can leave
    the object structurally corrupt after a crash — e.g. a recovered queue
@@ -162,15 +139,15 @@ let worker (c : config) ~record ~ops ~rng_seed (instance : Objects.instance)
     record (Lincheck.History.Res { tid = ctx.Runtime.Sched.tid; ret })
   done
 
-(** [install_crash_plan sched c ~record ~instance] — register [c]'s crash
-    plan on [sched] via {!Runcore.install_crash_plan}; the recovery hook
+(** [install_crash_plan sched c env ~record ~instance] — register [c]'s
+    crash plan on [sched] via {!Runcore.install_crash_plan}; the recovery hook
     spawns [recovery_threads] recovery workers of [recovery_ops]
     operations each — provided the object existed by then
     ([instance () = None] means the init thread died before creation
     finished, so there is nothing to recover). *)
-let install_crash_plan sched (c : config) ~record
+let install_crash_plan sched (c : config) env ~record
     ~(instance : unit -> Objects.instance option) =
-  Runcore.install_crash_plan sched (env_of_config c) ~record
+  Runcore.install_crash_plan sched env ~record
     ~recovery:(fun ~ci spec s ->
       match instance () with
       | None -> () (* crashed before creation finished *)
@@ -184,9 +161,6 @@ let install_crash_plan sched (c : config) ~record
                     inst))
           done)
 
-let install_fault_plan sched (c : config) =
-  Runcore.install_fault_plan sched (env_of_config c)
-
 (* Eager for the same reason as [Fabric.default_names]: campaign workers
    on several domains share it. *)
 let worker_names = Array.init 16 (fun i -> Printf.sprintf "w%d" i)
@@ -195,7 +169,8 @@ let worker_name i =
   if i < 16 then worker_names.(i) else Printf.sprintf "w%d" i
 
 let run ?tracer (c : config) : result =
-  let fab = build_fabric ?tracer c in
+  let env = env_of_config c in
+  let fab = Runcore.build_fabric ?tracer env in
   (* the transformation instance is minted once per run and closed over
      by the object's dispatch closures — its auxiliary state (FliT
      counters, dirty sets) survives machine crashes because the run
@@ -249,8 +224,8 @@ let run ?tracer (c : config) : result =
                           instance)))
               c.worker_machines)
   in
-  install_crash_plan sched c ~record ~instance:(fun () -> !instance_ref);
-  install_fault_plan sched c;
+  install_crash_plan sched c env ~record ~instance:(fun () -> !instance_ref);
+  Runcore.install_fault_plan sched env;
   ignore (Runtime.Sched.run sched);
   let final = Fabric.Stats.copy (Fabric.stats fab) in
   (* creation never finished -> the whole run was setup; no crash (or a

@@ -3,32 +3,9 @@
     object, run recorded random operations from worker threads, crash and
     restart machines per plan (killed threads leave pending invocations),
     spawn recovery workers, and hand the history to the durability
-    checker.  Fully deterministic in [seed].
-
-    The pieces of {!run} — fabric construction and the crash-plan wiring
-    — are exposed so crafted scenarios and the fuzzer can reuse them. *)
-
-type crash_spec = {
-  at : int;            (** scheduler step of the crash *)
-  machine : int;
-  restart_at : int;    (** recovery step (clamped to [>= at]) *)
-  recovery_threads : int;
-  recovery_ops : int;
-}
-
-type fault_spec =
-  | Degrade_link of {
-      m1 : int;
-      m2 : int;
-      nack_prob : float;
-      delay_prob : float;
-      delay_cycles : int;
-    }
-  | Down_link of { m1 : int; m2 : int; from_cycle : int; until_cycle : int }
-  | Poison_at of { at : int; loc_seed : int }
-      (** poison location [loc_seed mod n_locs] at scheduler step [at] *)
-(** A scheduled RAS fault, shrunk/serialised exactly like a
-    {!crash_spec}. *)
+    checker.  Fully deterministic in [seed].  Crash and fault plans are
+    {!Runcore.crash_spec}s and {!Runcore.fault_spec}s, wired by
+    {!Runcore}. *)
 
 type config = {
   kind : Objects.kind;
@@ -38,8 +15,9 @@ type config = {
   volatile_home : bool;
   worker_machines : int list; (** machine of each initial worker *)
   ops_per_thread : int;
-  crashes : crash_spec list;
-  faults : fault_spec list;   (** [] = no fault plan: byte-identical runs *)
+  crashes : Runcore.crash_spec list;
+  faults : Runcore.fault_spec list;
+      (** [] = no fault plan: byte-identical runs *)
   seed : int;
   evict_prob : float;
   cache_capacity : int;
@@ -76,27 +54,6 @@ type result = {
   stats : Fabric.Stats.t;
   phases : phases;
 }
-
-val build_fabric : ?tracer:Obs.Tracer.t -> config -> Fabric.t
-(** The fabric of a run: [n_machines] machines, [cache_capacity]-line
-    caches, the home volatile iff [volatile_home], seeded evictions —
-    and, iff [faults <> []], a {!Fabric.Faults} plan seeded from the run
-    seed with the standing link faults configured. *)
-
-val install_crash_plan :
-  Runtime.Sched.t -> config ->
-  record:(Lincheck.History.event -> unit) ->
-  instance:(unit -> Objects.instance option) -> unit
-(** Register the config's crash plan on a scheduler: each spec crashes
-    its machine at [at] (recording the event), restarts it at
-    [max restart_at at], and spawns its recovery workers — unless
-    [instance () = None] (the object was never created, so there is
-    nothing to recover). *)
-
-val install_fault_plan : Runtime.Sched.t -> config -> unit
-(** Register the config's scheduled fault actions ([Poison_at]) on a
-    scheduler; standing link faults are already in the fabric's plan
-    ({!build_fabric}). *)
 
 val run : ?tracer:Obs.Tracer.t -> config -> result
 (** Workers whose machine is down at spawn time (felled by a crash plan

@@ -16,6 +16,7 @@
      durability. *)
 
 module W = Harness.Workload
+module R = Harness.Runcore
 module O = Harness.Objects
 module S = Runtime.Sched
 
@@ -139,9 +140,9 @@ let test_candidate_limit () =
 (* The buffered-sync transformation, end to end                        *)
 (* ------------------------------------------------------------------ *)
 
-let home_crash seed : W.crash_spec =
+let home_crash seed : R.crash_spec =
   {
-    W.at = 15 + (seed mod 13);
+    R.at = 15 + (seed mod 13);
     machine = 2;
     restart_at = 22 + (seed mod 13);
     recovery_threads = 1;

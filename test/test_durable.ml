@@ -13,20 +13,21 @@
      memory nodes never crash — and demonstrably not when they do. *)
 
 module W = Harness.Workload
+module R = Harness.Runcore
 module O = Harness.Objects
 module S = Runtime.Sched
 
-let worker_crash seed : W.crash_spec =
+let worker_crash seed : R.crash_spec =
   {
-    W.at = 15 + (seed mod 17);
+    R.at = 15 + (seed mod 17);
     machine = 0;
     restart_at = 22 + (seed mod 17);
     recovery_threads = 1;
     recovery_ops = 2;
   }
 
-let home_crash seed : W.crash_spec =
-  { (worker_crash seed) with W.machine = 2 }
+let home_crash seed : R.crash_spec =
+  { (worker_crash seed) with R.machine = 2 }
 
 let sweep ?(seeds = 12) kind transform ~crash_of ~volatile_home =
   let failures = ref [] in
@@ -243,9 +244,9 @@ let test_double_crash () =
             W.seed;
             crashes =
               [
-                { W.at = 12; machine = 0; restart_at = 18; recovery_threads = 1;
+                { R.at = 12; machine = 0; restart_at = 18; recovery_threads = 1;
                   recovery_ops = 2 };
-                { W.at = 25; machine = 1; restart_at = 31; recovery_threads = 1;
+                { R.at = 25; machine = 1; restart_at = 31; recovery_threads = 1;
                   recovery_ops = 1 };
               ];
           }
@@ -265,7 +266,7 @@ let test_crash_before_creation () =
     {
       c with
       W.crashes =
-        [ { W.at = 0; machine = 2; restart_at = 2; recovery_threads = 0;
+        [ { R.at = 0; machine = 2; restart_at = 2; recovery_threads = 0;
             recovery_ops = 0 } ];
     }
   in
@@ -283,7 +284,7 @@ let test_crash_before_creation_with_recovery () =
     {
       c with
       W.crashes =
-        [ { W.at = 0; machine = 2; restart_at = 2; recovery_threads = 1;
+        [ { R.at = 0; machine = 2; restart_at = 2; recovery_threads = 1;
             recovery_ops = 2 } ];
     }
   in
@@ -332,7 +333,7 @@ let f2_config transform =
     worker_machines = [ 0; 1 ];
     ops_per_thread = 4;
     crashes =
-      [ { W.at = 28; machine = 1; restart_at = 36; recovery_threads = 1;
+      [ { R.at = 28; machine = 1; restart_at = 36; recovery_threads = 1;
           recovery_ops = 1 } ];
     faults = [];
     seed = 400195;

@@ -3,6 +3,7 @@
    specs, and the generator/shrinker integration. *)
 
 module W = Harness.Workload
+module R = Harness.Runcore
 module F = Fabric
 module G = Fuzz.Gen
 module H = Lincheck.History
@@ -11,7 +12,7 @@ let base kind transform =
   { (W.default_config kind transform) with W.evict_prob = 0.0 }
 
 let degrade ?(nack = 0.2) ?(delay = 0.1) m1 m2 =
-  W.Degrade_link { m1; m2; nack_prob = nack; delay_prob = delay;
+  R.Degrade_link { m1; m2; nack_prob = nack; delay_prob = delay;
                    delay_cycles = 40 }
 
 let contains s sub =
@@ -69,7 +70,7 @@ let test_poison_aborts_are_durable () =
     { (base Harness.Objects.Counter Flit.Registry.simple) with
       W.seed = 2;
       ops_per_thread = 4;
-      faults = [ W.Poison_at { at = 2; loc_seed = 0 } ];
+      faults = [ R.Poison_at { at = 2; loc_seed = 0 } ];
     }
   in
   let r = W.run c in
@@ -91,9 +92,9 @@ let test_faulted_run_deterministic () =
       W.seed = 11;
       ops_per_thread = 3;
       crashes =
-        [ { W.at = 12; machine = 0; restart_at = 18; recovery_threads = 1;
+        [ { R.at = 12; machine = 0; restart_at = 18; recovery_threads = 1;
             recovery_ops = 1 } ];
-      faults = [ degrade 0 2; W.Poison_at { at = 20; loc_seed = 3 } ];
+      faults = [ degrade 0 2; R.Poison_at { at = 20; loc_seed = 3 } ];
     }
   in
   let fingerprint () =
@@ -113,8 +114,8 @@ let test_codec_roundtrip () =
       W.faults =
         [
           degrade 0 1;
-          W.Down_link { m1 = 1; m2 = 2; from_cycle = 100; until_cycle = 900 };
-          W.Poison_at { at = 7; loc_seed = 5 };
+          R.Down_link { m1 = 1; m2 = 2; from_cycle = 100; until_cycle = 900 };
+          R.Poison_at { at = 7; loc_seed = 5 };
         ];
     }
   in
@@ -165,14 +166,14 @@ let test_gen_envelopes_well_formed () =
       for _ = 1 to 30 do
         let c = G.gen p rng in
         Alcotest.(check bool) "non-empty" true (c.W.faults <> []);
-        (* every spec must be accepted by the fabric constructor *)
-        ignore (W.build_fabric c);
+        (* every spec must be accepted by the fabric constructor of a run *)
+        ignore (W.run c);
         List.iter
           (function
-            | W.Degrade_link { m1; m2; _ } | W.Down_link { m1; m2; _ } ->
+            | R.Degrade_link { m1; m2; _ } | R.Down_link { m1; m2; _ } ->
                 Alcotest.(check bool) "distinct endpoints in range" true
                   (m1 <> m2 && m1 < c.W.n_machines && m2 < c.W.n_machines)
-            | W.Poison_at { at; _ } ->
+            | R.Poison_at { at; _ } ->
                 Alcotest.(check bool) "positive step" true (at >= 1))
           c.W.faults
       done)
@@ -181,7 +182,7 @@ let test_gen_envelopes_well_formed () =
 let test_shrink_drops_faults () =
   let c =
     { (base Harness.Objects.Counter Flit.Registry.simple) with
-      W.faults = [ degrade 0 1; W.Poison_at { at = 5; loc_seed = 1 } ] }
+      W.faults = [ degrade 0 1; R.Poison_at { at = 5; loc_seed = 1 } ] }
   in
   Alcotest.(check bool) "one-fewer-fault candidates offered" true
     (List.exists

@@ -3,6 +3,7 @@
    known-broken and known-durable transforms. *)
 
 module W = Harness.Workload
+module R = Harness.Runcore
 module G = Fuzz.Gen
 module Sh = Fuzz.Shrink
 module C = Fuzz.Campaign
@@ -60,7 +61,7 @@ let prop_gen_inside_envelope =
       && c.W.replicas >= 1
       && c.W.replicas <= c.W.n_machines
       && List.for_all
-           (fun (sp : W.crash_spec) ->
+           (fun (sp : R.crash_spec) ->
              sp.machine >= 0
              && sp.machine < c.W.n_machines
              && sp.restart_at >= sp.at
@@ -185,9 +186,9 @@ let test_f3_buffered_worker_crash_violation () =
       ops_per_thread = 2;
       crashes =
         [
-          { W.at = 44; machine = 1; restart_at = 44; recovery_threads = 1;
+          { R.at = 44; machine = 1; restart_at = 44; recovery_threads = 1;
             recovery_ops = 1 };
-          { W.at = 17; machine = 0; restart_at = 17; recovery_threads = 2;
+          { R.at = 17; machine = 0; restart_at = 17; recovery_threads = 2;
             recovery_ops = 1 };
         ];
       faults = [];

@@ -4,6 +4,7 @@
 
 module O = Harness.Objects
 module W = Harness.Workload
+module R = Harness.Runcore
 module M = Harness.Measure
 
 (* ------------------------------------------------------------------ *)
@@ -68,7 +69,7 @@ let test_workload_deterministic () =
         c with
         W.seed = 9;
         crashes =
-          [ { W.at = 18; machine = 2; restart_at = 25; recovery_threads = 1;
+          [ { R.at = 18; machine = 2; restart_at = 25; recovery_threads = 1;
               recovery_ops = 2 } ];
       }
     in
@@ -92,7 +93,7 @@ let test_workload_history_well_formed () =
         c with
         W.seed;
         crashes =
-          [ { W.at = 10 + seed; machine = 0; restart_at = 16 + seed;
+          [ { R.at = 10 + seed; machine = 0; restart_at = 16 + seed;
               recovery_threads = 2; recovery_ops = 1 } ];
       }
     in
@@ -119,7 +120,7 @@ let test_workload_crash_recorded () =
     {
       c with
       W.crashes =
-        [ { W.at = 10; machine = 2; restart_at = 14; recovery_threads = 0;
+        [ { R.at = 10; machine = 2; restart_at = 14; recovery_threads = 0;
             recovery_ops = 0 } ];
     }
   in

@@ -19,6 +19,7 @@ module F = Fabric
 module S = Runtime.Sched
 module FI = Flit.Flit_intf
 module W = Harness.Workload
+module R = Harness.Runcore
 module O = Harness.Objects
 
 let run_thread fab body =
@@ -99,7 +100,7 @@ let crashing_config transform =
     crashes =
       [
         {
-          W.at = 14;
+          R.at = 14;
           machine = 2;
           restart_at = 22;
           recovery_threads = 1;
@@ -143,6 +144,49 @@ let test_parallel_domains_mixed_transforms () =
     (v_ctl = v_ctl_seq);
   Alcotest.(check string) "control history unchanged by company" h_ctl_seq h_ctl
 
+(* ------------------------------------------------------------------ *)
+(* Name resolution: the alias expansion every binary's --transform uses *)
+(* ------------------------------------------------------------------ *)
+
+let resolved names =
+  match Flit.Registry.resolve names with
+  | Ok ts -> Ok (List.map FI.name ts)
+  | Error n -> Error n
+
+let result_names = Alcotest.(result (list string) string)
+
+let test_resolve_aliases () =
+  let names ts = Ok (List.map FI.name ts) in
+  let durable = names Flit.Registry.durable in
+  Alcotest.check result_names "flit" durable (resolved [ "flit" ]);
+  Alcotest.check result_names "durable" durable (resolved [ "durable" ]);
+  Alcotest.check result_names "all"
+    (names (Flit.Registry.all @ Flit.Registry.extensions))
+    (resolved [ "all" ]);
+  Alcotest.check result_names "noflush" (Ok [ "noflush-control" ])
+    (resolved [ "noflush" ]);
+  Alcotest.check result_names "plain name" (Ok [ "adaptive" ])
+    (resolved [ "adaptive" ])
+
+let test_resolve_first_occurrence () =
+  (* noflush first, then the durable four, then what [all] adds; every
+     repeat is dropped where it recurs *)
+  Alcotest.check result_names "noflush,flit,all"
+    (Ok
+       [
+         "noflush-control"; "simple"; "alg2-mstore"; "alg3-rstore";
+         "alg3'-weakest"; "weakest-lflush"; "adaptive"; "buffered-sync";
+         "ablation-noflit-counter";
+       ])
+    (resolved [ "noflush"; "flit"; "all" ]);
+  Alcotest.check result_names "repeats collapse" (Ok [ "simple" ])
+    (resolved [ "simple"; "simple" ])
+
+let test_resolve_first_unknown () =
+  Alcotest.check result_names "first unknown name" (Error "bogus")
+    (resolved [ "flit"; "bogus"; "alg3-rstor"; "also-bogus" ]);
+  Alcotest.check result_names "empty list" (Ok []) (resolved [])
+
 let () =
   Alcotest.run "instances"
     [
@@ -159,5 +203,14 @@ let () =
             test_parallel_domains_deterministic;
           Alcotest.test_case "mixed transforms independent" `Quick
             test_parallel_domains_mixed_transforms;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "resolve expands aliases" `Quick
+            test_resolve_aliases;
+          Alcotest.test_case "resolve keeps first occurrences" `Quick
+            test_resolve_first_occurrence;
+          Alcotest.test_case "resolve names the first unknown" `Quick
+            test_resolve_first_unknown;
         ] );
     ]

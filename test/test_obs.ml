@@ -3,6 +3,7 @@
    degraded-link plan, exporter determinism, and the Stats JSON shape. *)
 
 module W = Harness.Workload
+module R = Harness.Runcore
 
 let contains s needle =
   let nl = String.length needle and sl = String.length s in
@@ -191,7 +192,7 @@ let crash_config () =
     crashes =
       [
         {
-          W.at = 12;
+          R.at = 12;
           machine = 0;
           restart_at = 18;
           recovery_threads = 1;
@@ -267,7 +268,7 @@ let degraded_config () =
     ops_per_thread = 6;
     faults =
       [
-        W.Degrade_link
+        R.Degrade_link
           {
             m1 = 0;
             m2 = 2;
@@ -310,7 +311,7 @@ let test_fallback_events () =
       ops_per_thread = 4;
       faults =
         [
-          W.Degrade_link
+          R.Degrade_link
             {
               m1 = 0;
               m2 = 2;

@@ -362,7 +362,7 @@ let test_crash_before_init_creates_object () =
          Flit.Registry.simple)
       with
       Harness.Workload.crashes =
-        [ { Harness.Workload.at = 0; machine = 2; restart_at = 0;
+        [ { Harness.Runcore.at = 0; machine = 2; restart_at = 0;
             recovery_threads = 1; recovery_ops = 2 } ];
     }
   in
@@ -382,7 +382,7 @@ let test_crash_before_init_worker_machines () =
          Flit.Registry.simple)
       with
       Harness.Workload.crashes =
-        [ { Harness.Workload.at = 0; machine = 0; restart_at = 200;
+        [ { Harness.Runcore.at = 0; machine = 0; restart_at = 200;
             recovery_threads = 0; recovery_ops = 0 } ];
     }
   in
