@@ -1,11 +1,8 @@
-(** Deterministic-signature helpers shared by the benches and the KV
-    serving CLI.
+(** Deterministic-signature helpers for perfbench's digests.
 
-    Each bench grew its own signature formatting ad hoc (campaign
-    summaries in [campaign.ml], fabric-state lines in [fabric_ops.ml]);
-    they live here once, because the signatures are load-bearing: CI and
-    the cross-[--jobs] checks diff them byte-for-byte, so every producer
-    must format identically run to run. *)
+    The signatures are load-bearing: CI diffs the digests built from
+    them byte-for-byte, so every producer must format identically run to
+    run. *)
 
 (** [rm_rf path] — recursive delete; no-op on a missing path. *)
 let rec rm_rf path =
@@ -27,12 +24,6 @@ let campaign_sig (s : Fuzz.Campaign.summary) =
     s.Fuzz.Campaign.skipped
     (List.length s.Fuzz.Campaign.violations)
     (Fabric.Stats.to_json s.Fuzz.Campaign.stats)
-
-(** [fabric_sig f ~acc] — the end-state line of a raw fabric run: the
-    value accumulator, the simulated clock, and the full stats JSON. *)
-let fabric_sig f ~acc =
-  Printf.sprintf "acc=%d cycles=%d stats=%s" acc (Fabric.cycles f)
-    (Fabric.Stats.to_json (Fabric.stats f))
 
 (** [hist_sig h] — one histogram's shape, percentiles included (bucket
     maxima, so deterministic): [n/total/p50/p90/p99/max]. *)

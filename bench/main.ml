@@ -1,6 +1,6 @@
-(* The benchmark harness: regenerates every table/figure of the paper and
-   the performance experiments of EXPERIMENTS.md, then times the key
-   pipelines with Bechamel.
+(* The paper-table harness: regenerates every table/figure of the paper
+   and the simulated-cycle experiments of EXPERIMENTS.md.  Wall-clock
+   timing lives in perfbench/; this binary takes no arguments.
 
    Sections (all printed by `dune exec bench/main.exe`):
      [E2]  Fig. 4 litmus-test table (9 rows) + Fig. 5 variants
@@ -10,8 +10,7 @@
      [E8]  simulated-cycles performance: transformation comparison,
            read-ratio sweep, machine-count sweep
      [E9]  FliT-counter ablation
-     [bechamel] wall-time of the model checker, the durability pipeline
-           and the simulator (one Test.make per experiment family) *)
+     [E11–E13] buffered durability, address adaptivity, switch topology *)
 
 let hr title = Fmt.pr "@.=== %s ===@." title
 
@@ -388,268 +387,10 @@ let e13_topology () =
      placement matters, which is the disaggregation trade-off the \
      paper's introduction describes)@."
 
-(* ------------------------------------------------------------------ *)
-(* E14: Prop-1 engine trajectory (--prop1-bench)                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Times the exhaustive Proposition 1 sweep reduced (sleep-set POR +
-   symmetry, the default) against unreduced, checks the failure lists
-   are identical, and in [--small] mode additionally against the
-   reference map-set engine; records the result in BENCH_prop1.json.
-   The default domain (3 machines / 3 locations / 2 values — 27 000
-   start configurations) takes the reference engine a long time by
-   design, so the oracle leg only runs on the 2-location (900
-   configuration) [--small] domain used by smoke runs and CI.
-   [--append] appends the JSON line instead of rewriting the file (CI
-   keeps a timing history that way). *)
-let prop1_time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
-let prop1_json ~append line =
-  let oc =
-    if append then
-      open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_prop1.json"
-    else open_out "BENCH_prop1.json"
-  in
-  output_string oc line;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  %s BENCH_prop1.json@." (if append then "appended to" else "wrote")
-
-let prop1_bench ~small ~append ~jobs () =
-  let n = 3 in
-  let sys = Cxl0.Machine.uniform n in
-  let locs = List.init (if small then 2 else 3) (fun i -> Cxl0.Loc.v ~owner:i 0) in
-  let vals = [ 0; 1 ] in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Cxl0.Parallel.default_jobs ()
-  in
-  let configs = Cxl0.Props.enum_configs_count sys ~locs ~vals in
-  let domain =
-    Printf.sprintf "%d machines, %d locations, %d values" n (List.length locs)
-      (List.length vals)
-  in
-  hr "E14/E16: Prop-1 engine trajectory";
-  Fmt.pr "domain: %s — %d start configurations, %d job(s)@." domain configs
-    jobs;
-  let seconds_red, (red, rstats) =
-    prop1_time (fun () ->
-        Cxl0.Props.check_exhaustive_stats ~jobs sys ~locs ~vals)
-  in
-  Fmt.pr
-    "  reduced (por+sym), %d job(s): %8.2f s  (%d failure(s), %d starts, %d \
-     states)@."
-    jobs seconds_red (List.length red) rstats.Cxl0.Props.sweep_starts
-    rstats.Cxl0.Props.sweep_states;
-  let seconds_unred, (unred, ustats) =
-    prop1_time (fun () ->
-        Cxl0.Props.check_exhaustive_stats
-          ~reduction:Cxl0.Explore.Fast.no_reduction ~jobs sys ~locs ~vals)
-  in
-  Fmt.pr
-    "  unreduced packed, %d job(s):  %8.2f s  (%d failure(s), %d starts, %d \
-     states)@."
-    jobs seconds_unred (List.length unred) ustats.Cxl0.Props.sweep_starts
-    ustats.Cxl0.Props.sweep_states;
-  if
-    not
-      (List.length red = List.length unred
-      && List.for_all2 Cxl0.Props.failure_equal red unred)
-  then begin
-    Fmt.epr "FATAL: reduced and unreduced sweeps disagree@.";
-    exit 1
-  end;
-  let seconds_reference =
-    if not small then None
-    else begin
-      let seconds_ref, reference =
-        prop1_time (fun () ->
-            Cxl0.Props.check_exhaustive_reference sys ~locs ~vals)
-      in
-      Fmt.pr "  reference map-set engine:   %8.2f s  (%d failure(s))@."
-        seconds_ref (List.length reference);
-      if
-        not
-          (List.length reference = List.length red
-          && List.for_all2 Cxl0.Props.failure_equal reference red)
-      then begin
-        Fmt.epr "FATAL: packed engines disagree with the reference@.";
-        exit 1
-      end;
-      Some seconds_ref
-    end
-  in
-  Fmt.pr
-    "  failure lists identical; %.1fx fewer states, %.1fx wall-clock@."
-    (float ustats.Cxl0.Props.sweep_states
-    /. float (max 1 rstats.Cxl0.Props.sweep_states))
-    (seconds_unred /. seconds_red);
-  prop1_json ~append
-    (Printf.sprintf
-       "{ \"domain\": %S, \"configs\": %d, \"jobs\": %d, \
-        \"seconds_reduced\": %.3f, \"seconds_unreduced\": %.3f%s, \
-        \"starts_reduced\": %d, \"starts_unreduced\": %d, \
-        \"states_reduced\": %d, \"states_unreduced\": %d, \
-        \"state_ratio\": %.2f, \"failures\": %d }"
-       domain configs jobs seconds_red seconds_unred
-       (match seconds_reference with
-       | None -> ""
-       | Some s -> Printf.sprintf ", \"seconds_reference\": %.3f" s)
-       rstats.Cxl0.Props.sweep_starts ustats.Cxl0.Props.sweep_starts
-       rstats.Cxl0.Props.sweep_states ustats.Cxl0.Props.sweep_states
-       (float ustats.Cxl0.Props.sweep_states
-       /. float (max 1 rstats.Cxl0.Props.sweep_states))
-       (List.length red))
-
-(* The first N=4 Proposition 1 sweep: 4 machines / 3 locations /
-   2 values — 238 328 start configurations, tractable only with the
-   reductions on (the S3 machine symmetry cuts the starts ~6x and the
-   sleep sets the per-start transitions).  Reduced-only by design;
-   exactness is covered by the differential gate on smaller domains. *)
-let prop1_n4 ~jobs () =
-  let sys = Cxl0.Machine.uniform 4 in
-  let locs = List.init 3 (fun i -> Cxl0.Loc.v ~owner:i 0) in
-  let vals = [ 0; 1 ] in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Cxl0.Parallel.default_jobs ()
-  in
-  let configs = Cxl0.Props.enum_configs_count sys ~locs ~vals in
-  let domain =
-    Printf.sprintf "4 machines, %d locations, %d values" (List.length locs)
-      (List.length vals)
-  in
-  hr "E16: first N=4 Prop-1 sweep (reduced)";
-  Fmt.pr "domain: %s — %d start configurations, %d job(s)@." domain configs
-    jobs;
-  let seconds, (failures, stats) =
-    prop1_time (fun () ->
-        Cxl0.Props.check_exhaustive_stats ~jobs sys ~locs ~vals)
-  in
-  Fmt.pr "  reduced (por+sym): %8.2f s  (%d failure(s), %d starts, %d states)@."
-    seconds (List.length failures) stats.Cxl0.Props.sweep_starts
-    stats.Cxl0.Props.sweep_states;
-  if failures <> [] then begin
-    List.iter (fun f -> Fmt.epr "%a@." Cxl0.Props.pp_failure f) failures;
-    Fmt.epr "FATAL: Proposition 1 fails at N=4@.";
-    exit 1
-  end;
-  prop1_json ~append:true
-    (Printf.sprintf
-       "{ \"domain\": %S, \"configs\": %d, \"jobs\": %d, \
-        \"seconds_reduced\": %.3f, \"starts_reduced\": %d, \
-        \"states_reduced\": %d, \"failures\": %d }"
-       domain configs jobs seconds stats.Cxl0.Props.sweep_starts
-       stats.Cxl0.Props.sweep_states (List.length failures))
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-time benches                                          *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let bechamel_tests =
-  let litmus_fig4 =
-    Test.make ~name:"fig4/litmus-table"
-      (Staged.stage (fun () ->
-           List.iter (fun t -> ignore (Cxl0.Litmus.decide t)) Cxl0.Litmus.fig4))
-  in
-  let litmus_fig5 =
-    Test.make ~name:"fig5/variants"
-      (Staged.stage (fun () ->
-           List.iter (fun t -> ignore (Cxl0.Litmus.decide t)) Cxl0.Litmus.fig5))
-  in
-  let table1 =
-    Test.make ~name:"table1/mapping"
-      (Staged.stage (fun () ->
-           List.iter (fun t -> ignore (Cxl0.Cxl_txn.classify t)) Cxl0.Cxl_txn.all))
-  in
-  let prop1 =
-    Test.make ~name:"prop1/exhaustive"
-      (Staged.stage (fun () -> ignore (Cxl0.Props.check_default ())))
-  in
-  let durability_run t =
-    Test.make
-      ~name:(Printf.sprintf "e7/queue-%s" (Flit.Flit_intf.name t))
-      (Staged.stage (fun () ->
-           let c = Harness.Workload.default_config Harness.Objects.Queue t in
-           let c =
-             {
-               c with
-               Harness.Workload.crashes =
-                 [
-                   {
-                     Harness.Runcore.at = 20;
-                     machine = 0;
-                     restart_at = 26;
-                     recovery_threads = 1;
-                     recovery_ops = 2;
-                   };
-                 ];
-             }
-           in
-           ignore (Harness.Workload.check c)))
-  in
-  let sim_throughput t =
-    Test.make
-      ~name:(Printf.sprintf "e8/sim-%s" (Flit.Flit_intf.name t))
-      (Staged.stage (fun () ->
-           let c =
-             {
-               (Harness.Measure.default_config Harness.Objects.Map t) with
-               Harness.Measure.ops_per_thread = 100;
-             }
-           in
-           ignore (Harness.Measure.run c)))
-  in
-  Test.make_grouped ~name:"cxl0" ~fmt:"%s %s"
-    ([ litmus_fig4; litmus_fig5; table1; prop1 ]
-    @ List.map durability_run
-        [ Flit.Registry.alg2_mstore; Flit.Registry.alg3_rstore;
-          Flit.Registry.alg3'_weakest ]
-    @ List.map sim_throughput
-        [ Flit.Registry.alg2_mstore; Flit.Registry.alg3'_weakest ])
-
-let run_bechamel () =
-  hr "bechamel: wall-time of the pipelines (ns/run, OLS estimate)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] bechamel_tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
-  List.iter
-    (fun name ->
-      let r = Hashtbl.find results name in
-      match Analyze.OLS.estimates r with
-      | Some (est :: _) -> Fmt.pr "  %-28s %12.0f ns/run@." name est
-      | _ -> Fmt.pr "  %-28s (no estimate)@." name)
-    (List.sort compare names)
-
 let () =
-  let argv = Array.to_list Sys.argv in
-  let jobs =
-    let rec find = function
-      | "--jobs" :: j :: _ -> int_of_string_opt j
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
-  in
-  if List.mem "--prop1-bench" argv then begin
-    let small = List.mem "--small" argv in
-    let append = List.mem "--append" argv in
-    prop1_bench ~small ~append ~jobs ();
-    exit 0
-  end;
-  if List.mem "--n4" argv then begin
-    prop1_n4 ~jobs ();
-    exit 0
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "usage: main.exe (takes no arguments)";
+    exit 2
   end;
   Fmt.pr "CXL0 benchmark harness — every paper table/figure + performance \
           experiments@.";
@@ -666,5 +407,4 @@ let () =
   e11_buffered_sync ();
   e12_adaptive ();
   e13_topology ();
-  run_bechamel ();
   Fmt.pr "@.done.@."

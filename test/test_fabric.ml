@@ -855,6 +855,76 @@ let prop_cross_validation =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Data plane pinned across commits                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A fixed 20,000-primitive stream over 4 machines and 64 locations:
+   loads, lstores, rstores, lflushes, rflushes and faas drawn from an
+   inline 48-bit LCG, at cache capacity 16 (raw dispatch) and 2 (every
+   insert runs the eviction ring).  The checksum folds in every loaded
+   value, so reordering or dropping an operation changes it; the final
+   cycle counter and stats pin the cost model and the eviction policy.
+   A deliberate change of simulated fabric behaviour re-records the
+   expected lines. *)
+let pinned_stream ~cache_capacity =
+  let n_machines = 4 and n_locs = 64 and seed = 42 in
+  let f =
+    F.create ~seed ~evict_prob:0.0
+      (Array.init n_machines (fun i ->
+           F.machine ~cache_capacity (F.default_name i)))
+  in
+  for i = 0 to n_locs - 1 do
+    ignore (F.alloc f ~owner:(i mod n_machines))
+  done;
+  let lcg s = ((s * 25214903917) + 11) land 0xFFFF_FFFF_FFFF in
+  let s = ref seed and acc = ref 0 in
+  for _ = 1 to 20_000 do
+    s := lcg !s;
+    let m = (!s lsr 18) land (n_machines - 1) in
+    let x = (!s lsr 24) land (n_locs - 1) in
+    acc :=
+      match (!s lsr 42) land 7 with
+      | 0 | 1 | 2 -> (!acc * 31) + F.load f m x
+      | 3 ->
+          F.lstore f m x (!acc land 0xff);
+          !acc + 1
+      | 4 ->
+          F.rstore f m x (!acc land 0xff);
+          !acc + 2
+      | 5 ->
+          F.lflush f m x;
+          !acc + 3
+      | 6 ->
+          F.rflush f m x;
+          !acc + 4
+      | _ -> (!acc * 17) + F.faa f m x 1
+  done;
+  Printf.sprintf "acc=%d cycles=%d stats=%s" !acc (F.cycles f)
+    (F.Stats.to_json (F.stats f))
+
+let test_pinned_raw_stream () =
+  Alcotest.(check string) "raw stream (capacity 16)"
+    "acc=-1467413185253221102 cycles=1250647 \
+     stats={\"loads_local_cache\":1549,\"loads_remote_cache\":3118,\
+     \"loads_mem\":2900,\"lstores\":2542,\"rstores\":2440,\"mstores\":0,\
+     \"lflushes\":2407,\"rflushes\":2493,\"faas\":2551,\"cass\":0,\
+     \"evictions_horizontal\":653,\"evictions_vertical\":1337,\
+     \"crashes\":0,\"faults_injected\":0,\"retries\":0,\
+     \"degraded_ops\":0,\"cycles\":1250647}"
+    (pinned_stream ~cache_capacity:16)
+
+let test_pinned_evict_stream () =
+  Alcotest.(check string) "evict stream (capacity 2)"
+    "acc=-1467413185253221102 cycles=1697284 \
+     stats={\"loads_local_cache\":201,\"loads_remote_cache\":661,\
+     \"loads_mem\":6705,\"lstores\":2542,\"rstores\":2440,\"mstores\":0,\
+     \"lflushes\":2407,\"rflushes\":2493,\"faas\":2551,\"cass\":0,\
+     \"evictions_horizontal\":1893,\"evictions_vertical\":6389,\
+     \"crashes\":0,\"faults_injected\":0,\"retries\":0,\
+     \"degraded_ops\":0,\"cycles\":1697284}"
+    (pinned_stream ~cache_capacity:2)
+
 let () =
   Alcotest.run "fabric"
     [
@@ -938,4 +1008,9 @@ let () =
           Alcotest.test_case "gc pressure" `Quick test_gc_pressure;
         ] );
       ("cross-validation", [ QCheck_alcotest.to_alcotest prop_cross_validation ]);
+      ( "data-plane pin",
+        [
+          Alcotest.test_case "raw stream" `Quick test_pinned_raw_stream;
+          Alcotest.test_case "evict stream" `Quick test_pinned_evict_stream;
+        ] );
     ]

@@ -206,20 +206,32 @@ let test_f3_buffered_worker_crash_violation () =
   | `Ok -> Alcotest.fail "expected a buffered-durability violation"
   | `Skipped w -> Alcotest.failf "unexpectedly skipped: %s" w
 
+(* Cells shard across domains and the summary merges every cell's
+   result: the same seed must give the same counts, shrunk minima and
+   merged fabric traffic at jobs 1 and 3. *)
 let test_campaign_deterministic_across_jobs () =
-  let cell_sig (c : C.cell) =
-    ( c.C.index,
-      Harness.Codec.config_to_string c.C.config,
-      match c.C.status with
-      | C.Ok -> "ok"
-      | C.Skipped w -> "skip:" ^ w
-      | C.Violation { shrunk; _ } -> Harness.Codec.config_to_string shrunk )
+  let summary_sig (s : C.summary) =
+    ( s.C.ok,
+      s.C.skipped,
+      List.map
+        (fun (v : C.violation) ->
+          (v.index, Harness.Codec.config_to_string v.shrunk))
+        s.C.violations,
+      Fabric.Stats.to_json s.C.stats )
   in
-  let run_cells () =
-    List.init 40 (fun i -> cell_sig (C.run_cell noflush_profile ~seed:3 i))
-  in
-  let a = run_cells () and b = run_cells () in
-  Alcotest.(check bool) "cells reproducible" true (a = b)
+  List.iter
+    (fun (name, profile) ->
+      let run jobs =
+        summary_sig
+          (C.run ~jobs ~corpus_dir:(tmp_corpus "jobs") profile ~cells:40
+             ~seed:3 ())
+      in
+      let ((_, _, violations, _) as one) = run 1 in
+      Alcotest.(check bool) (name ^ ": jobs 1 = jobs 3") true (one = run 3);
+      (* the control must shrink something, or the minima compare vacuously *)
+      if name = "noflush" then
+        Alcotest.(check bool) "noflush finds violations" true (violations <> []))
+    [ ("noflush", noflush_profile); ("alg2-mstore", mstore_profile) ]
 
 let () =
   Alcotest.run "fuzz"
