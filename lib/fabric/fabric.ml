@@ -24,9 +24,7 @@
     - remote-access charging is a single load from per-pair cost tables
       precomputed at {!create} from the latency model and topology;
     - FIFO replacement order is kept in preallocated ring buffers, so
-      the eviction engine allocates nothing in steady state;
-    - independent primitives can be submitted through a reusable
-      {!batch} and issued/retired in one fabric call.
+      the eviction engine allocates nothing in steady state.
 
     All of it is behaviour-preserving: same cycle charges, same stats,
     same RNG draw sequence — the blessed corpus replay gate checks
@@ -723,165 +721,6 @@ let link_degraded t a b =
   match t.faults with
   | None -> false
   | Some p -> Faults.link_faulty p ~cycles:t.stats.Stats.cycles a b
-
-(* ------------------------------------------------------------------ *)
-(* Batched issue/retire                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* A batch is a reusable struct-of-arrays submission queue: each slot
-   holds one primitive (opcode, issuing machine, location, arguments),
-   and [run_batch] is the issue/retire loop — it walks the slots in
-   submission order, executes each through the plain primitives above
-   (identical charges, stats and trace events), and deposits results in
-   [bres].  No intervening scheduling: a batch models a pipelined
-   multi-line submission that completes as one fabric call, which is
-   exactly what makes it cheaper than N dispatches.  The caller decides
-   what "independent" means; primitives in one batch still execute in
-   order, so read-after-write within a batch behaves normally. *)
-
-let op_load = 0
-let op_lstore = 1
-let op_rstore = 2
-let op_mstore = 3
-let op_lflush = 4
-let op_rflush = 5
-let op_faa = 6
-let op_cas = 7
-
-type batch = {
-  mutable bop : int array;    (* opcode *)
-  mutable bmach : int array;  (* issuing machine *)
-  mutable bloc : int array;   (* location *)
-  mutable barg : int array;   (* store value / FAA delta / CAS expected *)
-  mutable barg2 : int array;  (* CAS desired *)
-  mutable bkind : int array;  (* CAS success-store kind: 0 = L, 1 = R, 2 = M *)
-  mutable bres : int array;   (* retired result: load/FAA value, CAS 0/1 *)
-  mutable blen : int;
-}
-
-let batch_create ?(capacity = 16) () =
-  let capacity = max 1 capacity in
-  {
-    bop = Array.make capacity 0;
-    bmach = Array.make capacity 0;
-    bloc = Array.make capacity 0;
-    barg = Array.make capacity 0;
-    barg2 = Array.make capacity 0;
-    bkind = Array.make capacity 0;
-    bres = Array.make capacity 0;
-    blen = 0;
-  }
-
-let batch_clear b = b.blen <- 0
-let batch_length b = b.blen
-
-let batch_slot b =
-  let cap = Array.length b.bop in
-  if b.blen = cap then begin
-    let grow a =
-      let bigger = Array.make (2 * cap) 0 in
-      Array.blit a 0 bigger 0 cap;
-      bigger
-    in
-    b.bop <- grow b.bop;
-    b.bmach <- grow b.bmach;
-    b.bloc <- grow b.bloc;
-    b.barg <- grow b.barg;
-    b.barg2 <- grow b.barg2;
-    b.bkind <- grow b.bkind;
-    b.bres <- grow b.bres
-  end;
-  let k = b.blen in
-  b.blen <- k + 1;
-  k
-
-let batch_add b op i x arg arg2 kind =
-  let k = batch_slot b in
-  b.bop.(k) <- op;
-  b.bmach.(k) <- i;
-  b.bloc.(k) <- x;
-  b.barg.(k) <- arg;
-  b.barg2.(k) <- arg2;
-  b.bkind.(k) <- kind;
-  k
-
-let batch_load b i x = batch_add b op_load i x 0 0 0
-let batch_lstore b i x v = ignore (batch_add b op_lstore i x v 0 0)
-let batch_rstore b i x v = ignore (batch_add b op_rstore i x v 0 0)
-let batch_mstore b i x v = ignore (batch_add b op_mstore i x v 0 0)
-let batch_lflush b i x = ignore (batch_add b op_lflush i x 0 0 0)
-let batch_rflush b i x = ignore (batch_add b op_rflush i x 0 0 0)
-let batch_faa b i x d = batch_add b op_faa i x d 0 0
-
-let int_of_kind = function Cxl0.Label.L -> 0 | Cxl0.Label.R -> 1 | Cxl0.Label.M -> 2
-let kind_of_int = function 0 -> Cxl0.Label.L | 1 -> Cxl0.Label.R | _ -> Cxl0.Label.M
-
-let batch_cas b i x ~expected ~desired ~(kind : store_kind) =
-  batch_add b op_cas i x expected desired (int_of_kind kind)
-
-let batch_result b k =
-  if k < 0 || k >= b.blen then invalid_arg "Fabric.batch_result: bad slot";
-  b.bres.(k)
-
-(** [run_batch t b] — the issue/retire loop: execute every queued
-    primitive in submission order through the plain (un-faultable)
-    primitives, retiring results into the batch's result slots.  Charges,
-    stats and trace events are identical to issuing the primitives one by
-    one. *)
-let run_batch t b =
-  for k = 0 to b.blen - 1 do
-    let i = b.bmach.(k) and x = b.bloc.(k) in
-    match b.bop.(k) with
-    | 0 -> b.bres.(k) <- load t i x
-    | 1 -> lstore t i x b.barg.(k)
-    | 2 -> rstore t i x b.barg.(k)
-    | 3 -> mstore t i x b.barg.(k)
-    | 4 -> lflush t i x
-    | 5 -> rflush t i x
-    | 6 -> b.bres.(k) <- faa t i x b.barg.(k)
-    | _ ->
-        b.bres.(k) <-
-          (if
-             cas t i x ~expected:b.barg.(k) ~desired:b.barg2.(k)
-               ~kind:(kind_of_int b.bkind.(k))
-           then 1
-           else 0)
-  done
-
-(** [run_batch_op_result t b k] — issue slot [k] alone through the
-    fault-aware [_result] primitives (the degraded path for fabrics with
-    a RAS plan: each primitive must be individually visible to the retry
-    engine).  The slot's result is retired on success. *)
-let run_batch_op_result t b k : (unit, Faults.fault) result =
-  if k < 0 || k >= b.blen then invalid_arg "Fabric.run_batch_op_result";
-  let i = b.bmach.(k) and x = b.bloc.(k) in
-  match b.bop.(k) with
-  | 0 -> (
-      match load_result t i x with
-      | Ok v ->
-          b.bres.(k) <- v;
-          Ok ()
-      | Error _ as e -> e)
-  | 1 -> lstore_result t i x b.barg.(k)
-  | 2 -> rstore_result t i x b.barg.(k)
-  | 3 -> mstore_result t i x b.barg.(k)
-  | 4 -> lflush_result t i x
-  | 5 -> rflush_result t i x
-  | 6 -> (
-      match faa_result t i x b.barg.(k) with
-      | Ok v ->
-          b.bres.(k) <- v;
-          Ok ()
-      | Error _ as e -> e)
-  | _ -> (
-      match
-        cas_result t i x ~expected:b.barg.(k) ~desired:b.barg2.(k)
-          ~kind:(kind_of_int b.bkind.(k))
-      with
-      | Ok ok ->
-          b.bres.(k) <- (if ok then 1 else 0);
-          Ok ()
-      | Error _ as e -> e)
 
 (* ------------------------------------------------------------------ *)
 (* Metadata accounting                                                 *)

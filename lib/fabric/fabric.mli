@@ -10,9 +10,8 @@
 
     The data plane is flat-memory (DESIGN.md decision 12): line state is
     struct-of-arrays unboxed [int array]s, remote-access charging is a
-    load from per-pair cost tables precomputed at {!create}, FIFO
-    replacement runs on preallocated ring buffers, and independent
-    primitives can be submitted through a reusable {!batch}.  All
+    load from per-pair cost tables precomputed at {!create}, and FIFO
+    replacement runs on preallocated ring buffers.  All
     behaviour-preserving: same charges, stats and RNG stream as the
     record-based plane it replaced. *)
 
@@ -170,57 +169,6 @@ val link_degraded : t -> int -> int -> bool
 (** Standing fault on the link between the two machines right now
     (degraded always, down only inside its window); always [false]
     without a plan.  FliT's degraded mode keys off this. *)
-
-(** {1 Batched issue/retire}
-
-    A {!batch} is a reusable submission queue of primitives: queue
-    independent operations with the [batch_*] constructors, issue and
-    retire them all in one {!run_batch} call.  Execution is in
-    submission order through the plain primitives — identical charges,
-    stats and trace events to issuing them one by one — so batching is a
-    mechanical-speed path (one fabric call instead of N dispatches), not
-    a semantic change.  Batches allocate only on capacity growth; clear
-    and reuse them. *)
-
-type batch
-
-val batch_create : ?capacity:int -> unit -> batch
-(** A fresh empty batch (default capacity 16; grows by doubling). *)
-
-val batch_clear : batch -> unit
-val batch_length : batch -> int
-
-val batch_load : batch -> int -> loc -> int
-(** Queue a load; returns the slot whose result {!batch_result} yields
-    after {!run_batch}. *)
-
-val batch_lstore : batch -> int -> loc -> int -> unit
-val batch_rstore : batch -> int -> loc -> int -> unit
-val batch_mstore : batch -> int -> loc -> int -> unit
-val batch_lflush : batch -> int -> loc -> unit
-val batch_rflush : batch -> int -> loc -> unit
-
-val batch_faa : batch -> int -> loc -> int -> int
-(** Queue a fetch-and-add; returns its result slot. *)
-
-val batch_cas :
-  batch -> int -> loc -> expected:int -> desired:int -> kind:store_kind -> int
-(** Queue a compare-and-swap; its result slot retires 1 on success,
-    0 on failure. *)
-
-val batch_result : batch -> int -> int
-(** The retired result in a slot (meaningful after {!run_batch}).
-    Raises [Invalid_argument] on a slot outside the batch. *)
-
-val run_batch : t -> batch -> unit
-(** The issue/retire loop: execute every queued primitive in submission
-    order, depositing results.  The batch stays intact (results
-    readable) until {!batch_clear}. *)
-
-val run_batch_op_result : t -> batch -> int -> (unit, Faults.fault) result
-(** Issue one slot alone through the fault-aware [_result] primitives —
-    the degraded path for fabrics with a RAS plan, where each primitive
-    must be individually visible to the retry engine. *)
 
 (** {1 Metadata accounting} *)
 

@@ -17,67 +17,13 @@
     One binary, both deployments, no manual tuning — each address pays
     only for the durability its memory can deliver. *)
 
-open Runtime
-
-(* The volatile-owner LFlush choice additionally degrades to RFlush
-   when the link toward the owner carries a standing fault (CXL RAS
-   degraded mode) — the LFlush path relies on onward propagation across
-   exactly that link.  See [Counter_based.degraded_flush_kind]. *)
-let flush_kind_for (ctx : Sched.ctx) x : Cxl0.Label.flush_kind =
-  if Fabric.is_volatile ctx.fab (Fabric.owner ctx.fab x) then
-    Counter_based.degraded_flush_kind ctx x Cxl0.Label.LF
-  else Cxl0.Label.RF
-
+(* The volatile-owner LFlush additionally degrades to RFlush when the
+   link toward the owner carries a standing fault (CXL RAS degraded
+   mode) — the LFlush path relies on onward propagation across exactly
+   that link.  Conditionally durable: full DL only for NV-homed data. *)
 let t : Flit_intf.t =
-  {
-    name = "adaptive";
-    (* conditionally durable: full DL only for NV-homed data *)
-    durable = false;
-    create =
-      (fun _fab ->
-        let counters = Counters.create () in
-        let private_load ctx x = Ops.load ctx x in
-        let private_store ctx x v ~pflag =
-          if pflag then begin
-            Ops.lstore ctx x v;
-            Ops.flush ctx (flush_kind_for ctx x) x
-          end
-          else Ops.lstore ctx x v
-        in
-        let shared_load ctx x ~pflag =
-          let v = Ops.load ctx x in
-          if pflag && Counters.read counters ctx x > 0 then
-            Ops.flush ctx (flush_kind_for ctx x) x;
-          v
-        in
-        let shared_store ctx x v ~pflag =
-          if pflag then begin
-            Counters.incr counters ctx x;
-            Ops.lstore ctx x v;
-            Ops.flush ctx (flush_kind_for ctx x) x;
-            Counters.decr counters ctx x
-          end
-          else Ops.lstore ctx x v
-        in
-        let shared_cas ctx x ~expected ~desired ~pflag =
-          if pflag then begin
-            Counters.incr counters ctx x;
-            let ok = Ops.cas ctx x ~expected ~desired ~kind:Cxl0.Label.L in
-            if ok then Ops.flush ctx (flush_kind_for ctx x) x;
-            Counters.decr counters ctx x;
-            ok
-          end
-          else Ops.cas ctx x ~expected ~desired ~kind:Cxl0.Label.L
-        in
-        {
-          Flit_intf.private_load;
-          private_store;
-          shared_load;
-          shared_store;
-          shared_cas;
-          complete_op = (fun _ctx -> ());
-          counters = Some counters;
-          sync = None;
-          dirty_count = None;
-        });
-  }
+  Counter_based.make ~name:"adaptive" ~durable:false ~store_kind:Cxl0.Label.L
+    ~flush_kind:(fun ctx x ->
+      if Fabric.is_volatile ctx.fab (Fabric.owner ctx.fab x) then
+        Counter_based.lflush_unless_degraded ctx x
+      else Cxl0.Label.RF)

@@ -43,24 +43,19 @@ let t : Flit_intf.t =
         let dirty : (int, unit) Hashtbl.t = Hashtbl.create 64 in
         let mark_dirty x = Hashtbl.replace dirty x () in
         (* persist every write buffered so far: RFlush each dirty
-           location (as one batched submission — the multi-line sweep is
-           exactly {!Ops.run_batch}'s pipelining case), then forget it.
-           The sweep completes before the dirty set is cleared, so a
-           fault aborting it mid-way conservatively keeps every location
-           dirty (re-flushing is safe; forgetting is not).  The sync is
-           still not atomic with respect to crashes (a crash at its
-           scheduling point persists the flushed lines only); making it
-           atomic is exactly the hard part the paper anticipates. *)
-        let batch = Fabric.batch_create () in
-        let sync (ctx : Sched.ctx) =
-          let locs = Hashtbl.fold (fun x () acc -> x :: acc) dirty [] in
-          match List.sort compare locs with
-          | [] -> ()
-          | locs ->
-              Fabric.batch_clear batch;
-              List.iter (fun x -> Fabric.batch_rflush batch ctx.machine x) locs;
-              Ops.run_batch ctx batch;
-              List.iter (fun x -> Hashtbl.remove dirty x) locs
+           location in one {!Ops.rflush_all} sweep, then forget it.  The
+           sweep completes before the dirty set is cleared, so a fault
+           aborting it mid-way conservatively keeps every location dirty
+           (re-flushing is safe; forgetting is not).  The sync is still
+           not atomic with respect to crashes (a crash at its scheduling
+           point persists the flushed lines only); making it atomic is
+           exactly the hard part the paper anticipates. *)
+        let sync ctx =
+          let locs =
+            List.sort compare (Hashtbl.fold (fun x () acc -> x :: acc) dirty [])
+          in
+          Ops.rflush_all ctx locs;
+          List.iter (Hashtbl.remove dirty) locs
         in
         let private_load ctx x = Ops.load ctx x in
         let private_store ctx x v ~pflag =

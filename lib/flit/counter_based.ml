@@ -1,19 +1,23 @@
 (** The counter-based FliT adaptation, parameterised by primitive choice.
 
-    Algorithm 3, the weakest transformation (Algorithm 3′) and the
-    Proposition 2 LFlush variant differ only in which store and flush
-    primitives carry persistence:
+    Algorithm 3, the weakest transformation (Algorithm 3′), the
+    Proposition 2 LFlush variant and §4.4's address-adaptive flushing
+    differ only in which store and flush primitives carry persistence:
 
     - Algorithm 3:        store = RStore, flush = RFlush
     - Algorithm 3′:       store = LStore, flush = RFlush
     - Prop. 2 variant:    store = LStore, flush = LFlush
+    - adaptive (§4.4):    store = LStore, flush = RFlush for NV-homed
+                          locations, LFlush for volatile-homed ones
 
-    Everything else — the FliT counter protocol around shared stores, the
-    help-by-flushing shared load, the plain [LStore] for unflagged
-    accesses — is common and implemented once here (mirroring how the
-    paper presents Algorithm 3′ as Algorithm 3 with framed lines
-    replaced).  [make] returns a descriptor whose [create] mints a fresh
-    counter table per instance. *)
+    The flush is chosen per access ([flush_kind ctx x]), so the
+    address-adaptive variant is just another row.  Everything else — the
+    FliT counter protocol around shared stores, the help-by-flushing
+    shared load, the plain [LStore] for unflagged accesses — is common
+    and implemented once here (mirroring how the paper presents
+    Algorithm 3′ as Algorithm 3 with framed lines replaced).  [make]
+    returns a descriptor whose [create] mints a fresh counter table per
+    instance. *)
 
 open Runtime
 
@@ -25,32 +29,29 @@ open Runtime
    recorded in [Stats.degraded_ops].  [link_degraded] is a pure check
    (no RNG draw, no scheduling point), so fault-free runs are
    byte-identical. *)
-let degraded_flush_kind (ctx : Sched.ctx) x (kind : Cxl0.Label.flush_kind) =
-  match kind with
-  | Cxl0.Label.RF -> Cxl0.Label.RF
-  | Cxl0.Label.LF ->
-      if Fabric.link_degraded ctx.fab ctx.machine (Fabric.owner ctx.fab x)
-      then begin
-        let st = Fabric.stats ctx.fab in
-        st.Fabric.Stats.degraded_ops <- st.Fabric.Stats.degraded_ops + 1;
-        (match Fabric.tracer ctx.fab with
-        | None -> ()
-        | Some tr ->
-            Obs.Tracer.emit tr
-              (Obs.Event.Fallback
-                 {
-                   machine = ctx.machine;
-                   loc = x;
-                   cycle = Fabric.cycles ctx.fab;
-                 }));
-        Cxl0.Label.RF
-      end
-      else Cxl0.Label.LF
+let lflush_unless_degraded (ctx : Sched.ctx) x : Cxl0.Label.flush_kind =
+  let owner = Fabric.owner ctx.fab x in
+  if Fabric.link_degraded ctx.fab ctx.machine owner then begin
+    let st = Fabric.stats ctx.fab in
+    st.Fabric.Stats.degraded_ops <- st.Fabric.Stats.degraded_ops + 1;
+    (match Fabric.tracer ctx.fab with
+    | None -> ()
+    | Some tr ->
+        Obs.Tracer.emit tr
+          (Obs.Event.Fallback
+             {
+               machine = ctx.machine;
+               loc = x;
+               cycle = Fabric.cycles ctx.fab;
+             }));
+    Cxl0.Label.RF
+  end
+  else Cxl0.Label.LF
 
 let make ~name ~durable ~store_kind ~flush_kind : Flit_intf.t =
   let create _fab =
     let counters = Counters.create () in
-    let flush ctx x = Ops.flush ctx (degraded_flush_kind ctx x flush_kind) x in
+    let flush ctx x = Ops.flush ctx (flush_kind ctx x) x in
     let private_load ctx x = Ops.load ctx x in
     (* Alg. 3 lines 58-64: a flagged private store persists in place —
        store with the chosen strength, then flush; no counter needed

@@ -7,4 +7,4 @@
 
 let t : Flit_intf.t =
   Counter_based.make ~name:"alg3-rstore" ~durable:true
-    ~store_kind:Cxl0.Label.R ~flush_kind:Cxl0.Label.RF
+    ~store_kind:Cxl0.Label.R ~flush_kind:(fun _ _ -> Cxl0.Label.RF)

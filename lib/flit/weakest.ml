@@ -9,4 +9,4 @@
 
 let t : Flit_intf.t =
   Counter_based.make ~name:"alg3'-weakest" ~durable:true
-    ~store_kind:Cxl0.Label.L ~flush_kind:Cxl0.Label.RF
+    ~store_kind:Cxl0.Label.L ~flush_kind:(fun _ _ -> Cxl0.Label.RF)

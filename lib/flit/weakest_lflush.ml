@@ -15,4 +15,4 @@
 
 let t : Flit_intf.t =
   Counter_based.make ~name:"weakest-lflush" ~durable:false
-    ~store_kind:Cxl0.Label.L ~flush_kind:Cxl0.Label.LF
+    ~store_kind:Cxl0.Label.L ~flush_kind:Counter_based.lflush_unless_degraded

@@ -12,11 +12,10 @@
     timeouts) are transparently retried with exponential backoff in
     simulated cycles plus jitter drawn from the sched seed's dedicated
     retry stream; only exhausted retries and non-transient faults
-    (poison) surface — as [Error] from the [_result] variants, as the
-    {!Fault} exception from the plain ones.  Without a plan the retry
-    engine is a single [match] on [None]: the instruction stream,
-    charges, and RNG draws are byte-identical to the pre-fault
-    runtime. *)
+    (poison) surface, as the {!Fault} exception.  Without a plan each
+    primitive is the fabric's un-faultable call plus one yield: the
+    instruction stream, charges, and RNG draws are byte-identical to the
+    pre-fault runtime. *)
 
 type loc = Fabric.loc
 
@@ -29,100 +28,52 @@ let () =
     | Fault f -> Some (Fmt.str "Ops.Fault(%a)" Fabric.Faults.pp_fault f)
     | _ -> None)
 
-(* One primitive under the fabric's retry policy.  Each attempt —
+(* One primitive under the plan's retry policy.  Each attempt —
    including the last, failed one — ends in exactly one yield, so a
-   faulted primitive is still one scheduling point per fabric access,
-   and the fault-free path is precisely [f (); yield]. *)
-let protect (ctx : Sched.ctx) (f : unit -> ('a, Fabric.Faults.fault) result)
-    : ('a, Fabric.Faults.fault) result =
-  match Fabric.faults ctx.fab with
-  | None ->
-      let r = f () in
-      yield ctx;
-      r
-  | Some plan ->
-      let pol = Fabric.Faults.retry plan in
-      let rec attempt n =
-        match f () with
-        | Ok _ as ok ->
-            yield ctx;
-            ok
-        | Error e
-          when Fabric.Faults.is_transient e && n < pol.Fabric.Faults.retries
-          ->
-            let st = Fabric.stats ctx.fab in
-            st.Fabric.Stats.retries <- st.Fabric.Stats.retries + 1;
-            let backoff =
-              min pol.Fabric.Faults.backoff_max
-                (pol.Fabric.Faults.backoff_base lsl n)
-            in
-            let charged =
-              backoff + Sched.jitter ctx pol.Fabric.Faults.backoff_base
-            in
-            Fabric.charge ctx.fab charged;
-            (match Fabric.tracer ctx.fab with
-            | None -> ()
-            | Some tr ->
-                Sched.note_retry_cycles ctx charged;
-                Obs.Tracer.emit tr
-                  (Obs.Event.Retry
-                     {
-                       machine = ctx.machine;
-                       attempt = n;
-                       backoff;
-                       cycle = Fabric.cycles ctx.fab;
-                     }));
-            yield ctx;
-            attempt (n + 1)
-        | Error _ as e ->
-            yield ctx;
-            e
-      in
-      attempt 0
-
-let ok_or_raise = function Ok v -> v | Error f -> raise (Fault f)
-
-(** [load_result ctx x] — coherent load, surfacing exhausted/persistent
-    faults as [Error]. *)
-let load_result (ctx : Sched.ctx) x =
-  protect ctx (fun () -> Fabric.load_result ctx.fab ctx.machine x)
-
-let lstore_result (ctx : Sched.ctx) x v =
-  protect ctx (fun () -> Fabric.lstore_result ctx.fab ctx.machine x v)
-
-let rstore_result (ctx : Sched.ctx) x v =
-  protect ctx (fun () -> Fabric.rstore_result ctx.fab ctx.machine x v)
-
-let mstore_result (ctx : Sched.ctx) x v =
-  protect ctx (fun () -> Fabric.mstore_result ctx.fab ctx.machine x v)
-
-let lflush_result (ctx : Sched.ctx) x =
-  protect ctx (fun () -> Fabric.lflush_result ctx.fab ctx.machine x)
-
-let rflush_result (ctx : Sched.ctx) x =
-  protect ctx (fun () -> Fabric.rflush_result ctx.fab ctx.machine x)
-
-let faa_result (ctx : Sched.ctx) x d =
-  protect ctx (fun () -> Fabric.faa_result ctx.fab ctx.machine x d)
-
-let cas_result (ctx : Sched.ctx) x ~expected ~desired ~kind =
-  protect ctx (fun () ->
-      Fabric.cas_result ctx.fab ctx.machine x ~expected ~desired ~kind)
-
-let store_result ctx (kind : Cxl0.Label.store_kind) x v =
-  match kind with
-  | L -> lstore_result ctx x v
-  | R -> rstore_result ctx x v
-  | M -> mstore_result ctx x v
-
-let flush_result ctx (kind : Cxl0.Label.flush_kind) x =
-  match kind with LF -> lflush_result ctx x | RF -> rflush_result ctx x
-
-(* The plain primitives take a fabric-level fast path when no fault plan
-   is attached: call the un-faultable fabric primitive directly and
-   yield.  Same fabric effects and the same single scheduling point as
-   the [_result] route — minus its per-call closure and [Ok] box, which
-   sit on the interpreter's innermost loop. *)
+   faulted primitive is still one scheduling point per fabric access.  A
+   fault that survives the policy (or is not retryable, like poison)
+   raises {!Fault}.  Only reached when a plan is attached: without one,
+   every primitive below is the un-faultable fabric call plus one
+   yield. *)
+let protect (ctx : Sched.ctx) plan
+    (f : unit -> ('a, Fabric.Faults.fault) result) : 'a =
+  let pol = Fabric.Faults.retry plan in
+  let rec attempt n =
+    match f () with
+    | Ok v ->
+        yield ctx;
+        v
+    | Error e
+      when Fabric.Faults.is_transient e && n < pol.Fabric.Faults.retries ->
+        let st = Fabric.stats ctx.fab in
+        st.Fabric.Stats.retries <- st.Fabric.Stats.retries + 1;
+        let backoff =
+          min pol.Fabric.Faults.backoff_max
+            (pol.Fabric.Faults.backoff_base lsl n)
+        in
+        let charged =
+          backoff + Sched.jitter ctx pol.Fabric.Faults.backoff_base
+        in
+        Fabric.charge ctx.fab charged;
+        (match Fabric.tracer ctx.fab with
+        | None -> ()
+        | Some tr ->
+            Sched.note_retry_cycles ctx charged;
+            Obs.Tracer.emit tr
+              (Obs.Event.Retry
+                 {
+                   machine = ctx.machine;
+                   attempt = n;
+                   backoff;
+                   cycle = Fabric.cycles ctx.fab;
+                 }));
+        yield ctx;
+        attempt (n + 1)
+    | Error e ->
+        yield ctx;
+        raise (Fault e)
+  in
+  attempt 0
 
 (** [load ctx x] — coherent load (the model's single [Load]). *)
 let load (ctx : Sched.ctx) x =
@@ -131,7 +82,8 @@ let load (ctx : Sched.ctx) x =
       let v = Fabric.load ctx.fab ctx.machine x in
       yield ctx;
       v
-  | Some _ -> ok_or_raise (load_result ctx x)
+  | Some plan ->
+      protect ctx plan (fun () -> Fabric.load_result ctx.fab ctx.machine x)
 
 (** [lstore ctx x v] — LStore: complete once in the local cache. *)
 let lstore (ctx : Sched.ctx) x v =
@@ -139,7 +91,8 @@ let lstore (ctx : Sched.ctx) x v =
   | None ->
       Fabric.lstore ctx.fab ctx.machine x v;
       yield ctx
-  | Some _ -> ok_or_raise (lstore_result ctx x v)
+  | Some plan ->
+      protect ctx plan (fun () -> Fabric.lstore_result ctx.fab ctx.machine x v)
 
 (** [rstore ctx x v] — RStore: complete once at the owner's cache. *)
 let rstore (ctx : Sched.ctx) x v =
@@ -147,7 +100,8 @@ let rstore (ctx : Sched.ctx) x v =
   | None ->
       Fabric.rstore ctx.fab ctx.machine x v;
       yield ctx
-  | Some _ -> ok_or_raise (rstore_result ctx x v)
+  | Some plan ->
+      protect ctx plan (fun () -> Fabric.rstore_result ctx.fab ctx.machine x v)
 
 (** [mstore ctx x v] — MStore: complete once in the owner's physical
     memory. *)
@@ -156,7 +110,8 @@ let mstore (ctx : Sched.ctx) x v =
   | None ->
       Fabric.mstore ctx.fab ctx.machine x v;
       yield ctx
-  | Some _ -> ok_or_raise (mstore_result ctx x v)
+  | Some plan ->
+      protect ctx plan (fun () -> Fabric.mstore_result ctx.fab ctx.machine x v)
 
 (** [lflush ctx x] — LFlush: write the line back one hierarchy level. *)
 let lflush (ctx : Sched.ctx) x =
@@ -164,7 +119,8 @@ let lflush (ctx : Sched.ctx) x =
   | None ->
       Fabric.lflush ctx.fab ctx.machine x;
       yield ctx
-  | Some _ -> ok_or_raise (lflush_result ctx x)
+  | Some plan ->
+      protect ctx plan (fun () -> Fabric.lflush_result ctx.fab ctx.machine x)
 
 (** [rflush ctx x] — RFlush: force the line into the owner's physical
     memory. *)
@@ -173,7 +129,23 @@ let rflush (ctx : Sched.ctx) x =
   | None ->
       Fabric.rflush ctx.fab ctx.machine x;
       yield ctx
-  | Some _ -> ok_or_raise (rflush_result ctx x)
+  | Some plan ->
+      protect ctx plan (fun () -> Fabric.rflush_result ctx.fab ctx.machine x)
+
+(** [rflush_all ctx locs] — RFlush every location in order.  Without a
+    plan the flushes run back to back and end in a {e single} scheduling
+    point (none for an empty list): one multi-line sweep, not N
+    primitives.  With a plan each flush is a separate {!rflush}, because
+    the retry policy must see every link crossing; a surviving fault
+    raises {!Fault}, leaving later locations unflushed. *)
+let rflush_all (ctx : Sched.ctx) locs =
+  match Fabric.faults ctx.fab with
+  | Some _ -> List.iter (rflush ctx) locs
+  | None ->
+      if locs <> [] then begin
+        List.iter (fun x -> Fabric.rflush ctx.fab ctx.machine x) locs;
+        yield ctx
+      end
 
 (** [store ctx kind x v] — store with dynamic strength. *)
 let store ctx (kind : Cxl0.Label.store_kind) x v =
@@ -193,7 +165,8 @@ let faa (ctx : Sched.ctx) x d =
       let v = Fabric.faa ctx.fab ctx.machine x d in
       yield ctx;
       v
-  | Some _ -> ok_or_raise (faa_result ctx x d)
+  | Some plan ->
+      protect ctx plan (fun () -> Fabric.faa_result ctx.fab ctx.machine x d)
 
 (** [cas ctx x ~expected ~desired ~kind] — atomic compare-and-swap whose
     successful store has strength [kind]. *)
@@ -203,30 +176,9 @@ let cas (ctx : Sched.ctx) x ~expected ~desired ~kind =
       let ok = Fabric.cas ctx.fab ctx.machine x ~expected ~desired ~kind in
       yield ctx;
       ok
-  | Some _ -> ok_or_raise (cas_result ctx x ~expected ~desired ~kind)
-
-(** [run_batch ctx b] — issue and retire a whole {!Fabric.batch} as one
-    pipelined submission: every queued primitive executes back to back,
-    followed by a {e single} scheduling point — that one fabric call
-    instead of N dispatches (and N yields) is the batching win.  An
-    empty batch is a no-op (no yield).
-
-    On a fabric with a RAS plan the batch degrades to per-primitive
-    issue through the retry engine — each slot individually retried and
-    yielded, exactly as if issued unbatched — because the retry policy
-    must see every link crossing.  A fault that survives the policy
-    raises {!Fault}, leaving later slots unissued. *)
-let run_batch (ctx : Sched.ctx) b =
-  if Fabric.batch_length b > 0 then
-    match Fabric.faults ctx.fab with
-    | None ->
-        Fabric.run_batch ctx.fab b;
-        yield ctx
-    | Some _ ->
-        for k = 0 to Fabric.batch_length b - 1 do
-          ok_or_raise
-            (protect ctx (fun () -> Fabric.run_batch_op_result ctx.fab b k))
-        done
+  | Some plan ->
+      protect ctx plan (fun () ->
+          Fabric.cas_result ctx.fab ctx.machine x ~expected ~desired ~kind)
 
 (** [alloc ctx ~owner] — allocate a fresh zero-initialised location on
     machine [owner]. *)

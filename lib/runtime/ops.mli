@@ -7,42 +7,19 @@
     transparently retries transient link faults (NACKs, completion
     timeouts) under the plan's policy — exponential backoff charged in
     simulated cycles, jitter from the sched seed — and each attempt ends
-    in one scheduling point.  Only exhausted retries and poison surface:
-    as [Error] from the [_result] variants, as {!Fault} from the plain
-    ones.  Without a plan, behaviour is byte-identical to the pre-fault
-    runtime. *)
+    in one scheduling point.  Only exhausted retries and poison surface,
+    as {!Fault}.  Without a plan, behaviour is byte-identical to the
+    pre-fault runtime. *)
 
 type loc = Fabric.loc
 
 val yield : Sched.ctx -> unit
 
 exception Fault of Fabric.Faults.fault
-(** Raised by the plain primitives when a fault survives the retry
-    policy (or is not retryable, like poison). *)
+(** Raised by every primitive when a fault survives the retry policy
+    (or is not retryable, like poison). *)
 
-(** {1 Typed-fault variants} *)
-
-val load_result : Sched.ctx -> loc -> (int, Fabric.Faults.fault) result
-val lstore_result : Sched.ctx -> loc -> int -> (unit, Fabric.Faults.fault) result
-val rstore_result : Sched.ctx -> loc -> int -> (unit, Fabric.Faults.fault) result
-val mstore_result : Sched.ctx -> loc -> int -> (unit, Fabric.Faults.fault) result
-val lflush_result : Sched.ctx -> loc -> (unit, Fabric.Faults.fault) result
-val rflush_result : Sched.ctx -> loc -> (unit, Fabric.Faults.fault) result
-val faa_result : Sched.ctx -> loc -> int -> (int, Fabric.Faults.fault) result
-
-val cas_result :
-  Sched.ctx -> loc -> expected:int -> desired:int ->
-  kind:Cxl0.Label.store_kind -> (bool, Fabric.Faults.fault) result
-
-val store_result :
-  Sched.ctx -> Cxl0.Label.store_kind -> loc -> int ->
-  (unit, Fabric.Faults.fault) result
-
-val flush_result :
-  Sched.ctx -> Cxl0.Label.flush_kind -> loc ->
-  (unit, Fabric.Faults.fault) result
-
-(** {1 Plain primitives} *)
+(** {1 Primitives} *)
 
 val load : Sched.ctx -> loc -> int
 (** The model's single coherent [Load]. *)
@@ -65,14 +42,12 @@ val cas :
   kind:Cxl0.Label.store_kind -> bool
 (** Atomic compare-and-swap; a successful store has strength [kind]. *)
 
-val run_batch : Sched.ctx -> Fabric.batch -> unit
-(** Issue and retire a whole {!Fabric.batch} as one pipelined
-    submission: all queued primitives back to back, then a single
-    scheduling point.  Empty batches are a no-op (no yield).  On a
-    fabric with a fault plan the batch degrades to per-primitive issue
-    through the retry engine (each slot retried and yielded
-    individually); a surviving fault raises {!Fault}, leaving later
-    slots unissued. *)
+val rflush_all : Sched.ctx -> loc list -> unit
+(** RFlush every location in order, as one multi-line sweep: without a
+    fault plan the flushes run back to back and end in a single
+    scheduling point (none for an empty list).  With a plan each flush
+    goes through the retry engine and yields on its own; a surviving
+    fault raises {!Fault}, leaving later locations unflushed. *)
 
 val alloc : Sched.ctx -> owner:int -> loc
 val alloc_local : Sched.ctx -> loc

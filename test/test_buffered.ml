@@ -246,6 +246,88 @@ let test_unsynced_write_can_die () =
          | None -> ()));
   ignore (S.run sched2)
 
+(* [sync]'s sweep contract.  Fault-free it RFlushes every dirty line back
+   to back and ends in one scheduling point, however many lines are
+   dirty; under a fault plan each line goes through the retry engine,
+   and a fault that survives it aborts the sweep with every line still
+   dirty (re-flushing is safe; forgetting is not).  The step counts and
+   stats were recorded at the commit before the sweep became
+   [Ops.rflush_all]. *)
+
+let dirty_lines = 4
+
+(* Dirty [dirty_lines] fresh lines homed on machine 1. *)
+let write_dirty flit ctx =
+  for v = 1 to dirty_lines do
+    let x = Runtime.Ops.alloc ctx ~owner:1 in
+    flit.Flit.Flit_intf.shared_store ctx x v ~pflag:true
+  done
+
+(* One writer on machine 0 dirties the lines, then optionally syncs;
+   returns the run's step count, stats and the dirty count left. *)
+let sweep_run ~sync =
+  let fab = Fabric.uniform ~seed:3 ~evict_prob:0.0 2 in
+  let flit = Flit.Flit_intf.instantiate Flit.Registry.buffered fab in
+  let sched = S.create ~seed:3 fab in
+  ignore
+    (S.spawn sched ~machine:0 ~name:"writer" (fun ctx ->
+         write_dirty flit ctx;
+         if sync then (Option.get flit.Flit.Flit_intf.sync) ctx));
+  let steps = S.run sched in
+  ( steps,
+    Fabric.Stats.to_json (Fabric.stats fab),
+    (Option.get flit.Flit.Flit_intf.dirty_count) () )
+
+let test_sync_one_scheduling_point () =
+  let steps0, _, dirty0 = sweep_run ~sync:false in
+  let steps, stats, dirty = sweep_run ~sync:true in
+  Alcotest.(check int) "all lines dirty before the sweep" dirty_lines dirty0;
+  Alcotest.(check int) "sweep leaves nothing dirty" 0 dirty;
+  Alcotest.(check int) "the sweep is one scheduling decision" (steps0 + 1)
+    steps;
+  Alcotest.(check int) "pinned step count" 6 steps;
+  Alcotest.(check string) "pinned stats"
+    ("{\"loads_local_cache\":0,\"loads_remote_cache\":0,"
+    ^ "\"loads_mem\":0,\"lstores\":4,\"rstores\":0,\"mstores\":0,"
+    ^ "\"lflushes\":0,\"rflushes\":4,\"faas\":0,\"cass\":0,"
+    ^ "\"evictions_horizontal\":0,\"evictions_vertical\":0,"
+    ^ "\"crashes\":0,\"faults_injected\":0,\"retries\":0,"
+    ^ "\"degraded_ops\":0,\"cycles\":1004}")
+    stats
+
+let test_sync_fault_keeps_dirty () =
+  let plan = Fabric.Faults.plan ~seed:11 () in
+  let fab = Fabric.uniform ~seed:5 ~evict_prob:0.0 ~faults:plan 2 in
+  let flit = Flit.Flit_intf.instantiate Flit.Registry.buffered fab in
+  let dirty_count = Option.get flit.Flit.Flit_intf.dirty_count in
+  let sched = S.create ~seed:3 fab in
+  ignore (S.spawn sched ~machine:0 ~name:"writer" (write_dirty flit));
+  ignore (S.run sched);
+  Alcotest.(check int) "all lines dirty" dirty_lines (dirty_count ());
+  Fabric.Faults.degrade_link plan 0 1 ~nack_prob:1.0 ~delay_prob:0.0
+    ~delay_cycles:0;
+  let st = Fabric.stats fab in
+  let retries0 = st.Fabric.Stats.retries
+  and faults0 = st.Fabric.Stats.faults_injected in
+  let raised = ref None in
+  let sched2 = S.create ~seed:4 fab in
+  ignore
+    (S.spawn sched2 ~machine:0 ~name:"syncer" (fun ctx ->
+         match (Option.get flit.Flit.Flit_intf.sync) ctx with
+         | () -> ()
+         | exception Runtime.Ops.Fault f -> raised := Some f));
+  ignore (S.run sched2);
+  (match !raised with
+  | Some (Fabric.Faults.Nack { from_m = 0; to_m = 1 }) -> ()
+  | Some _ | None -> Alcotest.fail "expected Ops.Fault (Nack 0->1)");
+  let pol = Fabric.Faults.default_retry in
+  Alcotest.(check int) "only the first line's retries spent"
+    pol.Fabric.Faults.retries (st.Fabric.Stats.retries - retries0);
+  Alcotest.(check int) "only the first line's attempts faulted"
+    (pol.Fabric.Faults.retries + 1)
+    (st.Fabric.Stats.faults_injected - faults0);
+  Alcotest.(check int) "every line still dirty" dirty_lines (dirty_count ())
+
 let () =
   Alcotest.run "buffered"
     [
@@ -278,5 +360,9 @@ let () =
             test_sync_upgrades_to_durable;
           Alcotest.test_case "unsynced write can die" `Quick
             test_unsynced_write_can_die;
+          Alcotest.test_case "sync is one scheduling point" `Quick
+            test_sync_one_scheduling_point;
+          Alcotest.test_case "faulted sync keeps lines dirty" `Quick
+            test_sync_fault_keeps_dirty;
         ] );
     ]

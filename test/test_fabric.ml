@@ -580,143 +580,6 @@ let test_crash_heals_volatile_owner () =
   Alcotest.(check int) "zeroed" 0 (F.load f 0 x)
 
 (* ------------------------------------------------------------------ *)
-(* Batched issue/retire vs one-by-one primitives                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The batch path must be mechanically identical to issuing the same
-   primitives in submission order: same values retired, same cycle
-   charges, same stats, same final configuration — under capacity
-   pressure (cache_capacity 2 keeps the eviction rings busy) and across
-   crashes between batches. *)
-
-type bop =
-  | BLoad of int * int
-  | BL of int * int * int
-  | BR of int * int * int
-  | BM of int * int * int
-  | BLF of int * int
-  | BRF of int * int
-  | BFaa of int * int * int
-  | BCas of int * int * int * int * Cxl0.Label.store_kind
-
-let random_bop rng ~n ~locs =
-  let m () = Random.State.int rng n in
-  let x () = Random.State.int rng locs in
-  let v () = Random.State.int rng 4 in
-  let kind () =
-    match Random.State.int rng 3 with
-    | 0 -> Cxl0.Label.L
-    | 1 -> Cxl0.Label.R
-    | _ -> Cxl0.Label.M
-  in
-  match Random.State.int rng 8 with
-  | 0 -> BLoad (m (), x ())
-  | 1 -> BL (m (), x (), v ())
-  | 2 -> BR (m (), x (), v ())
-  | 3 -> BM (m (), x (), v ())
-  | 4 -> BLF (m (), x ())
-  | 5 -> BRF (m (), x ())
-  | 6 -> BFaa (m (), x (), v ())
-  | _ -> BCas (m (), x (), v (), v (), kind ())
-
-let prop_batch_equiv =
-  QCheck.Test.make ~name:"run_batch == primitives one by one" ~count:60
-    QCheck.(pair small_nat (int_bound 40))
-    (fun (seed, segments) ->
-      let n = 3 and nlocs = 5 in
-      let mk_f () =
-        let f = F.uniform ~seed ~evict_prob:0.0 ~cache_capacity:2 n in
-        for i = 0 to nlocs - 1 do
-          ignore (F.alloc f ~owner:(i mod n))
-        done;
-        f
-      in
-      let fa = mk_f () and fb = mk_f () in
-      let rng = Random.State.make [| seed; segments; 99 |] in
-      (* capacity 1 forces the slot arrays to grow mid-run too *)
-      let b = F.batch_create ~capacity:1 () in
-      let ok = ref true in
-      for _ = 1 to segments do
-        (match Random.State.int rng 8 with
-        | 0 ->
-            let m = Random.State.int rng n in
-            F.crash fa m;
-            F.crash fb m
-        | 1 ->
-            let m = Random.State.int rng n
-            and x = Random.State.int rng nlocs in
-            F.evict_loc fa m x;
-            F.evict_loc fb m x
-        | _ ->
-            let len = 1 + Random.State.int rng 6 in
-            let ops = List.init len (fun _ -> random_bop rng ~n ~locs:nlocs) in
-            F.batch_clear b;
-            let slots =
-              List.map
-                (function
-                  | BLoad (m, x) -> Some (F.batch_load b m x)
-                  | BL (m, x, v) ->
-                      F.batch_lstore b m x v;
-                      None
-                  | BR (m, x, v) ->
-                      F.batch_rstore b m x v;
-                      None
-                  | BM (m, x, v) ->
-                      F.batch_mstore b m x v;
-                      None
-                  | BLF (m, x) ->
-                      F.batch_lflush b m x;
-                      None
-                  | BRF (m, x) ->
-                      F.batch_rflush b m x;
-                      None
-                  | BFaa (m, x, v) -> Some (F.batch_faa b m x v)
-                  | BCas (m, x, e, d, k) ->
-                      Some (F.batch_cas b m x ~expected:e ~desired:d ~kind:k))
-                ops
-            in
-            F.run_batch fa b;
-            List.iter2
-              (fun op slot ->
-                let expect =
-                  match op with
-                  | BLoad (m, x) -> Some (F.load fb m x)
-                  | BL (m, x, v) ->
-                      F.lstore fb m x v;
-                      None
-                  | BR (m, x, v) ->
-                      F.rstore fb m x v;
-                      None
-                  | BM (m, x, v) ->
-                      F.mstore fb m x v;
-                      None
-                  | BLF (m, x) ->
-                      F.lflush fb m x;
-                      None
-                  | BRF (m, x) ->
-                      F.rflush fb m x;
-                      None
-                  | BFaa (m, x, v) -> Some (F.faa fb m x v)
-                  | BCas (m, x, e, d, k) ->
-                      Some
-                        (if F.cas fb m x ~expected:e ~desired:d ~kind:k then 1
-                         else 0)
-                in
-                match (expect, slot) with
-                | Some r, Some s -> if F.batch_result b s <> r then ok := false
-                | None, None -> ()
-                | _ -> ok := false)
-              ops slots);
-        if F.cycles fa <> F.cycles fb then ok := false;
-        if not (Cxl0.Config.equal (F.to_config fa) (F.to_config fb)) then
-          ok := false;
-        if not (F.check_coherence fa && F.check_coherence fb) then ok := false;
-        if F.Stats.to_json (F.stats fa) <> F.Stats.to_json (F.stats fb) then
-          ok := false
-      done;
-      !ok)
-
-(* ------------------------------------------------------------------ *)
 (* Allocation discipline                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1002,11 +865,8 @@ let () =
           Alcotest.test_case "crash heals volatile owner" `Quick
             test_crash_heals_volatile_owner;
         ] );
-      ( "batching",
-        [
-          QCheck_alcotest.to_alcotest prop_batch_equiv;
-          Alcotest.test_case "gc pressure" `Quick test_gc_pressure;
-        ] );
+      ( "allocation",
+        [ Alcotest.test_case "gc pressure" `Quick test_gc_pressure ] );
       ("cross-validation", [ QCheck_alcotest.to_alcotest prop_cross_validation ]);
       ( "data-plane pin",
         [

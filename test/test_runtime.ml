@@ -490,9 +490,9 @@ let test_retry_absorbs_transient () =
         (* rstore always crosses to the owner, so every iteration rolls
            the NACK dice (a load would cache the line and go local) *)
         for v = 1 to 20 do
-          match O.rstore_result ctx x v with
-          | Ok () -> incr oks
-          | Error _ -> ()
+          match O.rstore ctx x v with
+          | () -> incr oks
+          | exception O.Fault _ -> ()
         done;
         !oks)
   in
@@ -508,9 +508,10 @@ let test_retry_exhaustion_raises () =
     run_thread ~fab (fun ctx ->
         match O.load ctx x with
         | _ -> false
-        | exception O.Fault (F.Faults.Nack _) -> true)
+        | exception O.Fault (F.Faults.Nack { from_m = 0; to_m = 1 }) -> true)
   in
-  Alcotest.(check bool) "persistent NACKs surface as Ops.Fault" true raised;
+  Alcotest.(check bool) "persistent NACKs surface as Ops.Fault (Nack 0->1)"
+    true raised;
   let s = F.stats fab in
   (* the default policy: 1 attempt + 4 retries, every one NACKed *)
   Alcotest.(check int) "all retries spent"
@@ -518,14 +519,6 @@ let test_retry_exhaustion_raises () =
   Alcotest.(check int) "each attempt counted a fault"
     (F.Faults.default_retry.F.Faults.retries + 1)
     s.F.Stats.faults_injected
-
-let test_retry_result_no_exception () =
-  let fab = faulty_fab ~nack:1.0 () in
-  let x = F.alloc fab ~owner:1 in
-  let _, r = run_thread ~fab (fun ctx -> O.load_result ctx x) in
-  match r with
-  | Error (F.Faults.Nack { from_m = 0; to_m = 1 }) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "expected Error (Nack 0->1)"
 
 (* ------------------------------------------------------------------ *)
 (* Restart                                                             *)
@@ -728,8 +721,6 @@ let () =
             test_retry_absorbs_transient;
           Alcotest.test_case "exhaustion raises" `Quick
             test_retry_exhaustion_raises;
-          Alcotest.test_case "_result returns Error" `Quick
-            test_retry_result_no_exception;
         ] );
       ( "restart",
         [
