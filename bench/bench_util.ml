@@ -1,8 +1,8 @@
 (** Deterministic-signature helpers for perfbench's digests.
 
-    The signatures are load-bearing: CI diffs the digests built from
-    them byte-for-byte, so every producer must format identically run to
-    run. *)
+    The signatures are load-bearing: `dune runtest` diffs the digests
+    built from them against test/data/perfbench-digests.expected, so
+    every producer must format identically run to run. *)
 
 (** [rm_rf path] — recursive delete; no-op on a missing path. *)
 let rec rm_rf path =

@@ -11,8 +11,8 @@
    (Harness.Kv.serve) reporting throughput in ops per 1000 simulated
    cycles and per-op-type p50/p99 latency (completion minus *arrival*,
    so queueing under overload is visible).  Everything is deterministic
-   in --seed: --sig prints one signature line per combo and CI diffs two
-   runs byte-for-byte. *)
+   in --seed: --sig prints one signature line per combo, and `dune
+   runtest` diffs them against test/data/kv-sig.expected. *)
 
 open Cmdliner
 module K = Harness.Kv
@@ -81,12 +81,12 @@ let storm_schedule ~storm ~machines seed : R.crash_spec list =
 let op_names = [| "read"; "update"; "insert" |]
 
 (* One combo's deterministic signature: counters, clock, per-op
-   histogram shapes, and the full fabric stats JSON.  CI diffs two runs
-   of these lines; any nondeterminism anywhere in the serving stack
-   (schedule generation, shard mapping, scheduler, fault plan) shows.
-   With a tracer attached the span digest folds in, so span assembly is
-   covered by the same run-twice diffs; untraced signature lines are
-   byte-identical to previous releases. *)
+   histogram shapes, and the full fabric stats JSON.  `dune runtest`
+   pins these lines in test/data/kv-sig.expected; any nondeterminism
+   anywhere in the serving stack (schedule generation, shard mapping,
+   scheduler, fault plan) shows.  With a tracer attached the span digest
+   folds in, so span assembly is covered by the same pins; untraced
+   signature lines are byte-identical to previous releases. *)
 let signature transform mix ?spans (r : K.serve_result) =
   Printf.sprintf
     "kv %s mix=%s served=%d/%d/%d faulted=%d timed_out=%d dropped=%d \
@@ -111,7 +111,7 @@ let throughput (r : K.serve_result) =
   if r.K.cycles = 0 then 0.0
   else float_of_int (total_served r) *. 1000.0 /. float_of_int r.K.cycles
 
-let combo_json transform mix (r : K.serve_result) ~seconds =
+let combo_json transform mix (r : K.serve_result) =
   let hist_json h =
     Printf.sprintf
       "{ \"n\": %d, \"mean\": %.1f, \"p50\": %d, \"p90\": %d, \"p99\": %d, \
@@ -123,13 +123,13 @@ let combo_json transform mix (r : K.serve_result) ~seconds =
     "    { \"transform\": %S, \"mix\": %S, \"throughput_ops_per_kcycle\": \
      %.2f, \"served\": %d, \"faulted\": %d, \"timed_out\": %d, \"dropped\": \
      %d, \"failovers\": %d, \"rejoins\": %d, \"availability\": %.4f, \
-     \"cycles\": %d, \"seconds\": %.3f,\n\
+     \"cycles\": %d,\n\
      \      \"read\": %s,\n\
      \      \"update\": %s,\n\
      \      \"insert\": %s }"
     (Flit.Flit_intf.name transform)
     (T.mix_name mix) (throughput r) (total_served r) r.K.faulted r.K.timed_out
-    r.K.dropped r.K.failovers r.K.rejoins r.K.availability r.K.cycles seconds
+    r.K.dropped r.K.failovers r.K.rejoins r.K.availability r.K.cycles
     (hist_json r.K.latencies.(0))
     (hist_json r.K.latencies.(1))
     (hist_json r.K.latencies.(2))
@@ -204,7 +204,8 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
       shards;
       servers_per_machine = servers;
       replicas;
-      deadline }
+      deadline;
+      record_history = check }
   in
   if trace_out <> None && List.length transforms * List.length mixes > 1 then
     reject "--trace-out needs exactly one transform x mix combo";
@@ -238,9 +239,7 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
                      ?series ())
               else None
             in
-            let t0 = Unix.gettimeofday () in
             let r = K.serve ?tracer c in
-            let seconds = Unix.gettimeofday () -. t0 in
             Option.iter
               (fun t ->
                 Obs.Report.merge ~into:merged_report (Obs.Tracer.report t);
@@ -288,7 +287,7 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
                   tracer
             | None -> ());
             if check then begin
-              let v = K.check c in
+              let v = K.check_run c r in
               match v.Lincheck.Durable.skipped with
               | Some _ ->
                   (* undecided is not a pass: the bitmask search tops out
@@ -304,7 +303,7 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
                   end
                   else Fmt.pr "  durability: ok@."
             end;
-            (transform, mix, r, seconds))
+            (transform, mix, r))
           mixes)
       transforms
   in
@@ -328,7 +327,7 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
         (Cli.name Cli.fault_env faults)
         (String.concat ",\n"
            (List.map
-              (fun (t, m, r, s) -> combo_json t m r ~seconds:s)
+              (fun (t, m, r) -> combo_json t m r)
               results));
       close_out oc;
       Fmt.epr "wrote %s@." file);
@@ -474,7 +473,7 @@ let check =
     value & flag
     & info [ "check" ]
         ~doc:
-          "Re-run each combo with history recording and run the \
+          "Record each combo's history while serving it and run the \
            durability checker against the map spec (keep the domain \
            small: the checker is exponential).  Exit 1 on a violation \
            or an undecided verdict.")
@@ -485,7 +484,7 @@ let sig_only =
     & info [ "sig" ]
         ~doc:
           "Print one deterministic signature line per combo instead of \
-           the human tables (for run-twice determinism diffs in CI).")
+           the human tables (for byte-for-byte comparison across runs).")
 
 let trace =
   Arg.(

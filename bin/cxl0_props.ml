@@ -36,7 +36,7 @@ let run n locs vals item volatile jobs reduction =
       ~locs:locations ~vals:values
   in
   (* Stats go to stderr: the stdout verdict table stays byte-comparable
-     across reduction settings (the CI smoke diffs it). *)
+     across reduction settings. *)
   Fmt.epr
     "reduction: por=%b sym=%b; %d of %d start configuration(s) checked, %d \
      state(s), %d transition(s)@."

@@ -908,8 +908,8 @@ let serve ?tracer (c : serve_config) : serve_result =
       (if total = 0 then 1.0 else float_of_int total_served /. float_of_int total);
   }
 
-let check (c : serve_config) : Lincheck.Durable.verdict =
-  let r = serve { c with record_history = true } in
+let check_run (c : serve_config) (r : serve_result) :
+    Lincheck.Durable.verdict =
   Lincheck.Durable.check
     ~provenance:
       (Printf.sprintf "kv/%s shards=%d%s %s"
@@ -919,3 +919,6 @@ let check (c : serve_config) : Lincheck.Durable.verdict =
           else "")
          (Traffic.describe c.traffic))
     Lincheck.Specs.map r.history
+
+let check (c : serve_config) : Lincheck.Durable.verdict =
+  check_run c (serve { c with record_history = true })

@@ -176,6 +176,9 @@ val serve : ?tracer:Obs.Tracer.t -> serve_config -> serve_result
     @raise Invalid_argument when the traffic spec fails
     {!Traffic.validate} or [replicas] is out of range. *)
 
+val check_run : serve_config -> serve_result -> Lincheck.Durable.verdict
+(** [check_run c r] — the durability checker against the map spec over
+    [r.history], where [r] is a run of [c] with [record_history] set. *)
+
 val check : serve_config -> Lincheck.Durable.verdict
-(** {!serve} with history recording forced on, then the durability
-    checker against the map spec. *)
+(** {!serve} with history recording forced on, then {!check_run}. *)

@@ -179,8 +179,9 @@ let assemble tr =
          else compare a.seq b.seq)
 
 (** [digest spans] — an order-sensitive FNV-1a fold over every span's
-    identity, timing and components; folds into [--sig] lines so CI can
-    diff span determinism across runs and [--jobs] settings. *)
+    identity, timing and components; folds into [--sig] lines so the
+    pinned signatures cover span determinism across runs and [--jobs]
+    settings. *)
 let digest spans =
   let h = ref 0x3bf29ce484222325 in
   let mix v =
