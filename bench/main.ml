@@ -54,21 +54,12 @@ let prop1 () =
 
 let durability_matrix () =
   hr "E7: durability matrix (12 seeds each; fails/seeds)";
-  let crash_spec ~machine seed : Harness.Runcore.crash_spec =
-    {
-      Harness.Runcore.at = 15 + (seed mod 17);
-      machine;
-      restart_at = 22 + (seed mod 17);
-      recovery_threads = 1;
-      recovery_ops = 2;
-    }
-  in
   let sweep kind t ~machine =
     let fails = ref 0 and skips = ref 0 in
     for seed = 1 to 12 do
-      let c = Harness.Workload.default_config kind t in
       let c =
-        { c with Harness.Workload.seed; crashes = [ crash_spec ~machine seed ] }
+        Fuzz.Gen.closed_loop_config kind t ~crash:(Some machine)
+          ~faults:Fault_free seed
       in
       let v = Harness.Workload.check c in
       match v.Lincheck.Durable.skipped with

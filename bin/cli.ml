@@ -39,6 +39,15 @@ let reduction =
                is preserved exactly: verdicts and stdout never depend on \
                it."))
 
+(* A count that must be at least 1. *)
+let positive =
+  Arg.conv' ~docv:"N"
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ -> Error (Fmt.str "expected a positive integer, got %S" s)),
+      Fmt.int )
+
 let pp_transform ppf t = Fmt.string ppf (Flit.Flit_intf.name t)
 
 let unknown_transform ~names n =
@@ -71,16 +80,17 @@ let kind =
        Harness.Objects.all_kinds)
 
 (* Which machine a binary's crash schedule fells: none, a worker
-   (compute node) or the home (data owner).  The schedules themselves
-   stay per binary: their step windows fit each binary's run length. *)
+   (compute node) or the home (data owner).  Each binary maps the regime
+   to a machine; the schedules are Fuzz.Gen's fixed closed-loop and
+   serving plans. *)
 type crash = No_crash | Worker_crash | Home_crash
 
 let crash =
   Arg.enum
     [ ("none", No_crash); ("worker", Worker_crash); ("home", Home_crash) ]
 
-(* The RAS fault envelope; flit_run and cxl0_kv map it onto their own
-   fault schedules, cxl0_fuzz onto the sampled profile. *)
+(* The RAS fault envelope: a fixed Fuzz.Gen schedule in flit_run and
+   cxl0_kv, the sampled profile's envelope in cxl0_fuzz. *)
 let fault_env =
   Arg.enum
     [

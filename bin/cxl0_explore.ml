@@ -22,12 +22,18 @@ let max_machine_in labels =
     0 labels
 
 let run events n volatile outcomes_for verbose reduction =
-  match Cxl0.Parse.program events with
-  | Error e ->
+  match (Cxl0.Parse.program events, n) with
+  | Error e, _ ->
       Fmt.epr "parse error: %s@."
         e;
       2
-  | Ok labels ->
+  | Ok labels, Some n when n <= max_machine_in labels ->
+      (* a system without a machine the events name: rejected like a
+         parse error, never explored *)
+      Fmt.epr "cxl0-explore: -n %d, but the events name machine %d@." n
+        (max_machine_in labels + 1);
+      2
+  | Ok labels, n ->
       let n =
         match n with Some n -> n | None -> max_machine_in labels + 1
       in

@@ -19,65 +19,6 @@ module K = Harness.Kv
 module T = Harness.Traffic
 module R = Harness.Runcore
 
-(* Deterministic crash schedule: scheduler steps, early enough that a
-   default-size run has plenty of serving on both sides of the crash. *)
-let crash_schedule ~crash ~home seed : R.crash_spec list =
-  match (crash : Cli.crash) with
-  | No_crash -> []
-  | Home_crash ->
-      [
-        { R.at = 400 + (seed mod 29); machine = home;
-          restart_at = 900 + (seed mod 29); recovery_threads = 1;
-          recovery_ops = 0 };
-      ]
-  | Worker_crash ->
-      (* worker: a serving machine that is not the shard-0 home *)
-      [
-        { R.at = 400 + (seed mod 29); machine = 0;
-          restart_at = 900 + (seed mod 29); recovery_threads = 1;
-          recovery_ops = 0 };
-      ]
-
-(* Deterministic RAS schedules per envelope, shaped like flit_run's but
-   with cycle windows sized for serving runs (arrivals stretch over
-   ~total_ops/rate kilocycles, not a few hundred cycles). *)
-let fault_schedule ~faults ~home seed : R.fault_spec list =
-  match (faults : Fuzz.Gen.fault_env) with
-  | Fault_free -> []
-  | Transient_only ->
-      [
-        R.Degrade_link
-          { m1 = seed mod 2; m2 = home; nack_prob = 0.1; delay_prob = 0.1;
-            delay_cycles = 40 };
-      ]
-  | Degraded_env ->
-      [
-        R.Degrade_link
-          { m1 = seed mod 2; m2 = home; nack_prob = 0.4; delay_prob = 0.3;
-            delay_cycles = 80 };
-        R.Down_link
-          { m1 = (seed + 1) mod 2; m2 = home;
-            from_cycle = 2000 + (seed mod 7 * 200);
-            until_cycle = 6000 + (seed mod 7 * 200) };
-      ]
-  | Poison_env -> [ R.Poison_at { at = 150 + (seed mod 23); loc_seed = seed } ]
-
-(* Chaos storm: [storm] sequential crash/restart cycles rotating over
-   the machines — with replication on, every one is a shard-home crash
-   and the service is expected to fail over, heal the restarted
-   replicas, and stay strictly durable.  Steps are spaced so each cycle
-   sees serving traffic on both sides of the outage. *)
-let storm_schedule ~storm ~machines seed : R.crash_spec list =
-  List.init storm (fun i ->
-      let at = 150 + (i * 450) + (seed mod 13) in
-      {
-        R.at;
-        machine = i mod machines;
-        restart_at = at + 200;
-        recovery_threads = 0;
-        recovery_ops = 0;
-      })
-
 let op_names = [| "read"; "update"; "insert" |]
 
 (* One combo's deterministic signature: counters, clock, per-op
@@ -174,6 +115,10 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
   | Error m -> reject m
   | Ok () -> ());
   if machines <= 0 then reject "machines must be positive";
+  if machines > Fabric.max_machines then
+    reject
+      (Printf.sprintf "machines (%d) must not exceed %d" machines
+         Fabric.max_machines);
   if shards <= 0 then reject "shards must be positive";
   if servers <= 0 then reject "servers must be positive";
   if replicas <= 0 then reject "replicas must be positive";
@@ -186,6 +131,13 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
   if explain_tail < 0 then reject "explain-tail must be non-negative";
   if window <= 0 then reject "window must be positive";
   let home = machines - 1 in
+  (* worker: a serving machine that is not the shard-0 home *)
+  let crashed =
+    match crash with
+    | Cli.No_crash -> None
+    | Worker_crash -> Some 0
+    | Home_crash -> Some home
+  in
   let config transform mix =
     let traffic =
       { T.default_spec with T.sessions; ops_per_session = ops; rate; theta;
@@ -194,13 +146,9 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
     let base = K.default_serve_config ~transform ~traffic in
     { base with
       K.env =
-        { base.K.env with
-          R.n_machines = machines;
-          home;
-          crashes =
-            crash_schedule ~crash ~home seed
-            @ storm_schedule ~storm ~machines seed;
-          faults = fault_schedule ~faults ~home seed };
+        Fuzz.Gen.serving_env
+          { base.K.env with R.n_machines = machines; home }
+          ~crash:crashed ~storm ~faults;
       shards;
       servers_per_machine = servers;
       replicas;

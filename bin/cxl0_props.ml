@@ -17,69 +17,73 @@ let run n locs vals item volatile jobs reduction =
     List.init locs (fun i -> Cxl0.Loc.v ~owner:(i mod n) (i / n))
   in
   let values = List.init vals Fun.id in
-  let items =
-    match item with
-    | None -> Cxl0.Props.items
-    | Some i -> [ Cxl0.Props.item i ]
-  in
-  let n_configs =
-    Cxl0.Props.enum_configs_count sys ~locs:locations ~vals:values
-  in
-  Fmt.pr
-    "checking %d item(s) over %d machines (%s), %d locations, %d values: %d \
-     start configurations, %d job(s)@."
-    (List.length items) n
-    (if volatile then "volatile" else "non-volatile")
-    locs vals n_configs jobs;
-  let failures, stats =
-    Cxl0.Props.check_exhaustive_stats ~items ~jobs ~reduction sys
-      ~locs:locations ~vals:values
-  in
-  (* Stats go to stderr: the stdout verdict table stays byte-comparable
-     across reduction settings. *)
-  Fmt.epr
-    "reduction: por=%b sym=%b; %d of %d start configuration(s) checked, %d \
-     state(s), %d transition(s)@."
-    reduction.Cxl0.Explore.Fast.por reduction.Cxl0.Explore.Fast.sym
-    stats.Cxl0.Props.sweep_starts stats.Cxl0.Props.sweep_configs
-    stats.Cxl0.Props.sweep_states stats.Cxl0.Props.sweep_transitions;
-  List.iter
-    (fun it ->
-      let f =
-        List.filter
-          (fun f -> f.Cxl0.Props.item_id = it.Cxl0.Props.id)
-          failures
+  let items = match item with None -> Cxl0.Props.items | Some it -> [ it ] in
+  match Cxl0.Props.enum_configs_count sys ~locs:locations ~vals:values with
+  | exception Invalid_argument msg -> `Error (false, msg)
+  | n_configs ->
+      Fmt.pr
+        "checking %d item(s) over %d machines (%s), %d locations, %d \
+         values: %d start configurations, %d job(s)@."
+        (List.length items) n
+        (if volatile then "volatile" else "non-volatile")
+        locs vals n_configs jobs;
+      let failures, stats =
+        Cxl0.Props.check_exhaustive_stats ~items ~jobs ~reduction sys
+          ~locs:locations ~vals:values
       in
-      Fmt.pr "  (%d) %-55s %s@." it.Cxl0.Props.id it.Cxl0.Props.name
-        (if f = [] then "HOLDS" else "FAILS"))
-    items;
-  if failures = [] then begin
-    Fmt.pr "@.Proposition 1 verified exhaustively over this domain@.";
-    0
-  end
-  else begin
-    List.iter (fun f -> Fmt.pr "%a@." Cxl0.Props.pp_failure f) failures;
-    1
-  end
+      (* Stats go to stderr: the stdout verdict table stays byte-comparable
+         across reduction settings. *)
+      Fmt.epr
+        "reduction: por=%b sym=%b; %d of %d start configuration(s) checked, %d \
+         state(s), %d transition(s)@."
+        reduction.Cxl0.Explore.Fast.por reduction.Cxl0.Explore.Fast.sym
+        stats.Cxl0.Props.sweep_starts stats.Cxl0.Props.sweep_configs
+        stats.Cxl0.Props.sweep_states stats.Cxl0.Props.sweep_transitions;
+      List.iter
+        (fun it ->
+          let f =
+            List.filter
+              (fun f -> f.Cxl0.Props.item_id = it.Cxl0.Props.id)
+              failures
+          in
+          Fmt.pr "  (%d) %-55s %s@." it.Cxl0.Props.id it.Cxl0.Props.name
+            (if f = [] then "HOLDS" else "FAILS"))
+        items;
+      if failures = [] then begin
+        Fmt.pr "@.Proposition 1 verified exhaustively over this domain@.";
+        `Ok 0
+      end
+      else begin
+        List.iter (fun f -> Fmt.pr "%a@." Cxl0.Props.pp_failure f) failures;
+        `Ok 1
+      end
 
 let n =
-  Arg.(value & opt int 2 & info [ "n" ] ~docv:"N" ~doc:"Number of machines.")
+  Arg.(
+    value & opt Cli.positive 2
+    & info [ "n" ] ~docv:"N" ~doc:"Number of machines.")
 
 let locs =
   Arg.(
-    value & opt int 2
+    value & opt Cli.positive 2
     & info [ "locs" ] ~docv:"L"
         ~doc:"Number of locations (owners assigned round-robin).")
 
 let vals =
   Arg.(
-    value & opt int 2
+    value & opt Cli.positive 2
     & info [ "vals" ] ~docv:"V" ~doc:"Number of distinct values (including 0).")
 
 let item =
+  let item =
+    Arg.enum
+      (List.map
+         (fun it -> (string_of_int it.Cxl0.Props.id, it))
+         Cxl0.Props.items)
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some item) None
     & info [ "item" ] ~docv:"I" ~doc:"Check a single Proposition 1 item (1-8).")
 
 let volatile =
@@ -95,6 +99,8 @@ let cmd =
   Cmd.v
     (Cmd.info "cxl0-props" ~doc:"Exhaustively check Proposition 1")
     Term.(
-      const run $ n $ locs $ vals $ item $ volatile $ jobs $ Cli.reduction)
+      ret
+        (const run $ n $ locs $ vals $ item $ volatile $ jobs
+       $ Cli.reduction))
 
 let () = exit (Cmd.eval' cmd)

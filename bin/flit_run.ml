@@ -1,6 +1,7 @@
 (* flit-run: execute a crash-injected concurrent workload on a
-   transformed object and check the recorded history for durable
-   linearizability.
+   transformed object and check the recorded history with the oracle of
+   the transform's fuzz profile: durable linearizability, or buffered
+   durability (consistent cuts) for buffered-sync.
 
      dune exec bin/flit_run.exe -- --object queue --transform alg3-rstore
      dune exec bin/flit_run.exe -- --object stack --crash home --seeds 50
@@ -8,69 +9,12 @@
 
 open Cmdliner
 
-let crash_spec ~machine seed : Harness.Runcore.crash_spec =
-  {
-    Harness.Runcore.at = 15 + (seed mod 17);
-    machine;
-    restart_at = 22 + (seed mod 17);
-    recovery_threads = 1;
-    recovery_ops = 2;
-  }
-
-(* Per-seed deterministic fault schedules for each envelope: the default
-   config runs 3 machines with the object on machine 2, so the faulted
-   link is worker<->home and poison lands on an allocated location.
-   Everything varies only with [seed] — reruns are bit-identical. *)
-let fault_specs ~faults seed : Harness.Runcore.fault_spec list =
-  match (faults : Fuzz.Gen.fault_env) with
-  | Fault_free -> []
-  | Transient_only ->
-      [
-        Harness.Runcore.Degrade_link
-          {
-            m1 = seed mod 2;
-            m2 = 2;
-            nack_prob = 0.1;
-            delay_prob = 0.1;
-            delay_cycles = 40;
-          };
-      ]
-  | Degraded_env ->
-      [
-        Harness.Runcore.Degrade_link
-          {
-            m1 = seed mod 2;
-            m2 = 2;
-            nack_prob = 0.4;
-            delay_prob = 0.3;
-            delay_cycles = 80;
-          };
-        Harness.Runcore.Down_link
-          {
-            m1 = (seed + 1) mod 2;
-            m2 = 2;
-            from_cycle = 500 + (seed mod 7 * 100);
-            until_cycle = 2500 + (seed mod 7 * 100);
-          };
-      ]
-  | Poison_env ->
-      [
-        Harness.Runcore.Poison_at
-          { at = 5 + (seed mod 23); loc_seed = seed };
-      ]
-
-let config_for kind transform ~crash ~faults seed =
-  let c = Harness.Workload.default_config kind transform in
-  let crashes =
-    match (crash : Cli.crash) with
-    | No_crash -> []
-    | Home_crash -> [ crash_spec ~machine:2 seed ]
-    | Worker_crash -> [ crash_spec ~machine:0 seed ]
-  in
-  { c with
-    Harness.Workload.seed;
-    crashes;
-    faults = fault_specs ~faults seed }
+(* The crashed machine per regime: the default config runs 3 machines,
+   workers on 0 and 1, the object on machine 2. *)
+let crash_machine : Cli.crash -> int option = function
+  | No_crash -> None
+  | Worker_crash -> Some 0
+  | Home_crash -> Some 2
 
 (* One phase row of --stats: the Stats.diff of a workload phase as the
    canonical counter JSON, keyed so phases line up across seeds. *)
@@ -78,21 +22,22 @@ let print_phase name (s : Fabric.Stats.t) =
   Fmt.pr "  %-9s %s@." name (Fabric.Stats.to_json s)
 
 let run_one kind transform ~crash ~faults ~seeds ~verbose ~stats ~trace =
+  let profile = Fuzz.Gen.profile_of_transform transform in
+  let config =
+    Fuzz.Gen.closed_loop_config kind transform ~crash:(crash_machine crash)
+      ~faults
+  in
   let failures = ref [] in
   for seed = 1 to seeds do
-    let c = config_for kind transform ~crash ~faults seed in
+    let c = config seed in
     let r = Harness.Workload.run c in
-    let v =
-      Lincheck.Durable.check
-        ~provenance:(Harness.Workload.describe c)
-        (Harness.Objects.spec c.Harness.Workload.kind)
-        r.Harness.Workload.history
-    in
-    if not v.Lincheck.Durable.durable then begin
-      failures := seed :: !failures;
-      if verbose then
-        Fmt.pr "@.seed %d violation:@.%a@." seed Lincheck.Durable.pp_verdict v
-    end;
+    (* an undecided history fails the seed, like a violation *)
+    (match Fuzz.Campaign.judge profile c r.Harness.Workload.history with
+    | `Ok, _ -> ()
+    | (`Violation | `Skipped _), verdict ->
+        failures := seed :: !failures;
+        if verbose then
+          Fmt.pr "@.seed %d violation:@.%s@." seed (Lazy.force verdict));
     if stats then begin
       Fmt.pr "seed %d phases:@." seed;
       print_phase "setup" r.Harness.Workload.phases.Harness.Workload.setup;
@@ -107,19 +52,22 @@ let run_one kind transform ~crash ~faults ~seeds ~verbose ~stats ~trace =
   | Some file ->
       let seed = match List.rev !failures with s :: _ -> s | [] -> 1 in
       let tracer = Obs.Tracer.create () in
-      let c = config_for kind transform ~crash ~faults seed in
+      let c = config seed in
       ignore (Harness.Workload.run ~tracer c);
       Obs.Export.write tracer file;
       Fmt.pr "traced seed %d (%d events, %d dropped) to %s@." seed
         (Obs.Tracer.length tracer) (Obs.Tracer.dropped tracer) file);
   let fails = List.length !failures in
-  Fmt.pr "%-10s %-16s crash=%-6s%s  %d/%d seeds durably linearizable%s@."
+  Fmt.pr "%-10s %-16s crash=%-6s%s  %d/%d seeds %s%s@."
     (Harness.Objects.kind_name kind)
     (Flit.Flit_intf.name transform)
     (Cli.name Cli.crash crash)
     (if faults = Fuzz.Gen.Fault_free then ""
      else " faults=" ^ Cli.name Cli.fault_env faults)
     (seeds - fails) seeds
+    (match profile.Fuzz.Gen.oracle with
+    | Durable -> "durably linearizable"
+    | Buffered_cut -> "buffered durably linearizable")
     (if fails > 0 then
        Fmt.str "  (failing seeds: %a)" Fmt.(list ~sep:sp int) (List.rev !failures)
      else "");

@@ -255,10 +255,15 @@ let decode_choice ~n ~(vals : Value.t array) d =
   in
   (cached, mv)
 
+(* [per_loc_choices] to the power [#locs], in checked arithmetic: a
+   wrapped count would silently sweep a wrong (even empty) domain. *)
 let enum_configs_count sys ~locs ~vals =
-  let n = Machine.n_machines sys in
-  let c = per_loc_choices ~n ~nvals:(List.length vals) in
-  List.fold_left (fun acc _ -> acc * c) 1 locs
+  let too_large () = invalid_arg "Props.enum_configs_count: domain too large" in
+  let mul a b = if a <> 0 && b > max_int / a then too_large () else a * b in
+  let n = Machine.n_machines sys and nvals = List.length vals in
+  if n > Sys.int_size - 2 then too_large ();
+  let c = mul nvals (1 + mul nvals ((1 lsl n) - 1)) in
+  List.fold_left (fun acc _ -> mul acc c) 1 locs
 
 (** [enum_config_nth sys ~locs ~vals m] — the [m]-th configuration of
     the enumeration, [0 <= m < enum_configs_count]. *)

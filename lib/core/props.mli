@@ -70,6 +70,8 @@ val check_item_packed :
 
 val enum_configs_count :
   Machine.system -> locs:Loc.t list -> vals:Value.t list -> int
+(** The size of the domain.  Raises [Invalid_argument] when it exceeds
+    [max_int]. *)
 
 val enum_config_nth :
   Machine.system -> locs:Loc.t list -> vals:Value.t list -> int -> Config.t

@@ -48,6 +48,9 @@ val create :
     [evict_prob] outside [0,1] (NaN included), or a fault plan
     referencing a machine index out of range. *)
 
+val max_machines : int
+(** The largest fabric {!create} accepts: 62 machines. *)
+
 val uniform :
   ?model:Latency.t -> ?topology:Topology.t -> ?seed:int ->
   ?evict_prob:float -> ?faults:Faults.t -> ?tracer:Obs.Tracer.t ->

@@ -41,43 +41,42 @@ type summary = {
   stats : Fabric.Stats.t;  (** campaign-wide fabric traffic, all cells *)
 }
 
-(** [evaluate_run profile c] — run the workload once, ask the profile's
-    oracle, and return the run's fabric stats alongside the status.  A
+(** [judge profile c h] — the profile's oracle on [h], the history a run
+    of [c] recorded: the status, and the verdict rendered on demand.  A
     [Buffered_cut] oracle that blows its candidate-subset bound counts as
-    skipped, mirroring the durable checker's [History_too_long]. *)
-let evaluate_run (p : Gen.profile) (c : W.config) :
-    [ `Ok | `Violation of string | `Skipped of string ] * Fabric.Stats.t =
+    skipped, mirroring the durable checker's [History_too_long].  The
+    rendering is lazy: formatting [describe c] for every satisfied cell
+    was measurable across a campaign. *)
+let judge (p : Gen.profile) (c : W.config) (h : Lincheck.History.t) :
+    [ `Ok | `Violation | `Skipped of string ] * string Lazy.t =
+  let spec = Harness.Objects.spec c.kind in
   match p.oracle with
-  | Gen.Durable -> (
-      let r = W.run c in
-      (* provenance is attached at render time, on the (rare) violation
-         path only: formatting [describe c] for every satisfied cell was
-         measurable across a campaign, and the rendered verdict string —
-         what the blessed corpus pins — is identical either way *)
-      let v =
-        Lincheck.Durable.check (Harness.Objects.spec c.kind) r.history
-      in
-      match v.Lincheck.Durable.skipped with
-      | Some e -> (`Skipped (Fmt.str "%a" Lincheck.Check.pp_error e), r.stats)
-      | None ->
-          ( (if v.durable then `Ok
-             else
-               `Violation
-                 (Fmt.str "%a" Lincheck.Durable.pp_verdict
-                    { v with
-                      Lincheck.Durable.provenance = Some (W.describe c) })),
-            r.stats ))
+  | Gen.Durable ->
+      let v = Lincheck.Durable.check spec h in
+      ( (match v.skipped with
+        | Some e -> `Skipped (Fmt.str "%a" Lincheck.Check.pp_error e)
+        | None -> if v.durable then `Ok else `Violation),
+        lazy
+          (Fmt.str "%a" Lincheck.Durable.pp_verdict
+             { v with provenance = Some (W.describe c) }) )
   | Gen.Buffered_cut -> (
-      let r = W.run c in
-      match Lincheck.Buffered.check (Harness.Objects.spec c.kind) r.history with
+      match Lincheck.Buffered.check spec h with
       | v ->
-          ( (if v.Lincheck.Buffered.buffered_durable then `Ok
-             else
-               `Violation
-                 (Fmt.str "%a [%s]" Lincheck.Buffered.pp_verdict v
-                    (W.describe c))),
-            r.stats )
-      | exception Invalid_argument msg -> (`Skipped msg, r.stats))
+          ( (if v.buffered_durable then `Ok else `Violation),
+            lazy
+              (Fmt.str "%a [%s]" Lincheck.Buffered.pp_verdict v (W.describe c))
+          )
+      | exception Invalid_argument msg ->
+          (`Skipped msg, lazy ("skipped: " ^ msg)))
+
+(* One run of [c] judged by [p]'s oracle, rendered on the violation path
+   only, with the run's fabric stats. *)
+let evaluate_run p c =
+  let r = W.run c in
+  ( (match judge p c r.history with
+    | `Violation, verdict -> `Violation (Lazy.force verdict)
+    | ((`Ok | `Skipped _) as status), _ -> status),
+    r.stats )
 
 let evaluate p c = fst (evaluate_run p c)
 
@@ -148,25 +147,12 @@ let run ?(jobs = 1) ?(corpus_dir = "corpus") (p : Gen.profile) ~cells ~seed ()
   }
 
 (** [replay ?tracer c] — one deterministic run of a (corpus) config: the
-    recorded history plus its oracle verdict, both rendered.  The boolean
-    is [true] iff the oracle was satisfied.  With [?tracer], every fabric
-    event of the replayed run is captured for export. *)
+    recorded history plus its oracle verdict, rendered.  The boolean is
+    [false] iff the oracle found a violation.  With [?tracer], every
+    fabric event of the replayed run is captured for export. *)
 let replay ?tracer (c : W.config) : Lincheck.History.t * string * bool =
-  let p = Gen.profile_of_transform c.transform in
   let r = W.run ?tracer c in
-  match p.oracle with
-  | Gen.Durable ->
-      let v =
-        Lincheck.Durable.check ~provenance:(W.describe c)
-          (Harness.Objects.spec c.kind) r.history
-      in
-      ( r.history,
-        Fmt.str "%a" Lincheck.Durable.pp_verdict v,
-        v.durable || v.skipped <> None )
-  | Gen.Buffered_cut -> (
-      match Lincheck.Buffered.check (Harness.Objects.spec c.kind) r.history with
-      | v ->
-          ( r.history,
-            Fmt.str "%a [%s]" Lincheck.Buffered.pp_verdict v (W.describe c),
-            v.buffered_durable )
-      | exception Invalid_argument msg -> (r.history, "skipped: " ^ msg, true))
+  let status, verdict =
+    judge (Gen.profile_of_transform c.transform) c r.history
+  in
+  (r.history, Lazy.force verdict, status <> `Violation)

@@ -33,16 +33,20 @@ type summary = {
           (unshrunk) run with {!Fabric.Stats.add} *)
 }
 
-val evaluate_run :
-  Gen.profile -> Harness.Workload.config ->
-  [ `Ok | `Violation of string | `Skipped of string ] * Fabric.Stats.t
-(** Run the workload once and ask the profile's oracle; also return the
-    run's fabric stats. *)
+val judge :
+  Gen.profile -> Harness.Workload.config -> Lincheck.History.t ->
+  [ `Ok | `Violation | `Skipped of string ] * string Lazy.t
+(** [judge p c h] asks [p]'s oracle about [h], the history a run of [c]
+    recorded: {!Lincheck.Durable.check} or, for a [Buffered_cut] profile,
+    {!Lincheck.Buffered.check}.  Returns the status ([`Skipped] = the
+    oracle could not decide) and the verdict, labelled with
+    [describe c] and rendered only when forced. *)
 
 val evaluate :
   Gen.profile -> Harness.Workload.config ->
   [ `Ok | `Violation of string | `Skipped of string ]
-(** [evaluate p c = fst (evaluate_run p c)]. *)
+(** Run the workload once and {!judge} it; a violation carries its
+    rendered verdict. *)
 
 val run_cell : Gen.profile -> seed:int -> int -> cell
 (** Generate, check and (on violation) shrink one cell; deterministic in
@@ -58,7 +62,8 @@ val run :
 val replay :
   ?tracer:Obs.Tracer.t ->
   Harness.Workload.config -> Lincheck.History.t * string * bool
-(** One deterministic run of a corpus config: the recorded history, the
-    rendered oracle verdict, and whether the oracle was satisfied.  With
+(** One deterministic run of a corpus config, {!judge}d by its
+    transform's profile: the recorded history, the rendered verdict, and
+    [false] iff the oracle found a violation (an undecided run passes).  With
     [?tracer], every fabric event of the replayed run is captured for
     export. *)

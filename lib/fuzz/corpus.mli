@@ -1,13 +1,11 @@
 (** The counterexample corpus: replayable S-expression config files,
     content-hash-named so identical minima deduplicate. *)
 
-val file_name : Harness.Workload.config -> string
-(** [<transform>-<kind>-<fnv1a64 prefix>.sexp]. *)
-
 val save :
   dir:string -> Harness.Workload.config -> comment:string list ->
   string * bool
-(** Write the config under its content-hash name (creating [dir] if
+(** Write the config under its content-hash name,
+    [<transform>-<kind>-<fnv1a64 prefix>.sexp] (creating [dir] if
     needed); returns the path and whether the file is new. *)
 
 val load : string -> (Harness.Workload.config, Harness.Codec.error) result

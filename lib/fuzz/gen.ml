@@ -132,6 +132,12 @@ let profile_of_transform (t : Flit.Flit_intf.t) : profile =
 
 let pick rng l = List.nth l (Random.State.int rng (List.length l))
 
+(* The transient envelope's mild link degradation, also the occasional
+   degrade that rides along with sampled poison. *)
+let mild_degrade ~m1 ~m2 =
+  Harness.Runcore.Degrade_link
+    { m1; m2; nack_prob = 0.1; delay_prob = 0.1; delay_cycles = 40 }
+
 (* Fault-envelope sampling.  Called strictly *after* the base config
    record is built: the record literal's field initialisers draw from
    [rng] in an order the OCaml spec leaves to the compiler, so inserting
@@ -199,9 +205,7 @@ let sample_faults (p : profile) rng (c : Harness.Workload.config) :
       in
       if Random.State.int rng 2 = 0 then
         let m1, m2 = pick_link () in
-        Harness.Runcore.Degrade_link
-          { m1; m2; nack_prob = 0.1; delay_prob = 0.1; delay_cycles = 40 }
-        :: poisons
+        mild_degrade ~m1 ~m2 :: poisons
       else poisons
 
 (* Bounds chosen to keep the Wing–Gong search tractable on every sampled
@@ -318,3 +322,75 @@ let gen (p : profile) (rng : Random.State.t) : Harness.Workload.config =
   (* sampled after the base record so [Fault_free] draws nothing — see
      [sample_faults] *)
   { base with faults = sample_faults p rng base }
+
+(* Fixed schedules: the crash regimes and fault envelopes of flit_run,
+   cxl0_kv and bench/main.exe, one plan per seed.  Closed-loop and
+   serving plans share their shapes; only the time constants differ, as
+   a closed-loop run lasts a few dozen scheduler steps and a serving run
+   ~total_ops/rate kilocycles.  The crash lands at step
+   [crash_at + seed mod jitter] and restarts [outage] steps later; the
+   degraded down window is [down_from, down_until) shifted by
+   [seed mod 7 * down_step] cycles; poison fires at step
+   [poison_at + seed mod 23]. *)
+type timing = {
+  crash_at : int; jitter : int; outage : int; recovery_ops : int;
+  down_from : int; down_until : int; down_step : int; poison_at : int;
+}
+
+let closed_loop =
+  { crash_at = 15; jitter = 17; outage = 7; recovery_ops = 2;
+    down_from = 500; down_until = 2_500; down_step = 100; poison_at = 5 }
+
+let serving =
+  { crash_at = 400; jitter = 29; outage = 500; recovery_ops = 0;
+    down_from = 2_000; down_until = 6_000; down_step = 200; poison_at = 150 }
+
+let fixed_crashes tm ~crash seed : Harness.Runcore.crash_spec list =
+  match crash with
+  | None -> []
+  | Some machine ->
+      let at = tm.crash_at + (seed mod tm.jitter) in
+      [ { Harness.Runcore.at; machine; restart_at = at + tm.outage;
+          recovery_threads = 1; recovery_ops = tm.recovery_ops } ]
+
+(* Faulted links run from worker machine 0 or 1 to [home]. *)
+let fixed_faults tm ~faults ~home seed : Harness.Runcore.fault_spec list =
+  match faults with
+  | Fault_free -> []
+  | Transient_only -> [ mild_degrade ~m1:(seed mod 2) ~m2:home ]
+  | Degraded_env ->
+      let shift = seed mod 7 * tm.down_step in
+      [
+        Harness.Runcore.Degrade_link
+          { m1 = seed mod 2; m2 = home; nack_prob = 0.4; delay_prob = 0.3;
+            delay_cycles = 80 };
+        Harness.Runcore.Down_link
+          { m1 = (seed + 1) mod 2; m2 = home; from_cycle = tm.down_from + shift;
+            until_cycle = tm.down_until + shift };
+      ]
+  | Poison_env ->
+      [ Harness.Runcore.Poison_at
+          { at = tm.poison_at + (seed mod 23); loc_seed = seed } ]
+
+let closed_loop_config kind transform ~crash ~faults seed =
+  let c = Harness.Workload.default_config kind transform in
+  { c with
+    Harness.Workload.seed;
+    crashes = fixed_crashes closed_loop ~crash seed;
+    faults = fixed_faults closed_loop ~faults ~home:c.home seed }
+
+(* Chaos storm: sequential crash/restart cycles rotating over the
+   machines, spaced so each cycle sees serving traffic on both sides of
+   the outage. *)
+let storm_crashes ~storm ~machines seed : Harness.Runcore.crash_spec list =
+  List.init storm (fun i ->
+      let at = 150 + (i * 450) + (seed mod 13) in
+      { Harness.Runcore.at; machine = i mod machines; restart_at = at + 200;
+        recovery_threads = 0; recovery_ops = 0 })
+
+let serving_env (e : Harness.Runcore.env) ~crash ~storm ~faults =
+  { e with
+    Harness.Runcore.crashes =
+      fixed_crashes serving ~crash e.seed
+      @ storm_crashes ~storm ~machines:e.n_machines e.seed;
+    faults = fixed_faults serving ~faults ~home:e.home e.seed }

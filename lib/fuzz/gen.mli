@@ -55,3 +55,25 @@ val gen : profile -> Random.State.t -> Harness.Workload.config
 (** Sample a whole config — kind, machine count, worker placement, crash
     plan (volatile-home and crash-before-init included), eviction noise,
     cache size, value domain — bounded so the checker stays tractable. *)
+
+(** {1 Fixed schedules}
+
+    The per-seed crash and fault plans behind the binaries' [--crash]
+    regimes and [--faults] envelopes.  Closed-loop and serving plans
+    have the same shapes on different time constants. *)
+
+val closed_loop_config :
+  Harness.Objects.kind -> Flit.Flit_intf.t -> crash:int option ->
+  faults:fault_env -> int -> Harness.Workload.config
+(** [closed_loop_config kind t ~crash ~faults seed] is
+    {!Harness.Workload.default_config} at [seed], with machine [crash]
+    (if any) crashed and restarted early in the run, and [faults]'s plan
+    on the links to the home. *)
+
+val serving_env :
+  Harness.Runcore.env -> crash:int option -> storm:int ->
+  faults:fault_env -> Harness.Runcore.env
+(** The env's crash and fault plans replaced by the serving schedules at
+    its seed: machine [crash] (if any) crashed and restarted, [storm]
+    crash/restart cycles rotating over the machines, and [faults]'s plan
+    on the links to the home. *)

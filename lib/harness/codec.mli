@@ -3,12 +3,6 @@
     dependency); transforms encoded by registry name, kinds by
     {!Objects.kind_name}; [;]-comments allowed. *)
 
-type sexp = Atom of string | List of sexp list
-
-val pp_sexp : sexp Fmt.t
-val sexp_to_string : sexp -> string
-val sexp_of_string : string -> (sexp, string) result
-
 type error =
   | Unknown_transform of { name : string; known : string list }
       (** The config names a transformation absent from
@@ -19,8 +13,6 @@ type error =
 val pp_error : error Fmt.t
 val error_to_string : error -> string
 
-val config_to_sexp : Workload.config -> sexp
-val config_of_sexp : sexp -> (Workload.config, error) result
 val config_to_string : Workload.config -> string
 val config_of_string : string -> (Workload.config, error) result
 

@@ -119,7 +119,6 @@ let create ctx ?(pflag = true) ?(shards = 4) ?buckets ?(replicas = 1)
   t
 
 let n_shards t = Array.length t.shards
-let n_replicas t = t.replicas
 let failovers t = t.failovers
 let rejoins t = t.rejoins
 let timed_out t = t.timed_out

@@ -72,7 +72,6 @@ val create :
     [replicas] exceeds the machine count, or [deadline <= 0]. *)
 
 val n_shards : t -> int
-val n_replicas : t -> int
 
 val failovers : t -> int
 (** Read-path switches so far: changes of the replica reads are served

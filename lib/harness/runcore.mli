@@ -39,16 +39,12 @@ type env = {
   cache_capacity : int;
 }
 
-val build_faults : env -> Fabric.Faults.t option
-(** [None] for a fault-free env (the exact pre-fault code path);
-    otherwise a plan seeded [seed*31 + 17] with the standing link faults
-    configured.  [Poison_at] specs fire later via
-    {!install_fault_plan}. *)
-
 val build_fabric : ?tracer:Obs.Tracer.t -> env -> Fabric.t
 (** The fabric of a run: [n_machines] machines, [cache_capacity]-line
     caches, the home volatile iff [volatile_home], seeded evictions, and
-    the {!build_faults} plan iff [faults <> []]. *)
+    iff [faults <> []] a fault plan seeded [seed*31 + 17] with the
+    standing link faults configured ([Poison_at] specs fire later, via
+    {!install_fault_plan}). *)
 
 val install_crash_plan :
   Runtime.Sched.t -> env ->

@@ -87,11 +87,6 @@ let mix_name m = Printf.sprintf "r%du%di%d" m.reads m.updates m.inserts
 
 type op_type = Read | Update | Insert
 
-let op_type_name = function
-  | Read -> "read"
-  | Update -> "update"
-  | Insert -> "insert"
-
 type spec = {
   sessions : int;
   ops_per_session : int;

@@ -46,9 +46,6 @@ val mix_name : mix -> string
 
 type op_type = Read | Update | Insert
 
-val op_type_name : op_type -> string
-(** ["read"] / ["update"] / ["insert"]. *)
-
 (** The offered load of one serving run. *)
 type spec = {
   sessions : int;          (** simulated client sessions *)
