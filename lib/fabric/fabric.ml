@@ -119,6 +119,9 @@ type t = {
   cost_rm : int array;  (** remote-memory crossing, surcharge folded in *)
   mutable rng : Random.State.t;
   mutable evict_prob : float;  (** chance of spontaneous eviction per tick *)
+  mutable evict_gap : int;
+      (** failed chances left before {!maybe_evict_n}'s next eviction;
+          -1 until drawn *)
   faults : Faults.t option;
       (** the RAS fault plan, if one was attached at creation.  [None]
           keeps every primitive on the exact pre-fault code path. *)
@@ -208,6 +211,7 @@ let create ?(model = Latency.default) ?topology ?(seed = 0)
     cost_rm;
     rng = Random.State.make [| seed |];
     evict_prob;
+    evict_gap = -1;
     faults;
     tracer;
   }
@@ -226,9 +230,12 @@ let n_locs t = t.n_locs
 let is_volatile t i = t.conf.(i).volatile
 let set_evict_prob t p =
   check_prob "Fabric.set_evict_prob" p;
-  t.evict_prob <- p
+  t.evict_prob <- p;
+  t.evict_gap <- -1
 
-let reseed t seed = t.rng <- Random.State.make [| seed |]
+let reseed t seed =
+  t.rng <- Random.State.make [| seed |];
+  t.evict_gap <- -1
 let faults t = t.faults
 let tracer t = t.tracer
 
@@ -764,22 +771,54 @@ let evict_loc t i x =
   check_loc t x;
   propagate_from t x i
 
+let evict_random t =
+  let n = t.n_m in
+  let start = Random.State.int t.rng n in
+  let rec find k =
+    if k = n then ()
+    else
+      let i = (start + k) mod n in
+      if t.live.(i) > 0 then evict_one t i else find (k + 1)
+  in
+  find 0
+
+let any_live t = Array.exists (fun c -> c > 0) t.live
+
 (** [maybe_evict t] — with probability [evict_prob], evict the oldest line
     of a random machine that caches anything.  Called by the scheduler
     between primitives; this is the runtime counterpart of the formal
     model's τ-steps. *)
 let maybe_evict t =
-  if Random.State.float t.rng 1.0 < t.evict_prob then begin
-    let n = t.n_m in
-    let start = Random.State.int t.rng n in
-    let rec find k =
-      if k = n then ()
-      else
-        let i = (start + k) mod n in
-        if t.live.(i) > 0 then evict_one t i else find (k + 1)
-    in
-    find 0
-  end
+  if Random.State.float t.rng 1.0 < t.evict_prob then evict_random t
+
+(** [maybe_evict_n t g] — [g] calls of {!maybe_evict} in law.  The
+    failed chances before the next eviction are geometric, so one draw
+    (by inversion) covers them, and the draw is kept across calls: a
+    call that ends before the next eviction only counts down.  Once no
+    cache holds a line the remaining chances are no-ops, so it stops
+    there, and it draws nothing when [evict_prob] is 0 or no line is
+    cached. *)
+let maybe_evict_n t g =
+  let left = ref g in
+  while !left > 0 do
+    if t.evict_gap < 0 then
+      if t.evict_prob > 0.0 && any_live t then
+        t.evict_gap <-
+          int_of_float
+            (Float.min 4e18
+               (Float.log (1.0 -. Random.State.float t.rng 1.0)
+               /. Float.log1p (-.t.evict_prob)))
+      else left := 0
+    else if t.evict_gap >= !left then begin
+      t.evict_gap <- t.evict_gap - !left;
+      left := 0
+    end
+    else begin
+      left := !left - t.evict_gap - 1;
+      t.evict_gap <- -1;
+      if any_live t then evict_random t else left := 0
+    end
+  done
 
 (** [drain t] — propagate everything everywhere: repeatedly evict until no
     cache holds any line (every value reaches physical memory).  Horizontal

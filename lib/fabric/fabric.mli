@@ -194,6 +194,14 @@ val maybe_evict : t -> unit
     caching machine — the runtime counterpart of the formal τ-steps;
     called by the scheduler between primitives. *)
 
+val maybe_evict_n : t -> int -> unit
+(** [maybe_evict_n t g] — equal in law to [g] calls of {!maybe_evict}:
+    it jumps geometrically from one eviction to the next (a gap not used
+    up carries over to the next call), so it draws per eviction, not per
+    chance, and stops once no cache holds a line.  It draws nothing when
+    [evict_prob] is 0 or no line is cached.  The scheduler uses it for
+    the decisions it skips over parked waiters. *)
+
 val drain : t -> unit
 (** Propagate everything into physical memory (fixpoint over all
     machines). *)

@@ -637,12 +637,14 @@ let serve ?tracer (c : serve_config) : serve_result =
   let pending = ref (Traffic.stream c.traffic) in
   let next_req = ref None in
   let refill () =
-    if !next_req = None then
-      match Seq.uncons !pending with
-      | None -> ()
-      | Some (r, rest) ->
-          next_req := Some r;
-          pending := rest
+    match !next_req with
+    | Some _ -> ()
+    | None -> (
+        match Seq.uncons !pending with
+        | None -> ()
+        | Some (r, rest) ->
+            next_req := Some r;
+            pending := rest)
   in
   let served = [| 0; 0; 0 |] in
   let latencies = Array.init 3 (fun _ -> Obs.Hist.create ()) in
@@ -670,15 +672,21 @@ let serve ?tracer (c : serve_config) : serve_result =
      healthy run the clock always moves while anyone is busy (every
      primitive charges), so the bound only fires when a crash killed a
      busy server — whose in-flight increment nobody will ever undo — and
-     the survivors must not spin forever behind it.
+     the survivors must not spin forever behind it.  It counts the polls
+     the scheduler actually runs: once per wake, and once per pick while
+     every server waits, which is the stalled case it exists for.
 
      The claim test ([ready] in [server]) is one function, with the
      stall counter folded in: the server calls it once before claiming,
      and hands it to {!Runtime.Sched.wait} as the poll while it idles.
-     It touches only the stream head and server-local counters, never
-     the fabric, so the scheduler may run it in place of the fibre: each
-     failed poll is still one scheduling decision, the fibre is resumed
-     only to claim (or to exit once the stream is drained). *)
+     It touches only the stream head, [busy] and server-local counters,
+     never the fabric, and only resumed fibres and plan actions change
+     the head, [busy] and the clock, so the scheduler may run it in
+     place of the fibre
+     and park the server while it fails: the decisions a server idles
+     through still count in law, but cost one geometric draw, and the
+     fibre is resumed only to claim (or to exit once the stream is
+     drained). *)
   let stall_limit = 64 in
   let busy = ref 0 in
   let claimed = ref 0 in

@@ -9,6 +9,17 @@
       the runtime counterpart of the formal model's τ-steps;
     - executes any crash-plan actions that are due.
 
+    A waiting thread ({!wait}) whose poll failed is *parked*: it leaves
+    the selection draw, and its poll runs again only after a decision
+    that resumed a fibre or ran a plan action, since nothing else
+    changes what a poll reads.  The decisions a uniform draw over all
+    live tasks would have spent on parked ones are taken in one
+    geometric draw, with their eviction chances in one
+    {!Fabric.maybe_evict_n}: the run keeps its law (step counts,
+    evictions, where step-indexed plans land) but not its per-seed
+    realisation.  With no waiting thread the draws are exactly those of
+    one uniform pick per decision.
+
     Crashing machine [i] wipes its fabric state and *kills* every thread
     running on it: their fibres are dropped and never resumed, leaving any
     in-flight high-level operation pending — exactly the paper's failure
@@ -21,7 +32,8 @@
     12): tasks live in a flat array compacted in place (stable, so the
     seeded selection draw sees live tasks in spawn order — exactly the
     set the list-based loop saw), the crash-plan is an array scanned in
-    registration order, and crashed machines are an int bitmask.  Only a
+    registration order (the earliest pending step is cached), and
+    crashed machines are an int bitmask.  Only a
     suspension allocates (the fresh continuation's one-word wrapper); a
     failed {!wait} poll allocates nothing, and dead tasks are compacted
     only after one has died. *)
@@ -50,6 +62,9 @@ and task = {
   task_machine : int;
   name : string;
   mutable state : tstate;
+  mutable parked : bool;
+      (** a [Poll] task whose poll failed when last run; it is out of
+          the selection draw *)
 }
 
 and action =
@@ -77,7 +92,12 @@ and t = {
   mutable step : int;          (** scheduling decisions taken so far *)
   mutable plan : plan_entry array;
   mutable n_plan : int;
-  mutable plan_pending : int;  (** entries not yet run *)
+  mutable next_plan : int;
+      (** earliest step of an entry not yet run ([max_int] if none) *)
+  mutable n_polls : int;  (** tasks in state [Poll] *)
+  mutable n_parked : int;  (** parked tasks *)
+  mutable skip_key : int;  (** [(u, n)] of the cached [skip_log] *)
+  mutable skip_log : float;  (** [log (1 - u/n)] *)
   rng : Random.State.t;
   retry_rng : Random.State.t;
       (** dedicated stream for {!Ops} retry-backoff jitter, derived from
@@ -98,7 +118,8 @@ type _ Effect.t +=
   | Yield : unit Effect.t
   | Wait : (unit -> bool) -> unit Effect.t
 
-let dummy_task = { task_tid = -1; task_machine = 0; name = ""; state = Dead }
+let dummy_task =
+  { task_tid = -1; task_machine = 0; name = ""; state = Dead; parked = false }
 let dummy_entry = { pstep = 0; paction = Crash 0; pdone = true }
 
 let create ?(seed = 42) fabric =
@@ -111,7 +132,11 @@ let create ?(seed = 42) fabric =
     step = 0;
     plan = Array.make 4 dummy_entry;
     n_plan = 0;
-    plan_pending = 0;
+    next_plan = max_int;
+    n_polls = 0;
+    n_parked = 0;
+    skip_key = 0;
+    skip_log = 0.0;
     rng = Random.State.make [| seed |];
     retry_rng = Random.State.make [| seed; 0x4e7431 |];
     crashed = 0;
@@ -141,7 +166,7 @@ let at_step t n action =
   end;
   t.plan.(t.n_plan) <- { pstep = n; paction = action; pdone = false };
   t.n_plan <- t.n_plan + 1;
-  t.plan_pending <- t.plan_pending + 1
+  t.next_plan <- min t.next_plan n
 
 let machine_is_up t i = t.crashed land (1 lsl i) = 0
 
@@ -198,18 +223,20 @@ let spawn t ~machine ~name (body : ctx -> unit) =
       task_machine = machine;
       name;
       state = Start (fiber (fun () -> body ctx));
+      parked = false;
     };
   tid
 
 (** [yield ctx] — a scheduling point; every {!Ops} primitive calls this. *)
 let yield _ctx = Effect.perform Yield
 
-(** [wait ctx p] — [yield; while not (p ()) do yield done], with the
-    polling done by the scheduler: every failed poll is still a full
-    scheduling decision, but the fibre is resumed (and a continuation
-    captured) only once.  [p] must be exactly what the fibre would
-    compute between resuming and its next yield, with no fabric access
-    and no side effect on the simulation. *)
+(** [wait ctx p] — [yield; while not (p ()) do yield done] in law, with
+    the polling done by the scheduler: the fibre is resumed (and a
+    continuation captured) only once, and a failed poll parks the task
+    until a fibre resumes or a plan action runs.  [p] must be exactly
+    what the fibre would compute between resuming and its next yield,
+    with no fabric access and no side effect on the simulation, and may
+    read only state that a resumed fibre or a plan action changes. *)
 let wait _ctx p = Effect.perform (Wait p)
 
 (** [jitter ctx n] — a retry-backoff jitter draw in [\[0, max 1 n)], from
@@ -230,6 +257,31 @@ let note_retry_cycles ctx n =
 let retry_cycles t tid =
   Option.value ~default:0 (Hashtbl.find_opt t.retry_cycles tid)
 
+(* After a decision that resumed a fibre or ran a plan action, run
+   every poll once: a task is parked until its poll holds.  Until the
+   next such decision nothing a poll reads changes, so an unparked
+   waiting task is resumed when picked without polling again. *)
+let wake t =
+  if t.n_polls > 0 then begin
+    t.n_parked <- 0;
+    for k = 0 to t.n_tasks - 1 do
+      let task = t.tasks.(k) in
+      match task.state with
+      | Poll (p, _) ->
+          task.parked <- not (p ());
+          if task.parked then t.n_parked <- t.n_parked + 1
+      | Start _ | Cont _ | Dead -> ()
+    done
+  end
+
+(* [task] leaves state [Poll]. *)
+let unpoll t task =
+  t.n_polls <- t.n_polls - 1;
+  if task.parked then begin
+    task.parked <- false;
+    t.n_parked <- t.n_parked - 1
+  end
+
 (** [crash_now t i] — immediately crash machine [i]: wipe its fabric
     state and kill its threads (their fibres are dropped). *)
 let crash_now t i =
@@ -241,7 +293,11 @@ let crash_now t i =
     if task.task_machine = i then
       match task.state with
       | Dead -> ()
-      | Start _ | Cont _ | Poll _ ->
+      | Poll _ ->
+          unpoll t task;
+          task.state <- Dead;
+          t.n_dead <- t.n_dead + 1
+      | Start _ | Cont _ ->
           task.state <- Dead;
           t.n_dead <- t.n_dead + 1
   done
@@ -254,16 +310,22 @@ let run_action t = function
    registration order.  Entries appended by a running action land past
    the captured length and run on the next call. *)
 let run_due_actions t =
-  if t.plan_pending > 0 then begin
+  if t.step >= t.next_plan then begin
     let len = t.n_plan in
     for k = 0 to len - 1 do
       let e = t.plan.(k) in
       if (not e.pdone) && e.pstep <= t.step then begin
         e.pdone <- true;
-        t.plan_pending <- t.plan_pending - 1;
         run_action t e.paction
       end
-    done
+    done;
+    let next = ref max_int in
+    for k = 0 to t.n_plan - 1 do
+      let e = t.plan.(k) in
+      if (not e.pdone) && e.pstep < !next then next := e.pstep
+    done;
+    t.next_plan <- !next;
+    wake t
   end
 
 (* Drop dead tasks, in place and stably: live tasks keep their spawn
@@ -285,6 +347,79 @@ let prune_dead t =
   done;
   t.n_tasks <- !w
 
+(* Resume [task] from state [st] (the traced switch first: every event
+   emitted until the next switch belongs to this thread — the exporters
+   attribute tracks this way), then run every poll again ({!wake}). *)
+let resume t task st =
+  (match Fabric.tracer t.fabric with
+  | None -> ()
+  | Some tr ->
+      Obs.Tracer.emit tr
+        (Obs.Event.Switch
+           {
+             step = t.step;
+             tid = task.task_tid;
+             machine = task.task_machine;
+             cycle = Fabric.cycles t.fabric;
+           }));
+  task.state <- Dead;
+  (match
+     match st with
+     | Start f -> f ()
+     | Cont k -> Effect.Deep.continue k ()
+     | Poll (_, k) ->
+         unpoll t task;
+         Effect.Deep.continue k ()
+     | Dead -> Dead (* unreachable: pruned before the pick *)
+   with
+  | Dead -> t.n_dead <- t.n_dead + 1
+  | next ->
+      (* The task's machine may have crashed while it ran (a thread can
+         call {!crash_now} directly); if so the task is already marked
+         dead — drop the continuation. *)
+      if machine_is_up t task.task_machine then begin
+        task.state <- next;
+        match next with
+        | Poll _ -> t.n_polls <- t.n_polls + 1
+        | Start _ | Cont _ | Dead -> ()
+      end
+      else t.n_dead <- t.n_dead + 1);
+  wake t
+
+(* The task a decision picked over every task: a parked one runs its
+   poll in place, and stays parked, with no switch, while it fails. *)
+let dispatch t task =
+  match task.state with
+  | Poll (p, _) when task.parked && not (p ()) -> ()
+  | st -> resume t task st
+
+(* The [j]-th unparked task, in spawn order (a loop, not a closure: the
+   pick must not allocate). *)
+let nth_unparked t j =
+  let k = ref 0 and j = ref j in
+  while
+    t.tasks.(!k).parked
+    ||
+    (decr j;
+     !j >= 0)
+  do
+    incr k
+  done;
+  t.tasks.(!k)
+
+(* Decisions a uniform draw over [n] tasks takes before it first picks
+   one of [u] (0 < u < n): geometric, by inversion of one uniform in
+   (0, 1] made from 30 random bits (exact to 2^-30, and no boxed float).
+   [log (1 - u/n)] is cached, since [(u, n)] rarely changes. *)
+let idle_decisions t ~u ~n =
+  let key = (u lsl 32) lor n in
+  if t.skip_key <> key then begin
+    t.skip_key <- key;
+    t.skip_log <- Float.log1p (-.(float_of_int u /. float_of_int n))
+  end;
+  let uniform = float_of_int (Random.State.bits t.rng + 1) *. 0x1p-30 in
+  int_of_float (Float.log uniform /. t.skip_log)
+
 (** [run t] — schedule until no runnable threads remain and no plan
     actions are pending.  Returns the number of scheduling decisions
     taken. *)
@@ -293,51 +428,42 @@ let run t =
     run_due_actions t;
     if t.n_dead > 0 then prune_dead t;
     if t.n_tasks = 0 then
-      if t.plan_pending = 0 then t.step
+      if t.next_plan = max_int then t.step
       else begin
         (* idle until the next planned action *)
-        let next = ref max_int in
-        for k = 0 to t.n_plan - 1 do
-          let e = t.plan.(k) in
-          if (not e.pdone) && e.pstep < !next then next := e.pstep
-        done;
-        t.step <- max t.step !next;
+        t.step <- max t.step t.next_plan;
         loop ()
       end
     else begin
-      t.step <- t.step + 1;
-      Fabric.maybe_evict t.fabric;
-      let chosen = t.tasks.(Random.State.int t.rng t.n_tasks) in
-      (match Fabric.tracer t.fabric with
-      | None -> ()
-      | Some tr ->
-          (* every event emitted until the next switch belongs to this
-             thread — the exporters attribute tracks this way *)
-          Obs.Tracer.emit tr
-            (Obs.Event.Switch
-               {
-                 step = t.step;
-                 tid = chosen.task_tid;
-                 machine = chosen.task_machine;
-                 cycle = Fabric.cycles t.fabric;
-               }));
-      (match chosen.state with
-      | Poll (p, _) when not (p ()) -> () (* still waiting: stays queued *)
-      | st -> (
-          chosen.state <- Dead;
-          match
-            match st with
-            | Start f -> f ()
-            | Cont k | Poll (_, k) -> Effect.Deep.continue k ()
-            | Dead -> Dead (* unreachable: pruned above *)
-          with
-          | Dead -> t.n_dead <- t.n_dead + 1
-          | next ->
-              (* The task's machine may have crashed while it ran (a
-                 thread can call {!crash_now} directly); if so the task
-                 is already marked dead — drop the continuation. *)
-              if machine_is_up t chosen.task_machine then chosen.state <- next
-              else t.n_dead <- t.n_dead + 1));
+      let n = t.n_tasks in
+      let u = n - t.n_parked in
+      if u = n || u = 0 then begin
+        (* one decision, uniform over every task; with [u = 0] every
+           task waits and the draw runs their polls in turn *)
+        t.step <- t.step + 1;
+        Fabric.maybe_evict t.fabric;
+        dispatch t t.tasks.(Random.State.int t.rng n)
+      end
+      else begin
+        (* The uniform draw would pick a parked task (whose poll fails
+           again) a geometric number of times, success [u/n], before it
+           picks one of the [u] others; take those idle decisions at
+           once, stopping after the decision a pending plan action
+           follows. *)
+        let idle = idle_decisions t ~u ~n in
+        let stop = max t.next_plan (t.step + 1) in
+        if t.step + idle >= stop then begin
+          Fabric.maybe_evict_n t.fabric (stop - t.step);
+          t.step <- stop
+        end
+        else begin
+          Fabric.maybe_evict_n t.fabric (idle + 1);
+          t.step <- t.step + idle + 1;
+          let j = if u = 1 then 0 else Random.State.int t.rng u in
+          let task = nth_unparked t j in
+          resume t task task.state
+        end
+      end;
       loop ()
     end
   in

@@ -51,20 +51,25 @@ val yield : ctx -> unit
 (** A scheduling point; every memory primitive calls this. *)
 
 val wait : ctx -> (unit -> bool) -> unit
-(** [wait ctx p] behaves exactly like
-    [yield ctx; while not (p ()) do yield ctx done], but the scheduler
-    runs the poll itself when it picks the waiting thread and resumes the
-    fibre only once [p ()] holds.  Each failed poll is still one full
-    scheduling decision (step count, eviction chance, selection draw,
-    traced [Switch], due plan actions), so a run is step-for-step
-    identical to the [yield] loop; only the per-poll fibre round trip and
-    continuation allocation are saved.
+(** [wait ctx p] equals [yield ctx; while not (p ()) do yield ctx done]
+    in law, not per seed.  The scheduler runs the poll itself and
+    resumes the fibre only once [p ()] holds.  A task whose poll failed
+    is parked, out of the selection draw; after every decision that
+    resumed a fibre or ran a plan action each parked poll runs once
+    more.  The decisions a uniform draw would have spent on parked
+    tasks still count — in step numbers, eviction chances and where
+    plan actions land — but are taken in one geometric draw and traced
+    as a step jump, with no [Switch].  When every task waits, each
+    decision runs the picked task's poll.
 
     Contract: [p] is exactly what the fibre would compute between
     resuming and its next yield.  It makes no fabric access (reading the
-    clock is fine; a primitive, a charge or a scheduler call is not) and
-    has no side effect on the simulation — it may update state private
-    to the waiting fibre.  An exception from [p] escapes {!run}. *)
+    clock is fine; a primitive, a charge or a scheduler call is not),
+    has no side effect on the simulation, and reads only state that a
+    resumed fibre or a plan action changes.  It may update state private
+    to the waiting fibre, but runs once per wake (and once per pick
+    while every task waits), not once per decision.  An exception from
+    [p] escapes {!run}. *)
 
 val jitter : ctx -> int -> int
 (** [jitter ctx n] — a retry-backoff jitter draw in [\[0, max 1 n)] from
@@ -87,7 +92,11 @@ val crash_now : t -> int -> unit
 
 val run : t -> int
 (** Schedule until no runnable threads remain and no plan actions are
-    pending; returns the number of scheduling decisions taken. *)
+    pending; returns the number of scheduling decisions taken.  Each
+    decision is one uniform pick among the live tasks and one
+    {!Fabric.maybe_evict} chance; runs of decisions that would only pick
+    parked waiters (see {!wait}) are drawn at once, equal in law.  With
+    no waiting thread the draws are exactly one pick per decision. *)
 
 val alive : t -> int
 (** Number of runnable threads. *)

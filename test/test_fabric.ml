@@ -217,6 +217,62 @@ let test_maybe_evict_deterministic () =
   Alcotest.(check (option int)) "left machine 0" None
     (Cxl0.Config.cache_get cfg 0 (F.to_loc f x))
 
+(* Six lines, each stored from a machine that does not own it, so both
+   horizontal and vertical evictions can happen; then [g] eviction
+   chances, one call each or in one [maybe_evict_n]. *)
+let evictions_after ~batched ~g seed =
+  let f = F.uniform ~seed ~evict_prob:0.3 3 in
+  for k = 0 to 5 do
+    let x = F.alloc f ~owner:(k mod 3) in
+    F.lstore f ((k + 1) mod 3) x k
+  done;
+  if batched then F.maybe_evict_n f g
+  else
+    for _ = 1 to g do
+      F.maybe_evict f
+    done;
+  let st = F.stats f in
+  (st.F.Stats.evictions_horizontal, st.F.Stats.evictions_vertical)
+
+(* [maybe_evict_n f g] equals [g] calls of [maybe_evict] in law: mean
+   horizontal and vertical eviction counts, and the frequencies of the
+   eviction total, over 1500 fabric seeds.  g = 60 drains
+   every cache in most seeds, so the early stop is exercised. *)
+let test_maybe_evict_n_law () =
+  let seeds = List.init 1500 (fun i -> i + 1) in
+  List.iter
+    (fun g ->
+      let runs batched = List.map (evictions_after ~batched ~g) seeds in
+      let n = runs true and one = runs false in
+      let what s = Printf.sprintf "g = %d: %s" g s in
+      Law.check_means (what "horizontal") (List.map fst n) (List.map fst one);
+      Law.check_means (what "vertical") (List.map snd n) (List.map snd one);
+      let total = List.map (fun (h, v) -> h + v) in
+      Law.check_frequencies (what "evictions") (total n) (total one))
+    [ 1; 5; 12; 60 ]
+
+(* Nothing to draw: with [evict_prob] 0, or with no line cached,
+   [maybe_evict_n] must leave the fabric's random stream where it was —
+   the evictions that follow match a fabric that never called it. *)
+let test_maybe_evict_n_draws_nothing () =
+  let after ~prob call =
+    let f = F.uniform ~seed:9 ~evict_prob:prob 3 in
+    let xs = List.init 6 (fun k -> F.alloc f ~owner:(k mod 3)) in
+    if call = `Empty then F.maybe_evict_n f 1000;
+    List.iteri (fun k x -> F.lstore f ((k + 1) mod 3) x k) xs;
+    if call = `Cached then F.maybe_evict_n f 1000;
+    F.set_evict_prob f 0.5;
+    List.init 40 (fun _ ->
+        F.maybe_evict f;
+        let st = F.stats f in
+        (st.F.Stats.evictions_horizontal, st.F.Stats.evictions_vertical))
+  in
+  let reference = after ~prob:0.0 `Never in
+  Alcotest.(check (list (pair int int))) "evict_prob 0" reference
+    (after ~prob:0.0 `Cached);
+  Alcotest.(check (list (pair int int))) "nothing cached" reference
+    (after ~prob:0.5 `Empty)
+
 (* ------------------------------------------------------------------ *)
 (* Crash                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -822,6 +878,10 @@ let () =
           Alcotest.test_case "cascade" `Quick test_eviction_cascade_vertical;
           Alcotest.test_case "drain" `Quick test_drain;
           Alcotest.test_case "maybe_evict" `Quick test_maybe_evict_deterministic;
+          Alcotest.test_case "maybe_evict_n = maybe_evict^g in law" `Quick
+            test_maybe_evict_n_law;
+          Alcotest.test_case "maybe_evict_n draws nothing" `Quick
+            test_maybe_evict_n_draws_nothing;
         ] );
       ( "crash",
         [
