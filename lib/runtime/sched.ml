@@ -33,10 +33,17 @@
     seeded selection draw sees live tasks in spawn order — exactly the
     set the list-based loop saw), the crash-plan is an array scanned in
     registration order (the earliest pending step is cached), and
-    crashed machines are an int bitmask.  Only a
-    suspension allocates (the fresh continuation's one-word wrapper); a
-    failed {!wait} poll allocates nothing, and dead tasks are compacted
-    only after one has died. *)
+    crashed machines are an int bitmask.  A failed {!wait} poll
+    allocates nothing, and dead tasks are compacted only after one has
+    died.
+
+    A {!yield} takes the next decision itself, inside the fibre, in the
+    run loop's exact order (wake the polls, compact, draw).  When the
+    draw picks the calling fibre it returns in place: no effect, no
+    continuation, no allocation.  Only a handoff to another task (or a
+    fallback to a plain suspension) performs an effect and allocates:
+    the fresh continuation's one-word wrapper, plus the carried decision
+    for a handoff. *)
 
 type ctx = {
   sched : t;
@@ -50,11 +57,13 @@ type ctx = {
    continuation, poll a waiting one (continuing it only once its poll
    holds), or nothing — a finished fibre returns [Dead], and
    finished/killed tasks stay [Dead] until the next in-place compaction
-   drops them. *)
+   drops them.  The one task whose fibre is executing is [Running]:
+   compaction keeps it, since its inline {!yield}s draw over it. *)
 and tstate =
   | Start of (unit -> tstate)
   | Cont of (unit, tstate) Effect.Deep.continuation
   | Poll of (unit -> bool) * (unit, tstate) Effect.Deep.continuation
+  | Running
   | Dead
 
 and task = {
@@ -66,6 +75,15 @@ and task = {
       (** a [Poll] task whose poll failed when last run; it is out of
           the selection draw *)
 }
+
+(* What a fibre's {!yield} leaves for the run loop: nothing (the loop
+   takes the next decision itself), a decision already taken — the task
+   it picked, or [dummy_task] when the idle skip stopped at a plan step —
+   or the exception a poll raised while the fibre woke the polls. *)
+and handoff =
+  | Draw
+  | Picked of task
+  | Raised of exn
 
 and action =
   | Crash of int  (** crash machine [i] (fabric wipe + thread kill) *)
@@ -96,6 +114,11 @@ and t = {
       (** earliest step of an entry not yet run ([max_int] if none) *)
   mutable n_polls : int;  (** tasks in state [Poll] *)
   mutable n_parked : int;  (** parked tasks *)
+  mutable running : int;
+      (** tid of the task whose fibre is executing (-1 between
+          fibres) *)
+  mutable handoff : handoff;
+  mutable inline_yields : int;  (** yields that returned in place *)
   mutable skip_key : int;  (** [(u, n)] of the cached [skip_log] *)
   mutable skip_log : float;  (** [log (1 - u/n)] *)
   rng : Random.State.t;
@@ -116,6 +139,7 @@ and t = {
 
 type _ Effect.t +=
   | Yield : unit Effect.t
+  | Handoff : handoff -> unit Effect.t
   | Wait : (unit -> bool) -> unit Effect.t
 
 let dummy_task =
@@ -135,6 +159,9 @@ let create ?(seed = 42) fabric =
     next_plan = max_int;
     n_polls = 0;
     n_parked = 0;
+    running = -1;
+    handoff = Draw;
+    inline_yields = 0;
     skip_key = 0;
     skip_log = 0.0;
     rng = Random.State.make [| seed |];
@@ -188,7 +215,7 @@ let restart t i =
            { machine = i; cycle = Fabric.cycles t.fabric; step = t.step })
 
 (* Wrap a thread body as an effect-handled fibre. *)
-let fiber (body : unit -> unit) : unit -> tstate =
+let fiber t (body : unit -> unit) : unit -> tstate =
  fun () ->
   Effect.Deep.match_with body ()
     {
@@ -198,6 +225,9 @@ let fiber (body : unit -> unit) : unit -> tstate =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Yield ->
+              Some (fun (k : (a, tstate) Effect.Deep.continuation) -> Cont k)
+          | Handoff h ->
+              t.handoff <- h;
               Some (fun (k : (a, tstate) Effect.Deep.continuation) -> Cont k)
           | Wait p ->
               Some
@@ -222,13 +252,10 @@ let spawn t ~machine ~name (body : ctx -> unit) =
       task_tid = tid;
       task_machine = machine;
       name;
-      state = Start (fiber (fun () -> body ctx));
+      state = Start (fiber t (fun () -> body ctx));
       parked = false;
     };
   tid
-
-(** [yield ctx] — a scheduling point; every {!Ops} primitive calls this. *)
-let yield _ctx = Effect.perform Yield
 
 (** [wait ctx p] — [yield; while not (p ()) do yield done] in law, with
     the polling done by the scheduler: the fibre is resumed (and a
@@ -270,7 +297,7 @@ let wake t =
       | Poll (p, _) ->
           task.parked <- not (p ());
           if task.parked then t.n_parked <- t.n_parked + 1
-      | Start _ | Cont _ | Dead -> ()
+      | Start _ | Cont _ | Running | Dead -> ()
     done
   end
 
@@ -292,7 +319,7 @@ let crash_now t i =
     let task = t.tasks.(k) in
     if task.task_machine = i then
       match task.state with
-      | Dead -> ()
+      | Dead | Running -> () (* the fibre's next stop drops it *)
       | Poll _ ->
           unpoll t task;
           task.state <- Dead;
@@ -338,7 +365,7 @@ let prune_dead t =
     let task = t.tasks.(r) in
     match task.state with
     | Dead -> ()
-    | Start _ | Cont _ | Poll _ ->
+    | Start _ | Cont _ | Poll _ | Running ->
         if !w <> r then t.tasks.(!w) <- task;
         incr w
   done;
@@ -347,11 +374,11 @@ let prune_dead t =
   done;
   t.n_tasks <- !w
 
-(* Resume [task] from state [st] (the traced switch first: every event
-   emitted until the next switch belongs to this thread — the exporters
-   attribute tracks this way), then run every poll again ({!wake}). *)
-let resume t task st =
-  (match Fabric.tracer t.fabric with
+(* The traced switch to [task]: every event emitted until the next
+   switch belongs to this thread (the exporters attribute tracks this
+   way). *)
+let switch t task =
+  match Fabric.tracer t.fabric with
   | None -> ()
   | Some tr ->
       Obs.Tracer.emit tr
@@ -361,8 +388,15 @@ let resume t task st =
              tid = task.task_tid;
              machine = task.task_machine;
              cycle = Fabric.cycles t.fabric;
-           }));
-  task.state <- Dead;
+           })
+
+(* Resume [task] from state [st] until its fibre stops, then run every
+   poll again ({!wake}) — unless the fibre handed off a decision, whose
+   inline {!yield} has woken the polls already. *)
+let resume t task st =
+  switch t task;
+  task.state <- Running;
+  t.running <- task.task_tid;
   (match
      match st with
      | Start f -> f ()
@@ -370,28 +404,41 @@ let resume t task st =
      | Poll (_, k) ->
          unpoll t task;
          Effect.Deep.continue k ()
-     | Dead -> Dead (* unreachable: pruned before the pick *)
+     | Running | Dead -> Dead (* unreachable: pruned before the pick *)
    with
-  | Dead -> t.n_dead <- t.n_dead + 1
+  | exception e ->
+      (* the fibre raised: the exception escapes {!run}, and no fibre is
+         left running to take an inline decision *)
+      task.state <- Dead;
+      t.running <- -1;
+      raise e
+  | Dead ->
+      task.state <- Dead;
+      t.n_dead <- t.n_dead + 1
   | next ->
       (* The task's machine may have crashed while it ran (a thread can
-         call {!crash_now} directly); if so the task is already marked
-         dead — drop the continuation. *)
+         call {!crash_now} directly); if so drop the continuation. *)
       if machine_is_up t task.task_machine then begin
         task.state <- next;
         match next with
         | Poll _ -> t.n_polls <- t.n_polls + 1
-        | Start _ | Cont _ | Dead -> ()
+        | Start _ | Cont _ | Running | Dead -> ()
       end
-      else t.n_dead <- t.n_dead + 1);
-  wake t
+      else begin
+        task.state <- Dead;
+        t.n_dead <- t.n_dead + 1
+      end);
+  t.running <- -1;
+  match t.handoff with Draw -> wake t | Picked _ | Raised _ -> ()
 
 (* The task a decision picked over every task: a parked one runs its
-   poll in place, and stays parked, with no switch, while it fails. *)
+   poll in place, and stays parked, with no switch, while it fails.
+   [dummy_task] (the idle skip stopped at a plan step) runs nothing. *)
 let dispatch t task =
-  match task.state with
-  | Poll (p, _) when task.parked && not (p ()) -> ()
-  | st -> resume t task st
+  if task != dummy_task then
+    match task.state with
+    | Poll (p, _) when task.parked && not (p ()) -> ()
+    | st -> resume t task st
 
 (* The [j]-th unparked task, in spawn order (a loop, not a closure: the
    pick must not allocate). *)
@@ -420,61 +467,105 @@ let idle_decisions t ~u ~n =
   let uniform = float_of_int (Random.State.bits t.rng + 1) *. 0x1p-30 in
   int_of_float (Float.log uniform /. t.skip_log)
 
+(* One decision's draw over the [n > 0] tasks: the task it picks, or
+   [dummy_task] when the idle skip stopped at a plan step (the next
+   decision runs the due action). *)
+let draw t =
+  let n = t.n_tasks in
+  let u = n - t.n_parked in
+  if u = n || u = 0 then begin
+    (* one decision, uniform over every task; with [u = 0] every task
+       waits and the draw runs their polls in turn *)
+    t.step <- t.step + 1;
+    Fabric.maybe_evict t.fabric;
+    t.tasks.(Random.State.int t.rng n)
+  end
+  else begin
+    (* The uniform draw would pick a parked task (whose poll fails
+       again) a geometric number of times, success [u/n], before it
+       picks one of the [u] others; take those idle decisions at once,
+       stopping after the decision a pending plan action follows. *)
+    let idle = idle_decisions t ~u ~n in
+    let stop = max t.next_plan (t.step + 1) in
+    if t.step + idle >= stop then begin
+      Fabric.maybe_evict_n t.fabric (stop - t.step);
+      t.step <- stop;
+      dummy_task
+    end
+    else begin
+      Fabric.maybe_evict_n t.fabric (idle + 1);
+      t.step <- t.step + idle + 1;
+      nth_unparked t (if u = 1 then 0 else Random.State.int t.rng u)
+    end
+  end
+
+(** [yield ctx] — a scheduling point; every {!Ops} primitive calls this.
+    The calling fibre takes the decision the run loop would take next,
+    in its order: the wake that follows a resumed fibre, the compaction,
+    the draw.  If the draw picks this fibre again it continues in place;
+    otherwise it hands the decision to the run loop, which carries it
+    out without waking or drawing again.  A poll's exception rides the
+    handoff out of {!run}.  A due plan action, the fibre's machine being
+    down, or [ctx] not being the running fibre's own suspends it plainly
+    before anything is drawn, and {!run} decides as it always did. *)
+let yield ctx =
+  let t = ctx.sched in
+  if
+    t.running <> ctx.tid
+    || t.step >= t.next_plan
+    || not (machine_is_up t ctx.machine)
+  then Effect.perform Yield
+  else
+    match
+      wake t;
+      if t.n_dead > 0 then prune_dead t;
+      draw t
+    with
+    | exception e -> Effect.perform (Handoff (Raised e))
+    | task when task.task_tid = ctx.tid ->
+        switch t task;
+        t.inline_yields <- t.inline_yields + 1
+    | task -> Effect.perform (Handoff (Picked task))
+
 (** [run t] — schedule until no runnable threads remain and no plan
     actions are pending.  Returns the number of scheduling decisions
     taken. *)
 let run t =
   let rec loop () =
-    run_due_actions t;
-    if t.n_dead > 0 then prune_dead t;
-    if t.n_tasks = 0 then
-      if t.next_plan = max_int then t.step
-      else begin
-        (* idle until the next planned action *)
-        t.step <- max t.step t.next_plan;
+    match t.handoff with
+    | Raised e ->
+        t.handoff <- Draw;
+        raise e
+    | Picked task ->
+        t.handoff <- Draw;
+        dispatch t task;
         loop ()
-      end
-    else begin
-      let n = t.n_tasks in
-      let u = n - t.n_parked in
-      if u = n || u = 0 then begin
-        (* one decision, uniform over every task; with [u = 0] every
-           task waits and the draw runs their polls in turn *)
-        t.step <- t.step + 1;
-        Fabric.maybe_evict t.fabric;
-        dispatch t t.tasks.(Random.State.int t.rng n)
-      end
-      else begin
-        (* The uniform draw would pick a parked task (whose poll fails
-           again) a geometric number of times, success [u/n], before it
-           picks one of the [u] others; take those idle decisions at
-           once, stopping after the decision a pending plan action
-           follows. *)
-        let idle = idle_decisions t ~u ~n in
-        let stop = max t.next_plan (t.step + 1) in
-        if t.step + idle >= stop then begin
-          Fabric.maybe_evict_n t.fabric (stop - t.step);
-          t.step <- stop
-        end
+    | Draw ->
+        run_due_actions t;
+        if t.n_dead > 0 then prune_dead t;
+        if t.n_tasks = 0 then
+          if t.next_plan = max_int then t.step
+          else begin
+            (* idle until the next planned action *)
+            t.step <- max t.step t.next_plan;
+            loop ()
+          end
         else begin
-          Fabric.maybe_evict_n t.fabric (idle + 1);
-          t.step <- t.step + idle + 1;
-          let j = if u = 1 then 0 else Random.State.int t.rng u in
-          let task = nth_unparked t j in
-          resume t task task.state
+          dispatch t (draw t);
+          loop ()
         end
-      end;
-      loop ()
-    end
   in
   loop ()
 
-(** [alive t] — number of runnable threads. *)
+let inline_yields t = t.inline_yields
+
+(** [alive t] — number of runnable threads, not counting the one whose
+    fibre calls it. *)
 let alive t =
   let n = ref 0 in
   for k = 0 to t.n_tasks - 1 do
     match t.tasks.(k).state with
-    | Dead -> ()
+    | Running | Dead -> ()
     | Start _ | Cont _ | Poll _ -> incr n
   done;
   !n

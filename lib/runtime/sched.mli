@@ -48,7 +48,21 @@ val spawn : t -> machine:int -> name:string -> (ctx -> unit) -> int
     Returns its tid.  Raises if the machine is currently crashed. *)
 
 val yield : ctx -> unit
-(** A scheduling point; every memory primitive calls this. *)
+(** A scheduling point; every memory primitive calls this.  The calling
+    fibre takes the decision {!run} would take next, with the same draws
+    in the same order (wake the parked polls, compact, draw).  If the draw
+    picks the caller, [yield] emits the traced [Switch] and returns in
+    place, with no effect performed and nothing allocated; otherwise the
+    fibre suspends and hands the decision to {!run}, which carries it out
+    without waking or drawing again.  The caller suspends plainly, before
+    any draw, when a plan action is due, when its machine is down, or
+    when [ctx] is not the running fibre's own; outside a fibre that
+    raises [Effect.Unhandled] and draws nothing.  An exception from a poll
+    run by the caller's wake escapes {!run}; the caller never sees it. *)
+
+val inline_yields : t -> int
+(** Yields so far that returned in place (the draw picked the caller);
+    every other {!yield} suspended its fibre. *)
 
 val wait : ctx -> (unit -> bool) -> unit
 (** [wait ctx p] equals [yield ctx; while not (p ()) do yield ctx done]
@@ -99,4 +113,5 @@ val run : t -> int
     no waiting thread the draws are exactly one pick per decision. *)
 
 val alive : t -> int
-(** Number of runnable threads. *)
+(** Number of runnable threads.  A fibre calling it does not count
+    itself. *)

@@ -529,6 +529,59 @@ let test_tracer_inert_serving () =
   let traced, _ = traced_serve (stormy ()) in
   Alcotest.(check string) "traced = untraced" (fp untraced) (fp traced)
 
+(* Serving with kv-read's shape (YCSB-b, Zipf 0.99, unreplicated,
+   below the knee): a yield almost always picks its own fibre again, so
+   almost every yield returns in place.  The scheduler is taken from the
+   FliT instance's [complete_op], which is no scheduling point.  Traced
+   switches are every fibre start, return from a yield and wake from a
+   wait, so [inline / switches] bounds the inline share of yields from
+   below. *)
+let test_inline_share () =
+  let sched = ref None in
+  let base = Flit.Registry.alg3'_weakest in
+  let transform =
+    {
+      base with
+      Flit.Flit_intf.create =
+        (fun fab ->
+          let i = base.Flit.Flit_intf.create fab in
+          {
+            i with
+            Flit.Flit_intf.complete_op =
+              (fun ctx ->
+                sched := Some ctx.Runtime.Sched.sched;
+                i.Flit.Flit_intf.complete_op ctx);
+          });
+    }
+  in
+  let traffic =
+    {
+      T.sessions = 16;
+      ops_per_session = 20;
+      rate = 0.05;
+      theta = 0.99;
+      keyspace = 256;
+      mix = T.mix_of_string "b";
+      value_range = 1000;
+      seed = 1;
+    }
+  in
+  let tr = Obs.Tracer.create ~capacity:(1 lsl 17) () in
+  let r = K.serve ~tracer:tr (K.default_serve_config ~transform ~traffic) in
+  Alcotest.(check int) "every request served" (T.total_ops traffic)
+    (r.K.served.(0) + r.K.served.(1) + r.K.served.(2));
+  Alcotest.(check int) "trace ring kept every event" 0
+    (Obs.Tracer.dropped tr);
+  let switches = ref 0 in
+  Obs.Tracer.iter
+    (function Obs.Event.Switch _ -> incr switches | _ -> ())
+    tr;
+  let inline = Runtime.Sched.inline_yields (Option.get !sched) in
+  Alcotest.(check bool)
+    (Fmt.str "inline share %d/%d >= 0.9" inline !switches)
+    true
+    (float_of_int inline >= 0.9 *. float_of_int !switches)
+
 let test_series_conservation () =
   (* the windowed timeline is a partition of the same run: summing the
      windows recovers every engine counter *)
@@ -575,6 +628,8 @@ let () =
             test_crash_kills_busy_server;
           Alcotest.test_case "history well-formed" `Quick
             test_serve_history_matches_counts;
+          Alcotest.test_case "kv-read shape: yields return inline" `Quick
+            test_inline_share;
         ] );
       ( "durability",
         [

@@ -429,6 +429,89 @@ let test_prune_on_death_pinned () =
   Alcotest.(check int) "none left" 0 (S.alive s)
 
 (* ------------------------------------------------------------------ *)
+(* Inline yields                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A fibre alone with no plan is every draw's only pick: each of its
+   yields returns in place. *)
+let test_one_fibre_inline () =
+  let fab = mk_fab () in
+  let s = S.create fab in
+  ignore
+    (S.spawn s ~machine:0 ~name:"alone" (fun ctx ->
+         for _ = 1 to 100 do
+           S.yield ctx
+         done));
+  let steps = S.run s in
+  Alcotest.(check int) "every yield inline" 100 (S.inline_yields s);
+  Alcotest.(check int) "one decision per yield, plus the start" 101 steps
+
+exception Poll_boom
+
+(* The running fibre's inline yield wakes the polls; the exception one
+   raises must reach the caller of [S.run], past the fibre's own
+   handler. *)
+let test_poll_exception_escapes_run () =
+  let fab = mk_fab () in
+  let s = S.create fab in
+  let waiting = ref false and armed = ref false and caught = ref false in
+  ignore
+    (S.spawn s ~machine:0 ~name:"runner" (fun ctx ->
+         while not !waiting do
+           S.yield ctx
+         done;
+         armed := true;
+         try S.yield ctx with _ -> caught := true));
+  ignore
+    (S.spawn s ~machine:1 ~name:"waiter" (fun ctx ->
+         waiting := true;
+         S.wait ctx (fun () -> if !armed then raise Poll_boom else false)));
+  Alcotest.check_raises "the poll's exception escapes run" Poll_boom
+    (fun () -> ignore (S.run s));
+  Alcotest.(check bool) "the runner's handler never fired" false !caught
+
+(* A plan hook calling [S.yield] with a fibre's stored [ctx] runs outside
+   every fibre: it still raises [Effect.Unhandled], and takes no draw, so
+   the run matches one whose hook never called it. *)
+let test_yield_outside_fibre () =
+  let run ~call =
+    let tr = Obs.Tracer.create ~capacity:(1 lsl 12) () in
+    let fab = F.uniform ~seed:3 ~evict_prob:0.2 ~tracer:tr 2 in
+    let s = S.create ~seed:9 fab in
+    let x = F.alloc fab ~owner:1 in
+    let stored = ref None and raised = ref false in
+    for m = 0 to 1 do
+      ignore
+        (S.spawn s ~machine:m ~name:"w" (fun ctx ->
+             stored := Some ctx;
+             for _ = 1 to 20 do
+               ignore (O.faa ctx x 1)
+             done))
+    done;
+    S.at_step s 10
+      (S.Call
+         (fun _ ->
+           if call then
+             match S.yield (Option.get !stored) with
+             | () -> ()
+             | exception Effect.Unhandled _ -> raised := true));
+    let steps = S.run s in
+    let b = Buffer.create 1024 in
+    List.iter (fun (st, t, c) -> Printf.bprintf b "%d:%d:%d;" st t c)
+      (switches tr);
+    ( !raised,
+      steps,
+      F.cycles fab,
+      Digest.to_hex (Digest.string (Buffer.contents b)) )
+  in
+  let raised, steps, cycles, digest = run ~call:true in
+  let _, steps', cycles', digest' = run ~call:false in
+  Alcotest.(check bool) "Effect.Unhandled" true raised;
+  Alcotest.(check int) "steps" steps' steps;
+  Alcotest.(check int) "cycles" cycles' cycles;
+  Alcotest.(check string) "switch digest" digest' digest
+
+(* ------------------------------------------------------------------ *)
 (* Crash/restart edges                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -829,6 +912,13 @@ let () =
             test_plan_in_skip_window;
           Alcotest.test_case "compaction after deaths pinned" `Quick
             test_prune_on_death_pinned;
+          Alcotest.test_case "one fibre: every yield inline" `Quick
+            test_one_fibre_inline;
+          Alcotest.test_case "a poll exception escapes run, not the fibre \
+                              that woke it" `Quick
+            test_poll_exception_escapes_run;
+          Alcotest.test_case "yield outside a fibre draws nothing" `Quick
+            test_yield_outside_fibre;
         ] );
       ( "crash edges",
         [
