@@ -667,28 +667,24 @@ let serve ?tracer (c : serve_config) : serve_result =
      shared clock over ops still in flight, billing them phantom
      queueing delay.
 
-     The stall bound: a server whose claim test has failed [stall_limit]
-     times in a row without seeing the clock move claims anyway.  In a
-     healthy run the clock always moves while anyone is busy (every
-     primitive charges), so the bound only fires when a crash killed a
-     busy server — whose in-flight increment nobody will ever undo — and
-     the survivors must not spin forever behind it.  It counts the polls
-     the scheduler actually runs: once per wake, and once per pick while
-     every server waits, which is the stalled case it exists for.
+     [busy] counts live requests only: a crash kills its machine's
+     servers mid-request (§3.1), and the crash hook moves their
+     requests ([in_flight]) to [killed] before the wipe.  So a server
+     waits on a future arrival only while a live one serves and moves
+     the clock.
 
-     The claim test ([ready] in [server]) is one function, with the
-     stall counter folded in: the server calls it once before claiming,
-     and hands it to {!Runtime.Sched.wait} as the poll while it idles.
-     It touches only the stream head, [busy] and server-local counters,
-     never the fabric, and only resumed fibres and plan actions change
-     the head, [busy] and the clock, so the scheduler may run it in
-     place of the fibre
-     and park the server while it fails: the decisions a server idles
-     through still count in law, but cost one geometric draw, and the
-     fibre is resumed only to claim (or to exit once the stream is
-     drained). *)
-  let stall_limit = 64 in
+     The claim test ([ready]) is one function: a server calls it once
+     before claiming, and hands it to {!Runtime.Sched.wait} as the poll
+     while it idles.  It touches only the stream head and [busy], never
+     the fabric, and only resumed fibres and plan actions change the
+     head, [busy] and the clock, so the scheduler may run it in place of
+     the fibre and park the server while it fails: the decisions a
+     server idles through still count in law, but cost one geometric
+     draw, and the fibre is resumed only to claim (or to exit once the
+     stream is drained). *)
   let busy = ref 0 in
+  let in_flight = Array.make c.env.n_machines 0 in
+  let killed = ref 0 in
   let claimed = ref 0 in
   let serve_one kv ctx (r : Traffic.request) =
     let op, args = map_op r in
@@ -743,25 +739,16 @@ let serve ?tracer (c : serve_config) : serve_result =
         incr req_timed_out;
         close Obs.Event.P_timeout
   in
+  (* true when the head may be claimed now, or the stream is drained
+     (the server then exits) *)
+  let ready () =
+    refill ();
+    match !next_req with
+    | None -> true
+    | Some r -> r.Traffic.arrival <= Fabric.cycles fab || !busy = 0
+  in
   let server kv ctx =
-    let stalls = ref 0 in
-    let last_seen = ref (-1) in
-    (* true when the head may be claimed now, or the stream is drained
-       (the server then exits) *)
-    let ready () =
-      refill ();
-      match !next_req with
-      | None -> true
-      | Some r ->
-          let now = Fabric.cycles fab in
-          if r.Traffic.arrival <= now || !busy = 0 || !stalls >= stall_limit
-          then true
-          else begin
-            stalls := if now = !last_seen then !stalls + 1 else 0;
-            last_seen := now;
-            false
-          end
-    in
+    let m = ctx.Runtime.Sched.machine in
     let rec loop () =
       if not (ready ()) then Runtime.Sched.wait ctx ready;
       match !next_req with
@@ -773,10 +760,10 @@ let serve ?tracer (c : serve_config) : serve_result =
             Fabric.charge fab (r.Traffic.arrival - now);
           incr claimed;
           busy := !busy + 1;
+          in_flight.(m) <- in_flight.(m) + 1;
           serve_one kv ctx r;
           busy := !busy - 1;
-          stalls := 0;
-          last_seen := Fabric.cycles fab;
+          in_flight.(m) <- in_flight.(m) - 1;
           loop ()
     in
     loop ()
@@ -847,7 +834,16 @@ let serve ?tracer (c : serve_config) : serve_result =
                   Runtime.Sched.crash_epoch (sched_of ctx) c.env.home );
             finish_preload kv ctx)
   in
-  Runcore.install_crash_plan sched c.env ~record ~recovery:(fun ~ci spec s ->
+  Runcore.install_crash_plan sched c.env
+    ~record:(fun e ->
+      (match e with
+      | Lincheck.History.Crash { machine } ->
+          killed := !killed + in_flight.(machine);
+          busy := !busy - in_flight.(machine);
+          in_flight.(machine) <- 0
+      | Lincheck.History.Inv _ | Lincheck.History.Res _ -> ());
+      record e)
+    ~recovery:(fun ~ci spec s ->
       match !kv_ref with
       | None -> (
           (* serving never started: the preloader died with its machine.
@@ -884,15 +880,13 @@ let serve ?tracer (c : serve_config) : serve_result =
   ignore (Runtime.Sched.run sched);
   let total_served = served.(0) + served.(1) + served.(2) in
   let total = Traffic.total_ops c.traffic in
-  (* a server killed mid-request never decremented [busy]: what is left
-     is the count of requests killed in flight *)
-  let killed = !busy in
-  if !claimed <> total_served + !faulted + !req_timed_out + killed then
+  if !busy <> 0 || !claimed <> total_served + !faulted + !req_timed_out + !killed
+  then
     failwith
       (Printf.sprintf
          "Kv.serve: %d claimed <> %d served + %d faulted + %d timed out + \
-          %d killed"
-         !claimed total_served !faulted !req_timed_out killed);
+          %d killed (%d still in flight)"
+         !claimed total_served !faulted !req_timed_out !killed !busy);
   let kv_failovers, kv_rejoins =
     match !kv_ref with
     | None -> (0, 0)
@@ -907,8 +901,8 @@ let serve ?tracer (c : serve_config) : serve_result =
     faulted = !faulted;
     timed_out = !req_timed_out;
     claimed = !claimed;
-    killed;
-    dropped = total - !claimed + killed;
+    killed = !killed;
+    dropped = total - !claimed + !killed;
     failovers = kv_failovers;
     rejoins = kv_rejoins;
     availability =

@@ -143,9 +143,9 @@ type serve_result = {
   timed_out : int;     (** requests that exhausted their deadline budget *)
   claimed : int;       (** requests a server took off the schedule *)
   killed : int;
-      (** claimed requests whose server a crash killed in flight; every
-          claim ends exactly once, so
-          [claimed = served + faulted + timed_out + killed] (checked) *)
+      (** claimed requests whose server a crash killed in flight,
+          counted when the crash fires; every claim ends exactly once,
+          so [claimed = served + faulted + timed_out + killed] (checked) *)
   dropped : int;
       (** requests lost: never claimed, plus killed in flight —
           [(offered − claimed) + killed] *)
@@ -171,7 +171,8 @@ val serve : ?tracer:Obs.Tracer.t -> serve_config -> serve_result
     that re-syncs the replicas homed there), and return throughput
     counters, per-op-type latency histograms, failover counts and
     availability.  Deterministic in the config.
-    @raise Failure if the request counts do not balance (a bug).
+    @raise Failure if the request counts do not balance or a request is
+    still in flight after the run (a bug).
     @raise Invalid_argument when the traffic spec fails
     {!Traffic.validate} or [replicas] is out of range. *)
 

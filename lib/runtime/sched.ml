@@ -18,7 +18,9 @@
     {!Fabric.maybe_evict_n}: the run keeps its law (step counts,
     evictions, where step-indexed plans land) but not its per-seed
     realisation.  With no waiting thread the draws are exactly those of
-    one uniform pick per decision.
+    one uniform pick per decision.  When every thread waits, only a plan
+    action can change a poll: the run idles to the next plan step, and
+    raises if none is pending.
 
     Crashing machine [i] wipes its fabric state and *kills* every thread
     running on it: their fibres are dropped and never resumed, leaving any
@@ -431,14 +433,10 @@ let resume t task st =
   t.running <- -1;
   match t.handoff with Draw -> wake t | Picked _ | Raised _ -> ()
 
-(* The task a decision picked over every task: a parked one runs its
-   poll in place, and stays parked, with no switch, while it fails.
-   [dummy_task] (the idle skip stopped at a plan step) runs nothing. *)
-let dispatch t task =
-  if task != dummy_task then
-    match task.state with
-    | Poll (p, _) when task.parked && not (p ()) -> ()
-    | st -> resume t task st
+(* Carry out a decision: resume the task it picked (never a parked
+   one), or nothing for [dummy_task] (the idle skip stopped at a plan
+   step). *)
+let dispatch t task = if task != dummy_task then resume t task task.state
 
 (* The [j]-th unparked task, in spawn order (a loop, not a closure: the
    pick must not allocate). *)
@@ -473,9 +471,8 @@ let idle_decisions t ~u ~n =
 let draw t =
   let n = t.n_tasks in
   let u = n - t.n_parked in
-  if u = n || u = 0 then begin
-    (* one decision, uniform over every task; with [u = 0] every task
-       waits and the draw runs their polls in turn *)
+  if u = n then begin
+    (* one decision, uniform over every task *)
     t.step <- t.step + 1;
     Fabric.maybe_evict t.fabric;
     t.tasks.(Random.State.int t.rng n)
@@ -483,10 +480,14 @@ let draw t =
   else begin
     (* The uniform draw would pick a parked task (whose poll fails
        again) a geometric number of times, success [u/n], before it
-       picks one of the [u] others; take those idle decisions at once,
-       stopping after the decision a pending plan action follows. *)
-    let idle = idle_decisions t ~u ~n in
+       picks one of the [u] others — forever when [u = 0], since only
+       a plan action can then change what a poll reads; take those idle
+       decisions at once, stopping after the decision a pending plan
+       action follows. *)
+    if u = 0 && t.next_plan = max_int then
+      failwith "Sched.run: every task waits and no plan action is pending";
     let stop = max t.next_plan (t.step + 1) in
+    let idle = if u = 0 then stop - t.step else idle_decisions t ~u ~n in
     if t.step + idle >= stop then begin
       Fabric.maybe_evict_n t.fabric (stop - t.step);
       t.step <- stop;

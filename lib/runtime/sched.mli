@@ -73,17 +73,16 @@ val wait : ctx -> (unit -> bool) -> unit
     more.  The decisions a uniform draw would have spent on parked
     tasks still count — in step numbers, eviction chances and where
     plan actions land — but are taken in one geometric draw and traced
-    as a step jump, with no [Switch].  When every task waits, each
-    decision runs the picked task's poll.
+    as a step jump, with no [Switch].  When every task waits, the run
+    idles to the next plan step (see {!run}).
 
     Contract: [p] is exactly what the fibre would compute between
     resuming and its next yield.  It makes no fabric access (reading the
     clock is fine; a primitive, a charge or a scheduler call is not),
     has no side effect on the simulation, and reads only state that a
     resumed fibre or a plan action changes.  It may update state private
-    to the waiting fibre, but runs once per wake (and once per pick
-    while every task waits), not once per decision.  An exception from
-    [p] escapes {!run}. *)
+    to the waiting fibre, but runs once per wake, not once per decision.
+    An exception from [p] escapes {!run}. *)
 
 val jitter : ctx -> int -> int
 (** [jitter ctx n] — a retry-backoff jitter draw in [\[0, max 1 n)] from
@@ -110,7 +109,10 @@ val run : t -> int
     decision is one uniform pick among the live tasks and one
     {!Fabric.maybe_evict} chance; runs of decisions that would only pick
     parked waiters (see {!wait}) are drawn at once, equal in law.  With
-    no waiting thread the draws are exactly one pick per decision. *)
+    no waiting thread the draws are exactly one pick per decision.  When
+    every task waits, no poll can hold before a plan action runs: the
+    run idles to the next plan step, and raises [Failure] if no plan
+    action is pending. *)
 
 val alive : t -> int
 (** Number of runnable threads.  A fibre calling it does not count

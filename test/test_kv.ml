@@ -51,6 +51,11 @@ let config ?(traffic = small_traffic) ?(crashes = []) ?(faults = [])
   let c = K.default_serve_config ~transform ~traffic in
   { c with K.shards = 3; env = { c.K.env with R.crashes; faults } }
 
+let traced_serve ?series c =
+  let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) ?series () in
+  let r = K.serve ~tracer c in
+  (r, tracer)
+
 let fingerprint (r : K.serve_result) =
   Fmt.str "served=%d/%d/%d faulted=%d dropped=%d cycles=%d lat=%a/%a/%a"
     r.K.served.(0) r.K.served.(1) r.K.served.(2) r.K.faulted r.K.dropped
@@ -130,25 +135,46 @@ let test_serve_crash_accounting () =
   Alcotest.(check int) "crash recorded in stats" 1 r.K.stats.Fabric.Stats.crashes
 
 let test_crash_kills_busy_server () =
-  (* a crash lands while a server on the felled machine is mid-request:
-     that request is neither served, faulted nor timed out — it is
-     killed in flight, and counted as such.  Its [busy] increment is
-     never undone, yet the stall bound keeps the survivors (and the
-     restarted machine's fresh servers) claiming: every other request
-     is claimed, so the killed ones are all that is dropped *)
+  (* a crash lands while a server on the felled machine is mid-request
+     and the other servers wait on future arrivals.  The crash ends that
+     request with its server (§3.1) and settles it at once: it is
+     killed, no longer in flight, so the survivors (and the restarted
+     machine's fresh servers) go on claiming.  A request left in flight
+     would park every server for good, and [Sched.run] raises when
+     every task waits with no plan action pending.  So the run ends,
+     every request is claimed, only the killed ones are dropped, and
+     each is an incomplete span whose last mark precedes the crash *)
   let crashes =
     [ { R.at = 150; machine = 0; restart_at = 400; recovery_threads = 0;
         recovery_ops = 0 } ]
   in
   let traffic = { small_traffic with T.sessions = 8; ops_per_session = 6 } in
-  let r = K.serve (config ~traffic ~crashes ()) in
+  let r, tr = traced_serve (config ~traffic ~crashes ()) in
   check_conservation traffic r;
   Alcotest.(check bool)
     (Fmt.str "a busy server was killed (killed=%d)" r.K.killed)
     true (r.K.killed >= 1);
   Alcotest.(check int) "every request claimed" (T.total_ops traffic)
     r.K.claimed;
-  Alcotest.(check int) "only killed requests dropped" r.K.killed r.K.dropped
+  Alcotest.(check int) "only killed requests dropped" r.K.killed r.K.dropped;
+  let crash_cycle =
+    List.find_map
+      (function Obs.Event.Crash { cycle; _ } -> Some cycle | _ -> None)
+      (Obs.Tracer.events tr)
+    |> Option.get
+  in
+  let incomplete =
+    List.filter
+      (fun s -> Obs.Span.outcome s = Obs.Span.Incomplete)
+      (Obs.Span.assemble tr)
+  in
+  Alcotest.(check int) "killed = incomplete spans" r.K.killed
+    (List.length incomplete);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "killed before the crash" true
+        (Obs.Span.completion s <= crash_cycle))
+    incomplete
 
 let test_serve_history_checked () =
   (* a small crash+fault serving run through the durability checker,
@@ -417,16 +443,12 @@ let test_replica_validation () =
 (* Request tracing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let traced_serve ?series c =
-  let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) ?series () in
-  let r = K.serve ~tracer c in
-  (r, tracer)
-
 let stormy () = rconfig ~crashes:(storm ()) ~faults:degraded ()
 
 let test_span_conservation () =
   (* every request the engine accounted for has a span with the matching
-     terminal mark; requests lost to crashes are at worst Incomplete *)
+     terminal mark, and the requests the crashes killed are exactly the
+     Incomplete ones *)
   let r, tr = traced_serve (stormy ()) in
   Alcotest.(check int) "ring did not wrap" 0 (Obs.Tracer.dropped tr);
   let spans = Obs.Span.assemble tr in
@@ -436,8 +458,8 @@ let test_span_conservation () =
   Alcotest.(check int) "timed-out spans" r.K.timed_out
     (count Obs.Span.Timed_out);
   Alcotest.(check int) "faulted spans" r.K.faulted (count Obs.Span.Faulted);
-  Alcotest.(check bool) "incomplete within dropped" true
-    (count Obs.Span.Incomplete <= r.K.dropped);
+  Alcotest.(check int) "incomplete spans = killed" r.K.killed
+    (count Obs.Span.Incomplete);
   (* per op type, acked span count matches the latency histogram *)
   for op = 0 to 2 do
     let acked =

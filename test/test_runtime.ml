@@ -446,6 +446,28 @@ let test_one_fibre_inline () =
   Alcotest.(check int) "every yield inline" 100 (S.inline_yields s);
   Alcotest.(check int) "one decision per yield, plus the start" 101 steps
 
+(* Every task waits on a poll that never holds: the run idles straight
+   to the one pending plan action, which fires at its step, and then,
+   with nothing left that could change a poll, raises instead of
+   spinning. *)
+let test_every_task_waits_raises () =
+  let tr = Obs.Tracer.create ~capacity:(1 lsl 10) () in
+  let fab = F.uniform ~seed:5 ~evict_prob:0.0 ~tracer:tr 2 in
+  let s = S.create fab in
+  for m = 0 to 1 do
+    ignore
+      (S.spawn s ~machine:m ~name:"waiter" (fun ctx ->
+           S.wait ctx (fun () -> false)))
+  done;
+  S.at_step s 40 (S.Call (fun s -> S.restart s 1));
+  Alcotest.check_raises "every task waits, no plan action pending"
+    (Failure "Sched.run: every task waits and no plan action is pending")
+    (fun () -> ignore (S.run s));
+  Alcotest.(check (list int)) "the pending action fired at its step" [ 40 ]
+    (List.filter_map
+       (function Obs.Event.Restart { step; _ } -> Some step | _ -> None)
+       (Obs.Tracer.events tr))
+
 exception Poll_boom
 
 (* The running fibre's inline yield wakes the polls; the exception one
@@ -914,6 +936,8 @@ let () =
             test_prune_on_death_pinned;
           Alcotest.test_case "one fibre: every yield inline" `Quick
             test_one_fibre_inline;
+          Alcotest.test_case "every task waits: run raises" `Quick
+            test_every_task_waits_raises;
           Alcotest.test_case "a poll exception escapes run, not the fibre \
                               that woke it" `Quick
             test_poll_exception_escapes_run;
