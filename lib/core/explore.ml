@@ -15,8 +15,9 @@
       differential-testing oracle;
     - {!Fast} works on bit-packed {!Packed.t} states with a
       [Hashtbl]-backed visited set and a τ-successor memo cache shared
-      across runs — the hot path of {!Props.check_exhaustive} and the
-      litmus sweeps. *)
+      across runs — the hot path of the litmus sweeps — plus the
+      membership queries of the {!Props.check_exhaustive} sweep
+      ({!Fast.images}, {!Fast.reaches}). *)
 
 type t = Config.Set.t
 
@@ -186,10 +187,8 @@ module Fast = struct
     cache.n_transitions <- 0
 
   (** [sym_group cache ~fixing st] — the symmetry group a reduced run
-      from [st] over the labels [fixing] may use: the stabilizer of
-      both within the context group ([[||]] when [sym] is off).  Runs
-      whose result sets are compared ({!subset}) must share one group —
-      pass the union of both runs' labels as [fixing]. *)
+      from [st] over the labels [fixing] uses: the stabilizer of both
+      within the context group ([[||]] when [sym] is off). *)
   let sym_group cache ~fixing st =
     if cache.reduction.sym then
       Sym.stabilizer cache.ctx (Lazy.force cache.group) ~fixing st
@@ -309,23 +308,140 @@ module Fast = struct
   let step ?group cache s l =
     apply_label ?group cache (tau_closure ?group cache s) l
 
-  (** [run ?group cache st ls] — the packed mirror of {!Explore.run}.
-      With [sym] on and no explicit [group], the stabilizer of
-      [(st, ls)] is computed and the result contains orbit
-      representatives only; pass an explicit (possibly coarser) [group]
-      when two runs' results will be compared. *)
-  let run ?group cache st ls =
-    let group =
-      match group with Some g -> g | None -> sym_group cache ~fixing:ls st
-    in
+  (** [run cache st ls] — the packed mirror of {!Explore.run}.  With
+      [sym] on, states are canonicalised under the stabilizer of
+      [(st, ls)] ({!sym_group}) and the result contains orbit
+      representatives only. *)
+  let run cache st ls =
+    let group = sym_group cache ~fixing:ls st in
     tau_closure ~group cache
       (List.fold_left (step ~group cache) (of_packed st) ls)
+
+  (* ---------------------------------------------------------------- *)
+  (* Local queries: the Proposition 1 sweep's first pass               *)
+  (* ---------------------------------------------------------------- *)
+
+  (* The dense locations τ-steps between labels may be restricted to,
+     as a mask: the labels' locations under [por], every location
+     without it or when a label has none (a crash).  A τ-step on
+     another location touches a word no label reads or writes, so it
+     commutes with every label (and every other τ-step) and moves
+     past the last label without changing where the run ends. *)
+  let within cache labels =
+    let all = (1 lsl Packed.n_locs cache.ctx) - 1 in
+    if not cache.reduction.por then all
+    else
+      List.fold_left
+        (fun m l ->
+          match Label.loc l with
+          | Some x -> m lor Packed.bit (Packed.loc_index cache.ctx x)
+          | None -> all)
+        0 labels
+
+  (* [f] on every τ-successor of [st] on a location in [within] *)
+  let taus_within cache within (st : Packed.t) f =
+    Array.iteri
+      (fun xi w ->
+        if within land Packed.bit xi <> 0 then
+          Packed.word_taus cache.ctx xi w (fun w' ->
+              cache.n_transitions <- cache.n_transitions + 1;
+              let st' = Array.copy st in
+              st'.(xi) <- w';
+              f st'))
+      st
+
+  (** [images cache st labels] — the states [ℓ_m(τ*_X(… ℓ_1(st)))]:
+      the labels applied in order from [st] with τ-steps between
+      consecutive labels, on the labels' locations X only (see
+      {!within}), and none before the first label or after the last.
+      Deduplicated, in no particular order; empty when the sequence is
+      infeasible. *)
+  let images cache st labels =
+    let within = within cache labels in
+    let fresh tbl st' =
+      (not (Packed.Tbl.mem tbl st'))
+      && begin
+           Packed.Tbl.replace tbl st' ();
+           cache.n_states <- cache.n_states + 1;
+           true
+         end
+    in
+    let apply_all l states =
+      let out = Packed.Tbl.create 8 in
+      List.filter_map
+        (fun st ->
+          match Packed.apply cache.ctx st l with
+          | Some st' ->
+              cache.n_transitions <- cache.n_transitions + 1;
+              if fresh out st' then Some st' else None
+          | None -> None)
+        states
+    in
+    let close states =
+      let seen = Packed.Tbl.create 16 in
+      let acc = ref [] in
+      let rec visit st =
+        if fresh seen st then begin
+          acc := st :: !acc;
+          taus_within cache within st visit
+        end
+      in
+      List.iter visit states;
+      !acc
+    in
+    match labels with
+    | [] -> [ st ]
+    | l :: ls ->
+        List.fold_left
+          (fun states l -> apply_all l (close states))
+          (apply_all l [ st ]) ls
+
+  (** [reaches cache st labels d] — [d ∈ R_labels(st)], the membership
+      query of the unreduced {!run}, without building the set: a
+      depth-first search over (phase, state) pairs that tries the next
+      label before any τ-step and returns at the first hit.  Before the
+      last label only τ-steps on the labels' locations are explored
+      ({!within}); after it, [s →τ* d] is settled in closed form one
+      location at a time ({!Packed.tau_reaches}). *)
+  let reaches cache st labels d =
+    let ctx = cache.ctx in
+    let within = within cache labels in
+    let labels = Array.of_list labels in
+    let last = Array.length labels in
+    let settled (s : Packed.t) =
+      let rec go xi =
+        xi < 0 || (Packed.tau_reaches ctx xi s.(xi) d.(xi) && go (xi - 1))
+      in
+      go (Array.length s - 1)
+    in
+    (* state -> bitmask of the phases it was visited in *)
+    let seen = Packed.Tbl.create 16 in
+    let exception Hit in
+    let rec visit p s =
+      let phases =
+        match Packed.Tbl.find_opt seen s with Some m -> m | None -> 0
+      in
+      if phases land (1 lsl p) = 0 then begin
+        Packed.Tbl.replace seen s (phases lor (1 lsl p));
+        cache.n_states <- cache.n_states + 1;
+        if p = last then (if settled s then raise Hit)
+        else begin
+          (match Packed.apply ctx s labels.(p) with
+          | Some s' ->
+              cache.n_transitions <- cache.n_transitions + 1;
+              visit (p + 1) s'
+          | None -> ());
+          taus_within cache within s (visit p)
+        end
+      end
+    in
+    match visit 0 st with () -> false | exception Hit -> true
 
   let cardinal = Packed.Tbl.length
   let is_empty s = Packed.Tbl.length s = 0
   let mem (s : set) st = Packed.Tbl.mem s st
 
-  let feasible ?group cache st ls = not (is_empty (run ?group cache st ls))
+  let feasible cache st ls = not (is_empty (run cache st ls))
 
   let subset (a : set) (b : set) =
     try

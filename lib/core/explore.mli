@@ -85,10 +85,8 @@ module Fast : sig
 
   val sym_group :
     cache -> fixing:Label.t list -> Packed.t -> Sym.perm array
-  (** The symmetry group a reduced run may use: the stabilizer of the
-      start state and the given labels (empty when [sym] is off).  Runs
-      whose result sets are compared must share one group — pass the
-      union of both label lists as [fixing]. *)
+  (** The symmetry group a reduced {!run} uses: the stabilizer of the
+      start state and the given labels (empty when [sym] is off). *)
 
   type set
   (** A reachable set of packed states (hash-set backed).  Under [sym]
@@ -103,11 +101,28 @@ module Fast : sig
   val apply_label : ?group:Sym.perm array -> cache -> set -> Label.t -> set
   val step : ?group:Sym.perm array -> cache -> set -> Label.t -> set
 
-  val run : ?group:Sym.perm array -> cache -> Packed.t -> Label.t list -> set
-  (** Packed mirror of {!Explore.run}.  With [sym] on and no explicit
-      [group], the stabilizer of the start state and labels is used. *)
+  val run : cache -> Packed.t -> Label.t list -> set
+  (** Packed mirror of {!Explore.run}.  With [sym] on, members are
+      orbit representatives under {!sym_group} of the start state and
+      labels. *)
 
-  val feasible : ?group:Sym.perm array -> cache -> Packed.t -> Label.t list -> bool
+  val feasible : cache -> Packed.t -> Label.t list -> bool
+
+  val images : cache -> Packed.t -> Label.t list -> Packed.t list
+  (** [images cache st labels] — the states [ℓ_m(τ*_X(… ℓ_1(st)))]:
+      the labels applied in order with τ-steps between consecutive
+      labels only, and only on X, the labels' locations (every
+      location when [por] is off or a label is a crash).
+      Deduplicated, unordered; empty iff infeasible. *)
+
+  val reaches : cache -> Packed.t -> Label.t list -> Packed.t -> bool
+  (** [reaches cache st labels d] — whether [d] is in the unreduced
+      [run cache st labels], decided by a first-hit depth-first search
+      over (phase, state) pairs: τ-steps before the last label only on
+      X (as in {!images}), then [→τ*] to [d] in closed form
+      ({!Packed.tau_reaches}).  Visits count as states, generated
+      successors and applied labels as transitions. *)
+
   val cardinal : set -> int
   val is_empty : set -> bool
   val mem : set -> Packed.t -> bool

@@ -261,6 +261,46 @@ let prop_cache_mem ctx c xi =
   if h land bit ctx.owners.(xi) = 0 then None
   else Some (with_word c xi (word ctx ~holders:0 ~cval:0 ~mem:(cval ctx w)))
 
+(** [word_taus ctx xi w f] applies [f] to every τ-successor word of
+    word [w] at dense location index [xi]: τ-steps touch one location's
+    word, so the τ-system is a product of these per-location chains. *)
+let word_taus ctx xi w f =
+  let h = holders ctx w in
+  if h <> 0 then begin
+    let k = ctx.owners.(xi) in
+    let cv = cval ctx w and m = memv ctx w in
+    (* cache->cache: each non-owner holder hands the line to the owner *)
+    iter_bits
+      (fun i ->
+        if i <> k then
+          f (word ctx ~holders:(h land lnot (bit i) lor bit k) ~cval:cv ~mem:m))
+      h;
+    (* cache->mem: the owner writes back, every cache drops the line *)
+    if h land bit k <> 0 then f (word ctx ~holders:0 ~cval:0 ~mem:cv)
+  end
+
+(** [tau_reaches ctx xi w w'] — the closed form of [w →τ* w'] on the
+    chain of location [xi] (owner [k]).  Zero steps reach [w] itself.
+    From holders [h ≠ ∅], cache->cache steps hand a non-empty set of
+    non-owner holders to [k], reaching every [h'] with [k ∈ h'],
+    [h' ⊆ h ∪ {k}] and [h ∖ h' ≠ ∅] with value and memory kept; and
+    the owner's write-back (after one hand-off if [k ∉ h]) reaches
+    [(∅, 0, cval)].  Nothing else: τ only drains caches toward memory. *)
+let tau_reaches ctx xi w w' =
+  w = w'
+  ||
+  let h = holders ctx w in
+  h <> 0
+  &&
+  let h' = holders ctx w' in
+  if h' = 0 then w' = word ctx ~holders:0 ~cval:0 ~mem:(cval ctx w)
+  else
+    let k = bit ctx.owners.(xi) in
+    w lxor w' land lnot ctx.hmask = 0
+    && h' land k <> 0
+    && h' land lnot (h lor k) = 0
+    && h land lnot h' <> 0
+
 (** [taus_iter_loc ctx c f] applies [f xi succ] to every τ-successor of
     [c] (both propagation rules, every enabled instance), tagging each
     with the dense index [xi] of the one location the step touches —
@@ -268,26 +308,9 @@ let prop_cache_mem ctx c xi =
     Successors of distinct τ-labels may coincide; deduplication is the
     visited set's job. *)
 let taus_iter_loc ctx (c : t) f =
-  for xi = 0 to Array.length c - 1 do
-    let w = c.(xi) in
-    let h = holders ctx w in
-    if h <> 0 then begin
-      let k = ctx.owners.(xi) in
-      let cv = cval ctx w and m = memv ctx w in
-      (* cache->cache: each non-owner holder hands the line to the owner *)
-      iter_bits
-        (fun i ->
-          if i <> k then
-            f xi
-              (with_word c xi
-                 (word ctx ~holders:(h land lnot (bit i) lor bit k) ~cval:cv
-                    ~mem:m)))
-        h;
-      (* cache->mem: the owner writes back, every cache drops the line *)
-      if h land bit k <> 0 then
-        f xi (with_word c xi (word ctx ~holders:0 ~cval:0 ~mem:cv))
-    end
-  done
+  Array.iteri
+    (fun xi w -> word_taus ctx xi w (fun w' -> f xi (with_word c xi w')))
+    c
 
 (** [taus_iter ctx c f] — {!taus_iter_loc} without the location tag. *)
 let taus_iter ctx (c : t) f = taus_iter_loc ctx c (fun _ s -> f s)

@@ -91,6 +91,18 @@ val load : ctx -> t -> Machine.id -> int -> Value.t * t
 
 val crash : ctx -> t -> Machine.id -> t
 
+val word_taus : ctx -> int -> int -> (int -> unit) -> unit
+(** [word_taus ctx xi w f] — [f] on every τ-successor word of word [w]
+    at dense location index [xi] (the τ-system is a product of these
+    per-location chains). *)
+
+val tau_reaches : ctx -> int -> int -> int -> bool
+(** [tau_reaches ctx xi w w'] — closed form of [w →τ* w'] on location
+    [xi]'s chain: [w' = w], or [w] has holders [h ≠ ∅] and either [w']
+    keeps value and memory with holders [h'] such that the owner is in
+    [h'], [h' ⊆ h ∪ {owner}] and [h ∖ h' ≠ ∅], or [w'] is the
+    written-back [(∅, 0, cval w)]. *)
+
 val taus_iter : ctx -> t -> (t -> unit) -> unit
 (** Apply the callback to every τ-successor (both propagation rules,
     every enabled instance; duplicates possible). *)

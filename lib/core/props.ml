@@ -6,24 +6,27 @@
     is also reachable via [LStoreᵢ(x,v)].  We reproduce the mechanisation
     by *bounded model checking*: for a given system and starting
     configuration, the reachable sets of both sequences are computed and
-    compared for inclusion.  {!check_exhaustive} does this from *every*
-    invariant-satisfying configuration over small domains; the test-suite
-    additionally samples random larger instances.
+    compared for inclusion ({!check_item}).  {!check_exhaustive} decides
+    this for *every* invariant-satisfying configuration over small
+    domains; the test-suite additionally samples random larger instances.
 
     Since every step rule treats locations and values uniformly (no rule
     inspects a value or compares distinct locations beyond equality and
     ownership), a violation at any scale would already manifest at small
-    scale, so exhaustion over N ≤ 3 machines / ≤ 3 locations / 2 values
+    scale, so exhaustion over N ≤ 4 machines / ≤ 3 locations / 2 values
     gives high confidence — this is the standard small-scope argument.
 
     Two engines back the sweep.  The default path runs on the bit-packed
-    representation ({!Packed}) with a per-worker τ-successor memo cache
-    and an optional domain-parallel driver ({!Parallel}) sharding start
-    configurations across cores; {!check_exhaustive_reference} is the
-    original map-set implementation, kept as the differential oracle and
-    the benchmark baseline.  Both return failures in the same
-    deterministic order (item-major, then start-configuration order), so
-    sequential, parallel and reference runs are comparable verbatim. *)
+    representation ({!Packed}) with an optional domain-parallel driver
+    ({!Parallel}) sharding start configurations across cores.  Its first
+    pass decides each item by an equivalent local condition, one
+    membership query per lhs successor ({!holds_locally}); an item that
+    fails it is re-checked start by start with two packed runs.
+    {!check_exhaustive_reference} is the original map-set
+    implementation, kept as the differential oracle.  Both return
+    failures in the same deterministic order (item-major, then
+    start-configuration order), so sequential, parallel and reference
+    runs are comparable verbatim. *)
 
 type item = {
   id : int;          (** item number within Proposition 1 *)
@@ -132,98 +135,79 @@ let pp_failure ppf f =
     f.item_id Config.pp f.start (f.issuer + 1) Loc.pp f.location Value.pp
     f.value Config.pp f.witness
 
+(* [first_instance it ~n ~locs ~vals f] — [f i x v] for every instantiation
+   of item [it], in the reference engine's order, stopping at the first
+   [Some]. *)
+let first_instance it ~n ~locs ~vals f =
+  List.find_map
+    (fun x ->
+      List.find_map
+        (fun i -> List.find_map (fun v -> f i x v) vals)
+        (it.issuers ~owner:(Loc.owner x) ~n))
+    locs
+
 (** [check_item sys it cfg ~locs ~vals] checks item [it] from [cfg] for
     every issuer/location/value instantiation over [locs]/[vals], with
     the reference map-set engine.  Returns the first failure found, if
     any. *)
 let check_item sys it cfg ~locs ~vals : failure option =
-  let n = Machine.n_machines sys in
-  let exception Found of failure in
-  try
-    List.iter
-      (fun x ->
-        let issuers = it.issuers ~owner:(Loc.owner x) ~n in
-        List.iter
-          (fun i ->
-            List.iter
-              (fun v ->
-                let r_lhs = Explore.run sys cfg (it.lhs i x v) in
-                let r_rhs = Explore.run sys cfg (it.rhs i x v) in
-                if not (Explore.subset r_lhs r_rhs) then
-                  let witness =
-                    Config.Set.min_elt (Config.Set.diff r_lhs r_rhs)
-                  in
-                  raise
-                    (Found
-                       {
-                         item_id = it.id;
-                         start = cfg;
-                         issuer = i;
-                         location = x;
-                         value = v;
-                         witness;
-                       }))
-              vals)
-          issuers)
-      locs;
-    None
-  with Found f -> Some f
+  first_instance it ~n:(Machine.n_machines sys) ~locs ~vals (fun i x v ->
+      let r_lhs = Explore.run sys cfg (it.lhs i x v) in
+      let r_rhs = Explore.run sys cfg (it.rhs i x v) in
+      if Explore.subset r_lhs r_rhs then None
+      else
+        Some
+          {
+            item_id = it.id;
+            start = cfg;
+            issuer = i;
+            location = x;
+            value = v;
+            witness = Config.Set.min_elt (Config.Set.diff r_lhs r_rhs);
+          })
 
-(** [check_item_packed cache it pc ~locs ~vals] — same check on the
-    packed engine, sharing [cache]'s τ-successor memo across all
-    instantiations (and across calls).  Iteration order, and hence the
-    failure reported, is identical to {!check_item} when the cache is
-    unreduced.  With a sym-reducing cache, both runs of an
-    instantiation share one stabilizer group (of the start and the
-    union of both label lists) so the subset verdict is still exact;
-    only the reported witness is then canonical up to symmetry. *)
+(* [check_item_packed cache it pc ~locs ~vals] — {!check_item} on the
+   packed engine over an unreduced [cache]: the same two runs per
+   instantiation, the same first failure and witness.  The sweep's
+   exact-failure fallback. *)
 let check_item_packed cache it (pc : Packed.t) ~locs ~vals : failure option =
   let ctx = Explore.Fast.ctx cache in
   let n = Machine.n_machines (Packed.system ctx) in
-  let exception Found of failure in
-  try
-    List.iter
-      (fun x ->
-        let issuers = it.issuers ~owner:(Loc.owner x) ~n in
-        List.iter
-          (fun i ->
-            List.iter
-              (fun v ->
-                let lhs = it.lhs i x v and rhs = it.rhs i x v in
-                let group =
-                  Explore.Fast.sym_group cache ~fixing:(lhs @ rhs) pc
-                in
-                let r_lhs = Explore.Fast.run ~group cache pc lhs in
-                let r_rhs = Explore.Fast.run ~group cache pc rhs in
-                if not (Explore.Fast.subset r_lhs r_rhs) then
-                  let witness =
-                    (* the minimum of the diff under Config.compare —
-                       exactly the reference engine's min_elt *)
-                    Explore.Fast.diff_elements r_lhs r_rhs
-                    |> List.map (Packed.to_config ctx)
-                    |> function
-                    | [] -> assert false
-                    | c :: cs ->
-                        List.fold_left
-                          (fun best c ->
-                            if Config.compare c best < 0 then c else best)
-                          c cs
-                  in
-                  raise
-                    (Found
-                       {
-                         item_id = it.id;
-                         start = Packed.to_config ctx pc;
-                         issuer = i;
-                         location = x;
-                         value = v;
-                         witness;
-                       }))
-              vals)
-          issuers)
-      locs;
-    None
-  with Found f -> Some f
+  first_instance it ~n ~locs ~vals (fun i x v ->
+      let r_lhs = Explore.Fast.run cache pc (it.lhs i x v) in
+      let r_rhs = Explore.Fast.run cache pc (it.rhs i x v) in
+      (* the minimum of the diff under Config.compare — exactly the
+         reference engine's min_elt *)
+      Explore.Fast.diff_elements r_lhs r_rhs
+      |> List.map (Packed.to_config ctx)
+      |> List.sort Config.compare
+      |> function
+      | [] -> None
+      | witness :: _ ->
+          Some
+            {
+              item_id = it.id;
+              start = Packed.to_config ctx pc;
+              issuer = i;
+              location = x;
+              value = v;
+              witness;
+            })
+
+(* [holds_locally cache it pc ~locs ~vals] — the sweep's first pass at
+   one start [c = pc]: for every instantiation, every state of
+   [ℓ_m(τ*_X(… ℓ_1(c)))] ({!Explore.Fast.images} of the lhs) is in
+   [R_rhs(c)] ({!Explore.Fast.reaches}).  Over a τ-closed domain this
+   holds at every start iff the item does (DESIGN, "Proposition 1 as a
+   local condition"). *)
+let holds_locally cache it (pc : Packed.t) ~locs ~vals =
+  let n = Machine.n_machines (Packed.system (Explore.Fast.ctx cache)) in
+  first_instance it ~n ~locs ~vals (fun i x v ->
+      let rhs = it.rhs i x v in
+      List.find_opt
+        (fun d -> not (Explore.Fast.reaches cache pc rhs d))
+        (Explore.Fast.images cache pc (it.lhs i x v)))
+  = None
 
 (* ------------------------------------------------------------------ *)
 (* Configuration enumeration                                           *)
@@ -339,30 +323,25 @@ let check_exhaustive_reference ?(items = items) sys ~locs ~vals : failure list =
 type sweep_stats = {
   sweep_configs : int;       (** size of the enumerated domain *)
   sweep_starts : int;        (** start configurations actually checked *)
-  sweep_states : int;        (** engine reachable-set insertions *)
-  sweep_transitions : int;   (** engine τ-successors + label applications *)
+  sweep_states : int;        (** states the first pass visited *)
+  sweep_transitions : int;   (** τ-successors + label applications *)
+  sweep_rechecked : int list;
+      (** ids of the items the first pass found failing, which the
+          unreduced fallback re-checked *)
 }
 
-(* Sum the engine counters of every worker cache created by one sweep.
-   Caches are registered from worker domains; lock-free prepend. *)
-let collect_caches () =
-  let caches = Atomic.make [] in
-  let register c =
-    let rec go () =
-      let old = Atomic.get caches in
-      if not (Atomic.compare_and_set caches old (c :: old)) then go ()
-    in
-    go ();
-    c
+(* One sweep worker: a private cache (its counters are the sweep's
+   statistics) and the items it found failing.  Workers are registered
+   from their domains; lock-free prepend. *)
+type worker = { cache : Explore.Fast.cache; dirty : bool array }
+
+let collect_workers () =
+  let workers = Atomic.make [] in
+  let rec register w =
+    let old = Atomic.get workers in
+    if Atomic.compare_and_set workers old (w :: old) then w else register w
   in
-  let totals () =
-    List.fold_left
-      (fun (s, t) c ->
-        let st = Explore.Fast.stats c in
-        (s + st.Explore.Fast.states, t + st.Explore.Fast.transitions))
-      (0, 0) (Atomic.get caches)
-  in
-  (register, totals)
+  (register, fun () -> Atomic.get workers)
 
 (** [check_exhaustive_stats sys ~locs ~vals] checks all eight items from
     every invariant-satisfying configuration.  Returns all failures
@@ -371,27 +350,33 @@ let collect_caches () =
     sweep statistics.
 
     Runs on the packed engine, sharding start configurations over [jobs]
-    domains (each worker owns a private τ-memo cache); falls back to the
+    domains (each worker owns a private cache); falls back to the
     reference engine when the domain does not fit the packed layout.
 
+    The first pass decides each item by a {e local} condition instead of
+    comparing two reachable sets per start: at every start [c] and
+    instantiation, each state of [ℓ_m(τ*_X(… ℓ_1(c)))] must be in
+    [R_rhs(c)], one first-hit membership query each
+    ({!holds_locally}).  The domain is τ-closed, so this holds at
+    every start iff [R_lhs(γ) ⊆ R_rhs(γ)] does (DESIGN, "Proposition 1
+    as a local condition").
+
     [reduction] (default {!Explore.Fast.full_reduction}) prunes the
-    sweep two ways without changing its result:
+    first pass without changing its verdicts:
 
-    - {e orbit skipping}: the items quantify over every issuer, location
-      and value, and the issuer policies are ownership-based, so "item
-      [it] holds from start [γ]" is invariant under the context's
+    - {e orbit skipping} ([sym]): the items quantify over every issuer,
+      location and value, and the issuer policies are ownership-based,
+      so the local condition at [c] is invariant under the context's
       {!Sym.group} — only orbit-representative starts are checked.
-    - {e reduced runs}: each representative's runs use sleep-set POR and
-      per-instantiation stabilizer canonicalisation ({!check_item_packed}),
-      which preserve the subset verdict exactly.
+    - {e location restriction} ([por]): the τ-steps between labels are
+      explored only on the labels' locations X; steps elsewhere commute
+      with every label.
 
-    Exactness of the returned failure list does not rest on the checks
-    alone: any item that fails at any representative is re-checked
-    {e unreduced} over the full domain, reproducing the reference
-    engine's failures (including witnesses) byte-identically.  Items
-    that pass at every representative pass everywhere by equivariance
-    and contribute no failures — so reduced and unreduced sweeps always
-    agree verbatim, at any [jobs]. *)
+    The first pass yields verdicts, not failures: any item it finds
+    failing is re-checked {e unreduced}, start by start, with the two
+    reachable sets of the packed engine, reproducing the reference
+    engine's failures (including witnesses) byte-identically.  So
+    every [reduction] and [jobs] returns the same list. *)
 let check_exhaustive_stats ?(items = items) ?(jobs = 1)
     ?(reduction = Explore.Fast.full_reduction) sys ~locs ~vals :
     failure list * sweep_stats =
@@ -411,61 +396,64 @@ let check_exhaustive_stats ?(items = items) ?(jobs = 1)
           sweep_starts = total;
           sweep_states = 0;
           sweep_transitions = 0;
+          sweep_rechecked = [];
         } )
   | Some ctx ->
       let items_a = Array.of_list items in
       let n_items = Array.length items_a in
-      let register, totals = collect_caches () in
+      let register, workers = collect_workers () in
       let g = if reduction.Explore.Fast.sym then Sym.group ctx else [||] in
       let starts = Atomic.make 0 in
-      let rows =
-        Parallel.map_chunked ~jobs total
-          ~init:(fun () ->
-            register (Explore.Fast.create ~reduction (Packed.make sys ~locs)))
-          ~f:(fun cache m ->
-            let pc = enum_packed_nth (Explore.Fast.ctx cache) ~vals m in
-            if not (Sym.is_canonical g pc) then None
-            else begin
-              Atomic.incr starts;
-              Some
-                (Array.map
-                   (fun it -> check_item_packed cache it pc ~locs ~vals)
-                   items_a)
-            end)
-      in
-      let dirty =
-        Array.init n_items (fun j ->
-            Array.exists
-              (function Some row -> row.(j) <> None | None -> false)
-              rows)
-      in
+      ignore
+        (Parallel.map_chunked ~jobs total
+           ~init:(fun () ->
+             register
+               {
+                 cache = Explore.Fast.create ~reduction (Packed.make sys ~locs);
+                 dirty = Array.make n_items false;
+               })
+           ~f:(fun w m ->
+             let pc = enum_packed_nth (Explore.Fast.ctx w.cache) ~vals m in
+             if Sym.is_canonical g pc then begin
+               Atomic.incr starts;
+               Array.iteri
+                 (fun j it ->
+                   if not (holds_locally w.cache it pc ~locs ~vals) then
+                     w.dirty.(j) <- true)
+                 items_a
+             end)
+          : unit array);
+      let workers = workers () in
+      let dirty j = List.exists (fun w -> w.dirty.(j)) workers in
+      (* Exact-failure fallback: re-check every dirty item over the whole
+         domain with the unreduced packed engine (differentially identical
+         to the reference), so witnesses and ordering match the oracle
+         byte for byte. *)
+      let cache = lazy (Explore.Fast.create ctx) in
       let failures =
-        if not (Array.exists Fun.id dirty) then []
-        else begin
-          (* Exact-failure fallback: re-check every dirty item over the
-             whole domain with the unreduced packed engine (differentially
-             identical to the reference), so witnesses and ordering match
-             the oracle byte for byte. *)
-          let cache = Explore.Fast.create (Packed.make sys ~locs) in
-          let fctx = Explore.Fast.ctx cache in
-          List.concat
-            (List.init n_items (fun j ->
-                 if not dirty.(j) then []
-                 else
-                   let it = items_a.(j) in
-                   Seq.init total (fun m -> enum_packed_nth fctx ~vals m)
-                   |> Seq.filter_map (fun pc ->
-                          check_item_packed cache it pc ~locs ~vals)
-                   |> List.of_seq))
-        end
+        List.concat
+          (List.init n_items (fun j ->
+               if not (dirty j) then []
+               else
+                 Seq.init total (enum_packed_nth ctx ~vals)
+                 |> Seq.filter_map (fun pc ->
+                        check_item_packed (Lazy.force cache) items_a.(j) pc
+                          ~locs ~vals)
+                 |> List.of_seq))
       in
-      let states, transitions = totals () in
+      let sum f =
+        List.fold_left (fun acc w -> acc + f (Explore.Fast.stats w.cache)) 0
+          workers
+      in
       ( failures,
         {
           sweep_configs = total;
           sweep_starts = Atomic.get starts;
-          sweep_states = states;
-          sweep_transitions = transitions;
+          sweep_states = sum (fun s -> s.Explore.Fast.states);
+          sweep_transitions = sum (fun s -> s.Explore.Fast.transitions);
+          sweep_rechecked =
+            List.filteri (fun j _ -> dirty j) items
+            |> List.map (fun it -> it.id);
         } )
 
 let check_exhaustive ?items ?jobs ?reduction sys ~locs ~vals : failure list =

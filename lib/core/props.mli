@@ -2,14 +2,15 @@
     checking: each of the paper's eight simulation items is a
     reachable-set inclusion, checked from every invariant-satisfying
     configuration over a bounded domain (the authors verified the same
-    statements in Coq).  See DESIGN.md for the small-scope argument.
+    statements in Coq).  See DESIGN.md for the small-scope argument and
+    for the local condition the sweep decides (decision 18).
 
     The sweep runs on the bit-packed engine ({!Packed} /
     {!Explore.Fast}) with an optional domain-parallel driver; the
     original map-set implementation is retained as
-    {!check_exhaustive_reference} for differential testing and
-    benchmarking.  Failure order is deterministic (item-major, then
-    start-configuration order) for every engine and every [jobs]. *)
+    {!check_exhaustive_reference} for differential testing.  Failure
+    order is deterministic (item-major, then start-configuration order)
+    for every engine and every [jobs]. *)
 
 type item = {
   id : int;          (** item number within Proposition 1 *)
@@ -52,15 +53,6 @@ val check_item :
 (** Check one item from one configuration over all instantiations with
     the reference engine; first failure if any. *)
 
-val check_item_packed :
-  Explore.Fast.cache -> item -> Packed.t -> locs:Loc.t list ->
-  vals:Value.t list -> failure option
-(** Same check on the packed engine, sharing the cache's τ-successor
-    memo; with an unreduced cache, reports the identical first failure.
-    With a sym-reducing cache each instantiation's two runs share one
-    stabilizer group, so the pass/fail verdict is still exact (the
-    reported witness is then canonical up to symmetry). *)
-
 (** {1 Configuration enumeration}
 
     The invariant-satisfying configurations over a domain are *ranked*:
@@ -93,8 +85,11 @@ val enum_configs :
 type sweep_stats = {
   sweep_configs : int;       (** size of the enumerated domain *)
   sweep_starts : int;        (** start configurations actually checked *)
-  sweep_states : int;        (** engine reachable-set insertions *)
-  sweep_transitions : int;   (** engine τ-successors + label applications *)
+  sweep_states : int;        (** states the first pass visited *)
+  sweep_transitions : int;   (** τ-successors + label applications *)
+  sweep_rechecked : int list;
+      (** ids of the items the first pass found failing, which the
+          unreduced fallback re-checked *)
 }
 
 val check_exhaustive_stats :
@@ -103,13 +98,19 @@ val check_exhaustive_stats :
   failure list * sweep_stats
 (** All items from all enumerated configurations; empty = verified.
     Packed engine, [jobs] worker domains (default 1); identical output
-    for every [jobs] and [reduction] value.  [reduction] (default
-    {!Explore.Fast.full_reduction}) sweeps orbit-representative starts
-    only and runs each with sleep-set POR and stabilizer
-    canonicalisation; exactness is restored by equivariance plus an
-    unreduced full re-check of any item failing at a representative.
-    Falls back to the reference engine when the domain does not fit
-    the packed layout ([sweep_states]/[sweep_transitions] are then 0). *)
+    for every [jobs] and [reduction] value.  The first pass checks, at
+    each start [c] and instantiation, that every state of
+    [ℓ_m(τ*_X(… ℓ_1(c)))] is in [R_rhs(c)] — over the τ-closed domain
+    this holds everywhere iff the item does.  [reduction] (default
+    {!Explore.Fast.full_reduction}): [sym] checks orbit-representative
+    starts only, [por] restricts the τ-steps between labels to the
+    labels' locations.  An item failing the first pass is re-checked
+    unreduced over the whole domain, so failures and witnesses are the
+    reference engine's.  [sweep_states]/[sweep_transitions] count the
+    first pass's work (the fallback is not counted).  Falls back to the
+    reference engine when the domain does not fit the packed layout
+    ([sweep_states]/[sweep_transitions] are then 0 and
+    [sweep_rechecked] empty). *)
 
 val check_exhaustive :
   ?items:item list -> ?jobs:int -> ?reduction:Explore.Fast.reduction ->
@@ -119,8 +120,7 @@ val check_exhaustive :
 val check_exhaustive_reference :
   ?items:item list ->
   Machine.system -> locs:Loc.t list -> vals:Value.t list -> failure list
-(** The original sequential map-set sweep (differential oracle and
-    benchmark baseline). *)
+(** The original sequential map-set sweep (the differential oracle). *)
 
 val check_default : unit -> Machine.system * failure list
 (** The default domain: 2 NV machines, one location each, values

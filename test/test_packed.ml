@@ -109,6 +109,112 @@ let prop_apply_agrees =
           | _ -> false)
         (Lts_trace.candidates sys cfg ~locs ~vals))
 
+(* The closed form of →τ* on one location equals membership in the
+   engine's τ-closure of the one-word state, for every pair of words:
+   N = 2..4 machines, every owner, volatile and non-volatile memory,
+   two values. *)
+let test_tau_reaches_closed_form () =
+  List.iter
+    (fun (n, persistence) ->
+      let sys = Machine.uniform ~persistence n in
+      for owner = 0 to n - 1 do
+        let ctx = Packed.make sys ~locs:[ Loc.v ~owner 0 ] in
+        let words =
+          List.concat_map
+            (fun h ->
+              List.concat_map
+                (fun cval ->
+                  List.map
+                    (fun mem -> Packed.word ctx ~holders:h ~cval ~mem)
+                    [ 0; 1 ])
+                (if h = 0 then [ 0 ] else [ 0; 1 ]))
+            (List.init (1 lsl n) Fun.id)
+        in
+        let cache = Explore.Fast.create ctx in
+        List.iter
+          (fun w ->
+            let closure =
+              Explore.Fast.tau_closure cache (Explore.Fast.of_packed [| w |])
+            in
+            List.iter
+              (fun w' ->
+                let closed = Packed.tau_reaches ctx 0 w w' in
+                if closed <> Explore.Fast.mem closure [| w' |] then
+                  Alcotest.failf
+                    "N=%d owner=M%d: tau_reaches %a -> %a is %b, the \
+                     closure says %b"
+                    n (owner + 1) (Packed.pp ctx) [| w |] (Packed.pp ctx)
+                    [| w' |] closed (not closed))
+              words)
+          words
+      done)
+    (List.concat_map
+       (fun n -> [ (n, Machine.Non_volatile); (n, Machine.Volatile) ])
+       [ 2; 3; 4 ])
+
+(* [Fast.reaches] is membership in the unreduced run, and [Fast.images]
+   is the label-by-label image (below it by τ-steps only, under the
+   location restriction), from random reachable starts: every member of
+   the run and every enumerated configuration is queried. *)
+let prop_reaches_is_membership =
+  QCheck.Test.make ~name:"Fast.reaches = membership in Fast.run" ~count:60
+    QCheck.(triple small_nat (int_bound 20) (int_range 1 3))
+    (fun (seed, len, k) ->
+      let sys = Machine.uniform ~persistence:Machine.Volatile 2 in
+      let locs = [ x1; x2; y1 ] and vals = [ 0; 1 ] in
+      let ctx = Packed.make sys ~locs in
+      let t = Lts_trace.random_walk ~seed ~len sys ~locs ~vals in
+      let cfg = t.Lts_trace.final in
+      let st = Packed.of_config ctx cfg in
+      let rng = Random.State.make [| seed; len; k |] in
+      let cands = Array.of_list (Lts_trace.candidates sys cfg ~locs ~vals) in
+      let labels =
+        List.init k (fun _ ->
+            cands.(Random.State.int rng (Array.length cands)))
+        |> List.filter (fun l -> not (Label.is_silent l))
+      in
+      let plain = Explore.Fast.create ctx in
+      let run = Explore.Fast.run plain st labels in
+      let targets =
+        Explore.Fast.elements run
+        @ List.init
+            (Props.enum_configs_count sys ~locs ~vals)
+            (Props.enum_packed_nth ctx ~vals)
+      in
+      let image_ref =
+        match labels with
+        | [] -> Config.Set.singleton cfg
+        | l :: ls ->
+            List.fold_left (Explore.step sys)
+              (Explore.apply_label sys (Explore.of_config cfg) l)
+              ls
+      in
+      List.for_all
+        (fun reduction ->
+          let cache = Explore.Fast.create ~reduction ctx in
+          let images = Explore.Fast.images cache st labels in
+          List.for_all
+            (fun d -> Explore.Fast.reaches cache st labels d = Explore.Fast.mem run d)
+            targets
+          && List.for_all
+               (fun d -> Config.Set.mem (Packed.to_config ctx d) image_ref)
+               images
+          (* and it is the whole image up to trailing τ-steps: equal
+             without the restriction, below it otherwise *)
+          && Config.Set.for_all
+               (fun e ->
+                 let e = Packed.of_config ctx e in
+                 List.exists
+                   (fun d ->
+                     Array.for_all Fun.id
+                       (Array.mapi
+                          (fun xi w -> Packed.tau_reaches ctx xi w e.(xi))
+                          d)
+                     && (reduction.Explore.Fast.por || Packed.equal d e))
+                   images)
+               image_ref)
+        [ Explore.Fast.no_reduction; Explore.Fast.full_reduction ])
+
 (* ------------------------------------------------------------------ *)
 (* Exhaustive sweep: engines and jobs counts agree                     *)
 (* ------------------------------------------------------------------ *)
@@ -254,6 +360,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_reachable_sets_agree;
           QCheck_alcotest.to_alcotest prop_apply_agrees;
           Alcotest.test_case "exhaustive sweeps" `Quick test_engines_agree;
+          Alcotest.test_case "closed-form tau reach" `Quick
+            test_tau_reaches_closed_form;
+          QCheck_alcotest.to_alcotest prop_reaches_is_membership;
         ] );
       ( "parallel-sweep",
         [
