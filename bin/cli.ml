@@ -22,7 +22,8 @@ let jobs ~doc =
         & opt (some int) None
         & info [ "jobs"; "j" ] ~docv:"J" ~doc))
 
-(* Both state-space reductions are on unless --no-reduction. *)
+(* Both reductions of the litmus and Proposition 1 checks are on unless
+   --no-reduction. *)
 let reduction =
   let of_flag off =
     if off then Cxl0.Explore.Fast.no_reduction
@@ -34,10 +35,11 @@ let reduction =
         value & flag
         & info [ "no-reduction" ]
             ~doc:
-              "Disable every state-space reduction (sleep-set partial-order \
-               and symmetry reduction, both on by default).  Feasibility \
-               is preserved exactly: verdicts and stdout never depend on \
-               it."))
+              "Disable both reductions (on by default): restricting the \
+               tau-steps between labels to the labels' locations, and \
+               checking one Proposition 1 start per symmetry orbit.  \
+               Both are exact: verdicts and stdout never depend on \
+               them."))
 
 (* A count that must be at least 1. *)
 let positive =

@@ -21,7 +21,7 @@ let max_machine_in labels =
       max acc (max m o))
     0 labels
 
-let run events n volatile outcomes_for verbose reduction =
+let run events n volatile outcomes_for verbose =
   match (Cxl0.Parse.program events, n) with
   | Error e, _ ->
       Fmt.epr "parse error: %s@."
@@ -46,17 +46,6 @@ let run events n volatile outcomes_for verbose reduction =
       in
       Fmt.pr "system: %a@." Cxl0.Machine.pp_system sys;
       Fmt.pr "events: %a@." Cxl0.Litmus.pp_events labels;
-      (* Reductions preserve feasibility exactly; symmetry keeps only
-         orbit representatives, so it is switched off whenever the
-         reachable set itself is printed or queried. *)
-      let reduction =
-        {
-          reduction with
-          Cxl0.Explore.Fast.sym =
-            reduction.Cxl0.Explore.Fast.sym && (not verbose)
-            && outcomes_for = None;
-        }
-      in
       let reach =
         let fast () =
           let locs =
@@ -64,12 +53,10 @@ let run events n volatile outcomes_for verbose reduction =
             |> List.sort_uniq Cxl0.Loc.compare
           in
           let ctx = Cxl0.Packed.make sys ~locs in
-          let cache = Cxl0.Explore.Fast.create ~reduction ctx in
+          let cache = Cxl0.Explore.Fast.create ctx in
           let set = Cxl0.Explore.Fast.run cache (Cxl0.Packed.init ctx) labels in
           let st = Cxl0.Explore.Fast.stats cache in
-          Fmt.epr
-            "reduction: por=%b sym=%b; %d state(s), %d transition(s) explored@."
-            reduction.Cxl0.Explore.Fast.por reduction.Cxl0.Explore.Fast.sym
+          Fmt.epr "%d state(s), %d transition(s) explored@."
             st.Cxl0.Explore.Fast.states st.Cxl0.Explore.Fast.transitions;
           Cxl0.Explore.Fast.to_set cache set
         in
@@ -139,7 +126,6 @@ let cmd =
     (Cmd.info "cxl0-explore"
        ~doc:"Decide feasibility of CXL0 event sequences")
     Term.(
-      const run $ events $ n $ volatile $ outcomes_for $ verbose
-      $ Cli.reduction)
+      const run $ events $ n $ volatile $ outcomes_for $ verbose)
 
 let () = exit (Cmd.eval' cmd)

@@ -13,11 +13,11 @@
     - the {e reference} engine below works on {!Config.Set.t} over the
       canonical map-based {!Config.t} — easy to audit, kept as the
       differential-testing oracle;
-    - {!Fast} works on bit-packed {!Packed.t} states with a
-      [Hashtbl]-backed visited set and a τ-successor memo cache shared
-      across runs — the hot path of the litmus sweeps — plus the
-      membership queries of the {!Props.check_exhaustive} sweep
-      ({!Fast.images}, {!Fast.reaches}). *)
+    - {!Fast} works on bit-packed {!Packed.t} states: full reachable
+      sets for the {!Props.check_exhaustive} sweep's exact-failure
+      re-check, and one first-hit search for the litmus verdicts and
+      the sweep's membership queries ({!Fast.feasible},
+      {!Fast.reaches}). *)
 
 type t = Config.Set.t
 
@@ -111,40 +111,19 @@ let pp ppf s =
 module Fast = struct
   (** Same exploration, an order of magnitude faster: states are
       bit-packed words ({!Packed.t}), visited sets are hash tables with
-      O(1) membership, and τ-successor lists are memoised in [cache] —
-      the many {!run} calls of one [check_exhaustive]/litmus sweep
-      revisit the same configurations constantly, so successor
-      enumeration amortises to a table lookup.  A cache is private to
-      one domain (hash tables are not domain-safe); the parallel driver
-      creates one per worker.
+      O(1) membership, and τ-successor arrays are memoised in [cache] —
+      the many {!run} calls of one exact-failure re-check revisit the
+      same configurations constantly, so successor enumeration
+      amortises to a table lookup.  A cache is private to one domain
+      (hash tables are not domain-safe); the parallel driver creates
+      one per worker.
 
-      On top of the packed representation sit two state-space
-      reductions, both off by default at this layer (callers such as
-      {!Litmus.decide} and {!Props.check_exhaustive} switch them on):
-
-      - {e dynamic partial-order reduction} ([por]): τ-steps on
-        distinct locations touch disjoint packed words, never disable
-        one another, and commute — the τ-system is an independent
-        product of per-location chains.  The closure worklist keeps a
-        {e sleep set} per state (a bitmask of location indices whose
-        τ-steps are already covered by a sibling ordering) and skips
-        generating those successors.  Crucially this prunes only
-        {e redundant edge generations}, never states: the computed
-        closure {e set} is bit-identical with and without [por] (every
-        state is still reached via its canonical location-ordered
-        path).  A state re-reached with a smaller sleep set is
-        re-expanded with the intersection, the standard sleep-set
-        state-matching refinement, so sharing the visited table across
-        worklist roots stays exact.
-
-      - {e symmetry reduction} ([sym]): states are canonicalised to
-        their {!Sym} orbit representative before insertion, under the
-        stabilizer of the run's start state and labels — the subgroup
-        that provably maps executions to executions of the {e same}
-        run.  Reduced sets contain one representative per orbit;
-        emptiness, subset (between runs sharing one group) and
-        load-outcome queries on stabilised locations are preserved
-        exactly, which is all the checked properties consume. *)
+      {!run} builds full reachable sets, unreduced.  {!feasible} and
+      {!reaches} are one first-hit search ([search]) that builds no
+      set; the [por] field of the cache's [reduction] restricts its
+      τ-steps between labels to the labels' locations ({!within}),
+      which is exact because a τ-step on another location commutes
+      with every label and neither enables nor disables one. *)
 
   type reduction = { por : bool; sym : bool }
 
@@ -158,12 +137,8 @@ module Fast = struct
 
   type cache = {
     ctx : Packed.ctx;
-    taus : (int array * Packed.t array) Packed.Tbl.t;
-        (** τ-successor memo: source-location tags (ascending) and the
-            successor states, index-aligned *)
+    taus : Packed.t array Packed.Tbl.t;  (** τ-successor memo *)
     reduction : reduction;
-    group : Sym.perm array Lazy.t;
-        (** the full context symmetry group (forced only when [sym]) *)
     mutable n_states : int;
     mutable n_transitions : int;
   }
@@ -173,34 +148,19 @@ module Fast = struct
       ctx;
       taus = Packed.Tbl.create 4096;
       reduction;
-      group = lazy (if reduction.sym then Sym.group ctx else [||]);
       n_states = 0;
       n_transitions = 0;
     }
 
   let ctx cache = cache.ctx
-  let reduction cache = cache.reduction
   let stats cache = { states = cache.n_states; transitions = cache.n_transitions }
 
-  let reset_stats cache =
-    cache.n_states <- 0;
-    cache.n_transitions <- 0
-
-  (** [sym_group cache ~fixing st] — the symmetry group a reduced run
-      from [st] over the labels [fixing] uses: the stabilizer of both
-      within the context group ([[||]] when [sym] is off). *)
-  let sym_group cache ~fixing st =
-    if cache.reduction.sym then
-      Sym.stabilizer cache.ctx (Lazy.force cache.group) ~fixing st
-    else [||]
-
-  type set = int Packed.Tbl.t
-  (** a reachable set: keys are the members; the value is the state's
-      current sleep-set mask (0 outside a [por] closure) *)
+  type set = unit Packed.Tbl.t
+  (** a reachable set: the keys are the members *)
 
   let of_packed st : set =
     let s = Packed.Tbl.create 64 in
-    Packed.Tbl.replace s st 0;
+    Packed.Tbl.replace s st ();
     s
 
   let successors cache st =
@@ -208,117 +168,60 @@ module Fast = struct
     | Some ts -> ts
     | None ->
         let acc = ref [] in
-        Packed.taus_iter_loc cache.ctx st (fun xi s -> acc := (xi, s) :: !acc);
-        let l = List.rev !acc in
-        let ts = (Array.of_list (List.map fst l), Array.of_list (List.map snd l)) in
+        Array.iteri
+          (fun xi w ->
+            Packed.word_taus cache.ctx xi w (fun w' ->
+                let st' = Array.copy st in
+                st'.(xi) <- w';
+                acc := st' :: !acc))
+          st;
+        let ts = Array.of_list (List.rev !acc) in
         Packed.Tbl.add cache.taus st ts;
         ts
 
-  (* Canonicalise a (state, sleep-mask) pair: the mask is transported
-     through the same permutation that minimises the state. *)
-  let canon_with_mask (g : Sym.perm array) st mask =
-    if Array.length g = 0 then (st, mask)
-    else begin
-      let best = ref st and bestp = ref None in
-      Array.iter
-        (fun p ->
-          let c = Sym.apply p st in
-          if Packed.compare c !best < 0 then begin
-            best := c;
-            bestp := Some p
-          end)
-        g;
-      match !bestp with
-      | None -> (st, mask)
-      | Some p -> (!best, Sym.apply_mask p mask)
-    end
-
   (** Worklist τ-closure, in place: [s] is grown to its closure and
-      returned.  With [por], sleep-set masks prune commuting successor
-      orderings (the resulting set is unchanged); with a non-empty
-      [group], members are canonicalised to orbit representatives. *)
-  let tau_closure ?(group = [||]) cache (s : set) : set =
-    let por = cache.reduction.por in
+      returned. *)
+  let tau_closure cache (s : set) : set =
     let work = Stack.create () in
     Packed.Tbl.iter (fun st _ -> Stack.push st work) s;
-    let insert st mask =
-      let st, mask = canon_with_mask group st mask in
-      match Packed.Tbl.find_opt s st with
-      | None ->
-          Packed.Tbl.replace s st mask;
-          cache.n_states <- cache.n_states + 1;
-          Stack.push st work
-      | Some old ->
-          (* sleep-set state matching: re-reached with fewer slept
-             locations — re-expand with the intersection so no successor
-             certified only by the other path is lost *)
-          let refined = old land mask in
-          if refined <> old then begin
-            Packed.Tbl.replace s st refined;
-            Stack.push st work
-          end
-    in
     while not (Stack.is_empty work) do
-      let st = Stack.pop work in
-      let mask =
-        match Packed.Tbl.find_opt s st with Some m -> m | None -> 0
-      in
-      let tags, succs = successors cache st in
-      if por then begin
-        let enabled = ref 0 in
-        Array.iter (fun xi -> enabled := !enabled lor (1 lsl xi)) tags;
-        let enabled = !enabled in
-        Array.iteri
-          (fun j st' ->
-            let xi = tags.(j) in
-            if mask land (1 lsl xi) = 0 then begin
-              cache.n_transitions <- cache.n_transitions + 1;
-              (* sleep the locations whose enabled steps were ordered
-                 before [xi]: their interleavings with this step are
-                 covered by the sibling branches *)
-              insert st' (mask lor (enabled land ((1 lsl xi) - 1)))
-            end)
-          succs
-      end
-      else
-        Array.iter
-          (fun st' ->
-            cache.n_transitions <- cache.n_transitions + 1;
-            insert st' 0)
-          succs
+      Array.iter
+        (fun st' ->
+          cache.n_transitions <- cache.n_transitions + 1;
+          if not (Packed.Tbl.mem s st') then begin
+            Packed.Tbl.replace s st' ();
+            cache.n_states <- cache.n_states + 1;
+            Stack.push st' work
+          end)
+        (successors cache (Stack.pop work))
     done;
     s
 
-  let apply_label ?(group = [||]) cache (s : set) (l : Label.t) : set =
+  let apply_label cache (s : set) (l : Label.t) : set =
     let out = Packed.Tbl.create (Packed.Tbl.length s) in
     Packed.Tbl.iter
       (fun st _ ->
         match Packed.apply cache.ctx st l with
         | Some st' ->
             cache.n_transitions <- cache.n_transitions + 1;
-            let st' = Sym.canon group st' in
             if not (Packed.Tbl.mem out st') then begin
-              Packed.Tbl.replace out st' 0;
+              Packed.Tbl.replace out st' ();
               cache.n_states <- cache.n_states + 1
             end
         | None -> ())
       s;
     out
 
-  let step ?group cache s l =
-    apply_label ?group cache (tau_closure ?group cache s) l
-
-  (** [run cache st ls] — the packed mirror of {!Explore.run}.  With
-      [sym] on, states are canonicalised under the stabilizer of
-      [(st, ls)] ({!sym_group}) and the result contains orbit
-      representatives only. *)
+  (** [run cache st ls] — the packed mirror of {!Explore.run}, whatever
+      the cache's [reduction]. *)
   let run cache st ls =
-    let group = sym_group cache ~fixing:ls st in
-    tau_closure ~group cache
-      (List.fold_left (step ~group cache) (of_packed st) ls)
+    tau_closure cache
+      (List.fold_left
+         (fun s l -> apply_label cache (tau_closure cache s) l)
+         (of_packed st) ls)
 
   (* ---------------------------------------------------------------- *)
-  (* Local queries: the Proposition 1 sweep's first pass               *)
+  (* First-hit search: feasibility and membership                      *)
   (* ---------------------------------------------------------------- *)
 
   (* The dense locations τ-steps between labels may be restricted to,
@@ -396,24 +299,20 @@ module Fast = struct
           (fun states l -> apply_all l (close states))
           (apply_all l [ st ]) ls
 
-  (** [reaches cache st labels d] — [d ∈ R_labels(st)], the membership
-      query of the unreduced {!run}, without building the set: a
-      depth-first search over (phase, state) pairs that tries the next
-      label before any τ-step and returns at the first hit.  Before the
-      last label only τ-steps on the labels' locations are explored
-      ({!within}); after it, [s →τ* d] is settled in closed form one
-      location at a time ({!Packed.tau_reaches}). *)
-  let reaches cache st labels d =
+  (* [search cache st labels accept] — whether some state the labels
+     reach from [st] with τ-steps on {!within} interleaved before the
+     last label is [accept]ed: a depth-first search over (phase, state)
+     pairs, phase [p] meaning [p] labels applied, that tries the next
+     label before any τ-step and returns at the first hit.  Visits
+     count as states, generated successors and applied labels as
+     transitions.  At most [Sys.int_size - 1] labels: a state's
+     visited phases are one bitmask. *)
+  let search cache st labels accept =
     let ctx = cache.ctx in
     let within = within cache labels in
     let labels = Array.of_list labels in
     let last = Array.length labels in
-    let settled (s : Packed.t) =
-      let rec go xi =
-        xi < 0 || (Packed.tau_reaches ctx xi s.(xi) d.(xi) && go (xi - 1))
-      in
-      go (Array.length s - 1)
-    in
+    if last >= Sys.int_size then invalid_arg "Explore.Fast: too many labels";
     (* state -> bitmask of the phases it was visited in *)
     let seen = Packed.Tbl.create 16 in
     let exception Hit in
@@ -424,7 +323,7 @@ module Fast = struct
       if phases land (1 lsl p) = 0 then begin
         Packed.Tbl.replace seen s (phases lor (1 lsl p));
         cache.n_states <- cache.n_states + 1;
-        if p = last then (if settled s then raise Hit)
+        if p = last then (if accept s then raise Hit)
         else begin
           (match Packed.apply ctx s labels.(p) with
           | Some s' ->
@@ -437,11 +336,24 @@ module Fast = struct
     in
     match visit 0 st with () -> false | exception Hit -> true
 
-  let cardinal = Packed.Tbl.length
-  let is_empty s = Packed.Tbl.length s = 0
-  let mem (s : set) st = Packed.Tbl.mem s st
+  (** [feasible cache st labels] — whether {!run} is non-empty: some
+      state follows the last label.  A trailing τ-closure never empties
+      a set, so none is searched. *)
+  let feasible cache st labels = search cache st labels (fun _ -> true)
 
-  let feasible cache st ls = not (is_empty (run cache st ls))
+  (** [reaches cache st labels d] — [d ∈ R_labels(st)], the membership
+      query of {!run}, without building the set: the state after the
+      last label must reach [d] by τ-steps, settled in closed form one
+      location at a time ({!Packed.tau_reaches}). *)
+  let reaches cache st labels d =
+    search cache st labels (fun s ->
+        let rec go xi =
+          xi < 0
+          || (Packed.tau_reaches cache.ctx xi s.(xi) d.(xi) && go (xi - 1))
+        in
+        go (Array.length s - 1))
+
+  let mem (s : set) st = Packed.Tbl.mem s st
 
   let subset (a : set) (b : set) =
     try
@@ -451,8 +363,6 @@ module Fast = struct
       true
     with Exit -> false
 
-  let equal_sets a b = cardinal a = cardinal b && subset a b
-
   let elements (s : set) = Packed.Tbl.fold (fun st _ acc -> st :: acc) s []
 
   (** [diff_elements a b] — members of [a] not in [b] (unordered). *)
@@ -461,41 +371,8 @@ module Fast = struct
       (fun st _ acc -> if Packed.Tbl.mem b st then acc else st :: acc)
       a []
 
-  (** [load_outcomes_closed cache s i x] — values the next load of [x]
-      by machine [i] can observe from members of the τ-closed set [s]
-      (the visible value of [x]: the shared cached value if any cache
-      holds it, the owner's memory otherwise).  Exact on sym-reduced
-      sets whenever the reducing group stabilises [x] — e.g. when [x]
-      occurs in the run's labels. *)
-  let load_outcomes_closed cache (s : set) _i x =
-    let xi = Packed.loc_index cache.ctx x in
-    Packed.Tbl.fold
-      (fun st _ acc ->
-        let w = st.(xi) in
-        let v =
-          if Packed.holders cache.ctx w <> 0 then Packed.cval cache.ctx w
-          else Packed.memv cache.ctx w
-        in
-        v :: acc)
-      s []
-    |> List.sort_uniq Value.compare
-
-  (** [independent l1 l2] — the static independence relation the POR
-      layer is built on: two labels commute (and never disable one
-      another) when they touch disjoint location words.  Crashes touch
-      every location of a machine and are dependent with everything;
-      same-location steps conflict through the shared word.  Sound but
-      deliberately conservative — see the QCheck soundness property in
-      [test/test_reduction.ml]. *)
-  let independent (l1 : Label.t) (l2 : Label.t) =
-    match (Label.loc l1, Label.loc l2) with
-    | Some x1, Some x2 -> not (Loc.equal x1 x2)
-    | _ -> false (* a crash, dependent with everything *)
-
   (** [to_set cache s] — the reference-representation image, for
-      cross-checking against the map-based engine.  (On a sym-reduced
-      set this is the image of the {e representatives}; expand orbits
-      with {!Sym.orbit} to compare against an unreduced engine.) *)
+      cross-checking against the map-based engine. *)
   let to_set cache (s : set) : Config.Set.t =
     Packed.Tbl.fold
       (fun st _ acc -> Config.Set.add (Packed.to_config cache.ctx st) acc)

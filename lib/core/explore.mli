@@ -57,56 +57,45 @@ module Fast : sig
       Not domain-safe: create one per worker domain. *)
 
   type reduction = { por : bool; sym : bool }
-  (** Which state-space reductions the cache's explorations use.
-      [por] — sleep-set partial-order reduction over the per-location
-      τ-conflict classes; prunes redundant successor generations only,
-      the computed sets are bit-identical.  [sym] — orbit-representative
-      canonicalisation under {!Sym} stabilizer groups; reduced sets hold
-      one member per orbit (emptiness, shared-group subsets and
-      stabilised load outcomes are preserved exactly). *)
+  (** Which reductions a check uses.  [por] — the first-hit search
+      behind {!feasible}, {!images} and {!reaches} takes τ-steps before
+      the last label only on the labels' locations (every location when
+      a label is a crash); steps elsewhere commute with every label and
+      neither enable nor disable one, so verdicts and membership are
+      exact.  [sym] — read by the {!Props} sweep only, which checks one
+      start per symmetry orbit.  {!run} is unreduced under every
+      setting. *)
 
   val no_reduction : reduction
   val full_reduction : reduction
 
   type stats = { states : int; transitions : int }
-  (** Cumulative work counters: reachable-set insertions and generated
-      τ-successors / applied labels since creation (or {!reset_stats}). *)
+  (** Cumulative work counters since creation: reachable-set insertions
+      (search visits) and generated τ-successors / applied labels. *)
 
   val create : ?reduction:reduction -> Packed.ctx -> cache
-  (** Defaults to {!no_reduction}: this layer is also the differential
-      oracle's mirror, so reductions are strictly opt-in here (callers
-      like [Litmus.decide] and [Props.check_exhaustive] default them
-      on). *)
+  (** Defaults to {!no_reduction}: callers like [Litmus.decide] and
+      [Props.check_exhaustive] default reductions on. *)
 
   val ctx : cache -> Packed.ctx
-  val reduction : cache -> reduction
   val stats : cache -> stats
-  val reset_stats : cache -> unit
-
-  val sym_group :
-    cache -> fixing:Label.t list -> Packed.t -> Sym.perm array
-  (** The symmetry group a reduced {!run} uses: the stabilizer of the
-      start state and the given labels (empty when [sym] is off). *)
 
   type set
-  (** A reachable set of packed states (hash-set backed).  Under [sym]
-      reduction, members are orbit representatives. *)
+  (** A reachable set of packed states (hash-set backed). *)
 
   val of_packed : Packed.t -> set
 
-  val tau_closure : ?group:Sym.perm array -> cache -> set -> set
-  (** In-place worklist closure (the argument is grown and returned).
-      [group] (default: none) canonicalises inserted states. *)
-
-  val apply_label : ?group:Sym.perm array -> cache -> set -> Label.t -> set
-  val step : ?group:Sym.perm array -> cache -> set -> Label.t -> set
+  val tau_closure : cache -> set -> set
+  (** In-place worklist closure (the argument is grown and returned). *)
 
   val run : cache -> Packed.t -> Label.t list -> set
-  (** Packed mirror of {!Explore.run}.  With [sym] on, members are
-      orbit representatives under {!sym_group} of the start state and
-      labels. *)
+  (** Packed mirror of {!Explore.run}, unreduced whatever the cache's
+      [reduction]. *)
 
   val feasible : cache -> Packed.t -> Label.t list -> bool
+  (** Whether {!run} is non-empty, decided by the first-hit search of
+      {!reaches} with every state after the last label accepted.  At
+      most [Sys.int_size - 1] labels. *)
 
   val images : cache -> Packed.t -> Label.t list -> Packed.t list
   (** [images cache st labels] — the states [ℓ_m(τ*_X(… ℓ_1(st)))]:
@@ -116,36 +105,20 @@ module Fast : sig
       Deduplicated, unordered; empty iff infeasible. *)
 
   val reaches : cache -> Packed.t -> Label.t list -> Packed.t -> bool
-  (** [reaches cache st labels d] — whether [d] is in the unreduced
+  (** [reaches cache st labels d] — whether [d] is in
       [run cache st labels], decided by a first-hit depth-first search
       over (phase, state) pairs: τ-steps before the last label only on
       X (as in {!images}), then [→τ*] to [d] in closed form
       ({!Packed.tau_reaches}).  Visits count as states, generated
-      successors and applied labels as transitions. *)
+      successors and applied labels as transitions.  At most
+      [Sys.int_size - 1] labels. *)
 
-  val cardinal : set -> int
-  val is_empty : set -> bool
   val mem : set -> Packed.t -> bool
   val subset : set -> set -> bool
-  val equal_sets : set -> set -> bool
   val elements : set -> Packed.t list
   val diff_elements : set -> set -> Packed.t list
   (** Members of the first set absent from the second (unordered). *)
 
-  val load_outcomes_closed :
-    cache -> set -> Machine.id -> Loc.t -> Value.t list
-  (** Values the next load of the location can observe from members of
-      the (already τ-closed) set, sorted and deduplicated.  Exact on
-      sym-reduced sets whenever the reducing group stabilises the
-      location. *)
-
-  val independent : Label.t -> Label.t -> bool
-  (** The static independence relation underlying the POR layer: labels
-      touching provably disjoint location words (crashes are dependent
-      with everything).  Independent enabled pairs commute — see the
-      QCheck soundness property in [test/test_reduction.ml]. *)
-
   val to_set : cache -> set -> Config.Set.t
-  (** Reference-representation image, for differential testing (orbit
-      representatives only under [sym] reduction). *)
+  (** Reference-representation image, for differential testing. *)
 end

@@ -34,9 +34,10 @@ let make ?(descr = "") ~system ~expect name events =
     Decided on the packed fast engine (the events' locations form the
     exploration context); falls back to the reference map-set engine
     when the test does not fit the packed layout.  [reduction] (default
-    {!Explore.Fast.full_reduction}) prunes the exploration; feasibility
-    is an emptiness question, which both reductions preserve exactly,
-    so the verdict never depends on it. *)
+    {!Explore.Fast.full_reduction}) prunes the search: under [por] its
+    τ-steps between labels stay on the labels' locations, which
+    preserves feasibility exactly, and [sym] plays no part, so the
+    verdict never depends on it. *)
 let decide ?(reduction = Explore.Fast.full_reduction) t =
   let fast () =
     let locs =

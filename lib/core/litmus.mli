@@ -30,9 +30,9 @@ val decide : ?reduction:Explore.Fast.reduction -> t -> verdict
 (** What the model says: [Allowed] iff some execution realises the
     events.  Runs on the packed fast engine, falling back to the
     reference engine when the test does not fit the packed layout.
-    [reduction] defaults to {!Explore.Fast.full_reduction}; both
-    reductions preserve feasibility exactly, so the verdict never
-    depends on it. *)
+    [reduction] defaults to {!Explore.Fast.full_reduction}; [por]
+    preserves feasibility exactly and [sym] plays no part, so the
+    verdict never depends on it. *)
 
 val agrees : t -> bool
 (** Model verdict = paper verdict. *)

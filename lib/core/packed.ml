@@ -301,20 +301,6 @@ let tau_reaches ctx xi w w' =
     && h' land lnot (h lor k) = 0
     && h land lnot h' <> 0
 
-(** [taus_iter_loc ctx c f] applies [f xi succ] to every τ-successor of
-    [c] (both propagation rules, every enabled instance), tagging each
-    with the dense index [xi] of the one location the step touches —
-    the conflict class the reduced exploration engine prunes on.
-    Successors of distinct τ-labels may coincide; deduplication is the
-    visited set's job. *)
-let taus_iter_loc ctx (c : t) f =
-  Array.iteri
-    (fun xi w -> word_taus ctx xi w (fun w' -> f xi (with_word c xi w')))
-    c
-
-(** [taus_iter ctx c f] — {!taus_iter_loc} without the location tag. *)
-let taus_iter ctx (c : t) f = taus_iter_loc ctx c (fun _ s -> f s)
-
 (** [apply ctx c l] — packed mirror of {!Semantics.apply}: the successor
     under label [l], or [None] when [l] is not enabled. *)
 let apply ctx (c : t) (l : Label.t) : t option =

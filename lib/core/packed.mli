@@ -103,15 +103,6 @@ val tau_reaches : ctx -> int -> int -> int -> bool
     [h'], [h' ⊆ h ∪ {owner}] and [h ∖ h' ≠ ∅], or [w'] is the
     written-back [(∅, 0, cval w)]. *)
 
-val taus_iter : ctx -> t -> (t -> unit) -> unit
-(** Apply the callback to every τ-successor (both propagation rules,
-    every enabled instance; duplicates possible). *)
-
-val taus_iter_loc : ctx -> t -> (int -> t -> unit) -> unit
-(** Like {!taus_iter}, but each successor is tagged with the dense
-    index of the single location its τ-step touches — the conflict
-    class of the step (τ-steps on distinct locations always commute). *)
-
 val apply : ctx -> t -> Label.t -> t option
 (** Successor under a label, or [None] when not enabled — agrees with
     {!Semantics.apply} through {!to_config}. *)

@@ -8,16 +8,14 @@
     map) is an automorphism of the labelled transition system —
     applying the permutation to a configuration and to a label commutes
     with {!Semantics.apply}.  This module materialises that group for a
-    fixed {!Packed.ctx} and provides the orbit machinery the reduced
-    {!Explore.Fast} engine and the {!Props} sweep build on:
+    fixed {!Packed.ctx} and provides the orbit machinery the {!Props}
+    sweep's orbit skipping builds on:
 
     - {!group}: every non-identity automorphism of the context;
     - {!apply}: the action on packed states (holder masks are remapped
       through a precomputed table, location words are shuffled);
-    - {!stabilizer}: the subgroup fixing a start state and a set of
-      labels — the symmetries of one {!Explore.Fast.run};
     - {!canon}: the lexicographically least element of a state's orbit,
-      used as the orbit representative for visited-set deduplication.
+      its representative ({!is_canonical} tests for it).
 
     Conventions: the identity is never stored — an empty group array
     means "no usable symmetry" and costs nothing.  Machine counts above
@@ -156,13 +154,6 @@ let apply p (st : Packed.t) : Packed.t =
     st;
   dst
 
-(** [apply_mask p mask] — the image of a set of dense location indices
-    (used to transport sleep-set masks alongside canonicalised states). *)
-let apply_mask p mask =
-  let out = ref 0 in
-  Packed.iter_bits (fun xi -> out := !out lor (1 lsl p.lperm.(xi))) mask;
-  !out
-
 let on_loc locs p xi = locs.(p.lperm.(xi))
 
 (** [on_label ctx p l] — the action on transition labels. *)
@@ -178,32 +169,8 @@ let on_label ctx p (l : Label.t) : Label.t =
   | Label.Crash i -> Label.Crash p.mperm.(i)
 
 (* ------------------------------------------------------------------ *)
-(* Stabilizers, orbits, canonical representatives                      *)
+(* Canonical representatives                                          *)
 (* ------------------------------------------------------------------ *)
-
-(** [stabilizer ctx g ~fixing st] — the elements of [g] that fix the
-    start state [st] and every label of [fixing]: exactly the
-    symmetries of a run from [st] over those labels. *)
-let stabilizer ctx (g : perm array) ~(fixing : Label.t list) (st : Packed.t) :
-    perm array =
-  if Array.length g = 0 then [||]
-  else begin
-    let fixes_label p l =
-      match (l : Label.t) with
-      | Label.Store (_, i, x, _) | Label.Load (i, x, _) | Label.Flush (_, i, x)
-      | Label.Prop_cache_cache (i, x) ->
-          p.mperm.(i) = i && p.lperm.(Packed.loc_index ctx x) = Packed.loc_index ctx x
-      | Label.Prop_cache_mem x ->
-          p.lperm.(Packed.loc_index ctx x) = Packed.loc_index ctx x
-      | Label.Crash i -> p.mperm.(i) = i
-    in
-    g
-    |> Array.to_list
-    |> List.filter (fun p ->
-           List.for_all (fixes_label p) fixing
-           && Packed.equal (apply p st) st)
-    |> Array.of_list
-  end
 
 (** [canon g st] — the lexicographically least element of [st]'s orbit
     under [g] (with the empty group, [st] itself). *)
@@ -224,21 +191,6 @@ let canon (g : perm array) (st : Packed.t) : Packed.t =
     without materialising [canon].) *)
 let is_canonical (g : perm array) (st : Packed.t) =
   Array.for_all (fun p -> Packed.compare (apply p st) st >= 0) g
-
-(** [orbit g st] — the full orbit of [st], deduplicated, [st] first. *)
-let orbit (g : perm array) (st : Packed.t) : Packed.t list =
-  let seen = Packed.Tbl.create 8 in
-  Packed.Tbl.replace seen st ();
-  let acc = ref [ st ] in
-  Array.iter
-    (fun p ->
-      let c = apply p st in
-      if not (Packed.Tbl.mem seen c) then begin
-        Packed.Tbl.replace seen c ();
-        acc := c :: !acc
-      end)
-    g;
-  List.rev !acc
 
 let pp ppf p =
   Fmt.pf ppf "@[<h>m:[%a] l:[%a]@]"

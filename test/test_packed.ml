@@ -152,10 +152,11 @@ let test_tau_reaches_closed_form () =
        (fun n -> [ (n, Machine.Non_volatile); (n, Machine.Volatile) ])
        [ 2; 3; 4 ])
 
-(* [Fast.reaches] is membership in the unreduced run, and [Fast.images]
-   is the label-by-label image (below it by τ-steps only, under the
-   location restriction), from random reachable starts: every member of
-   the run and every enumerated configuration is queried. *)
+(* [Fast.reaches] is membership in the unreduced run, [Fast.feasible]
+   its non-emptiness, and [Fast.images] is the label-by-label image
+   (below it by τ-steps only, under the location restriction), from
+   random reachable starts: every member of the run and every
+   enumerated configuration is queried. *)
 let prop_reaches_is_membership =
   QCheck.Test.make ~name:"Fast.reaches = membership in Fast.run" ~count:60
     QCheck.(triple small_nat (int_bound 20) (int_range 1 3))
@@ -193,7 +194,8 @@ let prop_reaches_is_membership =
         (fun reduction ->
           let cache = Explore.Fast.create ~reduction ctx in
           let images = Explore.Fast.images cache st labels in
-          List.for_all
+          Explore.Fast.feasible cache st labels = (Explore.Fast.elements run <> [])
+          && List.for_all
             (fun d -> Explore.Fast.reaches cache st labels d = Explore.Fast.mem run d)
             targets
           && List.for_all
