@@ -22,25 +22,6 @@ let jobs ~doc =
         & opt (some int) None
         & info [ "jobs"; "j" ] ~docv:"J" ~doc))
 
-(* Both reductions of the litmus and Proposition 1 checks are on unless
-   --no-reduction. *)
-let reduction =
-  let of_flag off =
-    if off then Cxl0.Explore.Fast.no_reduction
-    else Cxl0.Explore.Fast.full_reduction
-  in
-  Term.(
-    const of_flag
-    $ Arg.(
-        value & flag
-        & info [ "no-reduction" ]
-            ~doc:
-              "Disable both reductions (on by default): restricting the \
-               tau-steps between labels to the labels' locations, and \
-               checking one Proposition 1 start per symmetry orbit.  \
-               Both are exact: verdicts and stdout never depend on \
-               them."))
-
 (* A count that must be at least 1. *)
 let positive =
   Arg.conv' ~docv:"N"

@@ -63,7 +63,7 @@ let trace_tests tests file =
   Fmt.pr "@.wrote %d event(s) from %d test(s) to %s@."
     (Obs.Tracer.length tracer) (List.length tests) file
 
-let run tests name configs trace jobs reduction =
+let run tests name configs trace jobs =
   let tests =
     match name with
     | None -> tests
@@ -74,9 +74,7 @@ let run tests name configs trace jobs reduction =
     Fmt.epr "no litmus test matches@.";
     exit 2
   end;
-  Fmt.epr "reduction: por=%b sym=%b@." reduction.Cxl0.Explore.Fast.por
-    reduction.Cxl0.Explore.Fast.sym;
-  let decided = Cxl0.Litmus.decide_all ~jobs ~reduction tests in
+  let decided = Cxl0.Litmus.decide_all ~jobs tests in
   let all_ok = ref true in
   List.iter
     (fun ((t, got) as row) ->
@@ -154,7 +152,6 @@ let jobs =
 let cmd =
   Cmd.v
     (Cmd.info "cxl0-litmus" ~doc:"Run the paper's CXL0 litmus tests")
-    Term.(
-      const run $ only $ test_name $ configs $ trace $ jobs $ Cli.reduction)
+    Term.(const run $ only $ test_name $ configs $ trace $ jobs)
 
 let () = exit (Cmd.eval' cmd)

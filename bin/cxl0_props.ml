@@ -8,7 +8,7 @@
 
 open Cmdliner
 
-let run n locs vals item volatile jobs reduction =
+let run n locs vals item volatile jobs =
   let persistence =
     if volatile then Cxl0.Machine.Volatile else Cxl0.Machine.Non_volatile
   in
@@ -28,15 +28,14 @@ let run n locs vals item volatile jobs reduction =
         (if volatile then "volatile" else "non-volatile")
         locs vals n_configs jobs;
       let failures, stats =
-        Cxl0.Props.check_exhaustive_stats ~items ~jobs ~reduction sys
+        Cxl0.Props.check_exhaustive_stats ~items ~jobs sys
           ~locs:locations ~vals:values
       in
       (* Stats go to stderr: the stdout verdict table stays byte-comparable
-         across reduction settings. *)
+         across job counts. *)
       Fmt.epr
-        "reduction: por=%b sym=%b; %d of %d start configuration(s) checked, %d \
-         state(s), %d transition(s)@."
-        reduction.Cxl0.Explore.Fast.por reduction.Cxl0.Explore.Fast.sym
+        "%d of %d start configuration(s) checked, %d state(s), %d \
+         transition(s)@."
         stats.Cxl0.Props.sweep_starts stats.Cxl0.Props.sweep_configs
         stats.Cxl0.Props.sweep_states stats.Cxl0.Props.sweep_transitions;
       List.iter
@@ -100,7 +99,6 @@ let cmd =
     (Cmd.info "cxl0-props" ~doc:"Exhaustively check Proposition 1")
     Term.(
       ret
-        (const run $ n $ locs $ vals $ item $ volatile $ jobs
-       $ Cli.reduction))
+        (const run $ n $ locs $ vals $ item $ volatile $ jobs))
 
 let () = exit (Cmd.eval' cmd)

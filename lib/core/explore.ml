@@ -120,15 +120,10 @@ module Fast = struct
 
       {!run} builds full reachable sets, unreduced.  {!feasible} and
       {!reaches} are one first-hit search ([search]) that builds no
-      set; the [por] field of the cache's [reduction] restricts its
-      τ-steps between labels to the labels' locations ({!within}),
-      which is exact because a τ-step on another location commutes
-      with every label and neither enables nor disables one. *)
-
-  type reduction = { por : bool; sym : bool }
-
-  let no_reduction = { por = false; sym = false }
-  let full_reduction = { por = true; sym = true }
+      set and restricts its τ-steps between labels to the labels'
+      locations ({!within}), which is exact because a τ-step on another
+      location commutes with every label and neither enables nor
+      disables one. *)
 
   type stats = {
     states : int;       (** insertions into reachable sets *)
@@ -138,19 +133,12 @@ module Fast = struct
   type cache = {
     ctx : Packed.ctx;
     taus : Packed.t array Packed.Tbl.t;  (** τ-successor memo *)
-    reduction : reduction;
     mutable n_states : int;
     mutable n_transitions : int;
   }
 
-  let create ?(reduction = no_reduction) ctx =
-    {
-      ctx;
-      taus = Packed.Tbl.create 4096;
-      reduction;
-      n_states = 0;
-      n_transitions = 0;
-    }
+  let create ctx =
+    { ctx; taus = Packed.Tbl.create 4096; n_states = 0; n_transitions = 0 }
 
   let ctx cache = cache.ctx
   let stats cache = { states = cache.n_states; transitions = cache.n_transitions }
@@ -212,8 +200,8 @@ module Fast = struct
       s;
     out
 
-  (** [run cache st ls] — the packed mirror of {!Explore.run}, whatever
-      the cache's [reduction]. *)
+  (** [run cache st ls] — the packed mirror of {!Explore.run},
+      unreduced. *)
   let run cache st ls =
     tau_closure cache
       (List.fold_left
@@ -224,22 +212,20 @@ module Fast = struct
   (* First-hit search: feasibility and membership                      *)
   (* ---------------------------------------------------------------- *)
 
-  (* The dense locations τ-steps between labels may be restricted to,
-     as a mask: the labels' locations under [por], every location
-     without it or when a label has none (a crash).  A τ-step on
-     another location touches a word no label reads or writes, so it
-     commutes with every label (and every other τ-step) and moves
-     past the last label without changing where the run ends. *)
+  (* The dense locations τ-steps between labels are restricted to, as a
+     mask: the labels' locations, or every location when a label has
+     none (a crash).  A τ-step on another location touches a word no
+     label reads or writes, so it commutes with every label (and every
+     other τ-step) and moves past the last label without changing where
+     the run ends. *)
   let within cache labels =
     let all = (1 lsl Packed.n_locs cache.ctx) - 1 in
-    if not cache.reduction.por then all
-    else
-      List.fold_left
-        (fun m l ->
-          match Label.loc l with
-          | Some x -> m lor Packed.bit (Packed.loc_index cache.ctx x)
-          | None -> all)
-        0 labels
+    List.fold_left
+      (fun m l ->
+        match Label.loc l with
+        | Some x -> m lor Packed.bit (Packed.loc_index cache.ctx x)
+        | None -> all)
+      0 labels
 
   (* [f] on every τ-successor of [st] on a location in [within] *)
   let taus_within cache within (st : Packed.t) f =

@@ -56,26 +56,11 @@ module Fast : sig
   (** Exploration context plus the τ-successor memo shared across runs.
       Not domain-safe: create one per worker domain. *)
 
-  type reduction = { por : bool; sym : bool }
-  (** Which reductions a check uses.  [por] — the first-hit search
-      behind {!feasible}, {!images} and {!reaches} takes τ-steps before
-      the last label only on the labels' locations (every location when
-      a label is a crash); steps elsewhere commute with every label and
-      neither enable nor disable one, so verdicts and membership are
-      exact.  [sym] — read by the {!Props} sweep only, which checks one
-      start per symmetry orbit.  {!run} is unreduced under every
-      setting. *)
-
-  val no_reduction : reduction
-  val full_reduction : reduction
-
   type stats = { states : int; transitions : int }
   (** Cumulative work counters since creation: reachable-set insertions
       (search visits) and generated τ-successors / applied labels. *)
 
-  val create : ?reduction:reduction -> Packed.ctx -> cache
-  (** Defaults to {!no_reduction}: callers like [Litmus.decide] and
-      [Props.check_exhaustive] default reductions on. *)
+  val create : Packed.ctx -> cache
 
   val ctx : cache -> Packed.ctx
   val stats : cache -> stats
@@ -89,8 +74,8 @@ module Fast : sig
   (** In-place worklist closure (the argument is grown and returned). *)
 
   val run : cache -> Packed.t -> Label.t list -> set
-  (** Packed mirror of {!Explore.run}, unreduced whatever the cache's
-      [reduction]. *)
+  (** Packed mirror of {!Explore.run}, unreduced: every τ-step on every
+      location, before, between and after the labels. *)
 
   val feasible : cache -> Packed.t -> Label.t list -> bool
   (** Whether {!run} is non-empty, decided by the first-hit search of
@@ -101,7 +86,9 @@ module Fast : sig
   (** [images cache st labels] — the states [ℓ_m(τ*_X(… ℓ_1(st)))]:
       the labels applied in order with τ-steps between consecutive
       labels only, and only on X, the labels' locations (every
-      location when [por] is off or a label is a crash).
+      location when a label is a crash).  Steps on another location
+      commute with every label and neither enable nor disable one, so
+      verdicts and membership are exact (DESIGN decisions 13 and 18).
       Deduplicated, unordered; empty iff infeasible. *)
 
   val reaches : cache -> Packed.t -> Label.t list -> Packed.t -> bool

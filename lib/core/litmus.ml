@@ -33,18 +33,14 @@ let make ?(descr = "") ~system ~expect name events =
 (** [decide t] is what the *model* says about [t]'s event sequence.
     Decided on the packed fast engine (the events' locations form the
     exploration context); falls back to the reference map-set engine
-    when the test does not fit the packed layout.  [reduction] (default
-    {!Explore.Fast.full_reduction}) prunes the search: under [por] its
-    τ-steps between labels stay on the labels' locations, which
-    preserves feasibility exactly, and [sym] plays no part, so the
-    verdict never depends on it. *)
-let decide ?(reduction = Explore.Fast.full_reduction) t =
+    when the test does not fit the packed layout. *)
+let decide t =
   let fast () =
     let locs =
       List.filter_map Label.loc t.events |> List.sort_uniq Loc.compare
     in
     let ctx = Packed.make t.system ~locs in
-    let cache = Explore.Fast.create ~reduction ctx in
+    let cache = Explore.Fast.create ctx in
     Explore.Fast.feasible cache (Packed.init ctx) t.events
   in
   let feasible =
@@ -226,15 +222,15 @@ let all = fig4 @ fig5
 (** [decide_all ?jobs tests] decides every test, sharding across [jobs]
     worker domains (each decision is an independent exploration); order
     is preserved. *)
-let decide_all ?jobs ?reduction tests =
-  Parallel.map_list ?jobs (fun t -> (t, decide ?reduction t)) tests
+let decide_all ?jobs tests =
+  Parallel.map_list ?jobs (fun t -> (t, decide t)) tests
 
 (** [run_all ?jobs ()] evaluates every paper litmus test, returning
     [(test, model_verdict, agrees)] triples. *)
-let run_all ?jobs ?reduction () =
+let run_all ?jobs () =
   List.map
     (fun (t, got) -> (t, got, verdict_equal got t.expect))
-    (decide_all ?jobs ?reduction all)
+    (decide_all ?jobs all)
 
 let pp_table ppf tests =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_result) tests

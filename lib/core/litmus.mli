@@ -26,13 +26,11 @@ val make :
   Label.t list ->
   t
 
-val decide : ?reduction:Explore.Fast.reduction -> t -> verdict
+val decide : t -> verdict
 (** What the model says: [Allowed] iff some execution realises the
-    events.  Runs on the packed fast engine, falling back to the
-    reference engine when the test does not fit the packed layout.
-    [reduction] defaults to {!Explore.Fast.full_reduction}; [por]
-    preserves feasibility exactly and [sym] plays no part, so the
-    verdict never depends on it. *)
+    events.  Runs on the packed fast engine ({!Explore.Fast.feasible}),
+    falling back to the reference engine when the test does not fit the
+    packed layout. *)
 
 val agrees : t -> bool
 (** Model verdict = paper verdict. *)
@@ -46,15 +44,11 @@ val fig5 : t list
 val all : t list
 (** [fig4 @ fig5]. *)
 
-val decide_all :
-  ?jobs:int -> ?reduction:Explore.Fast.reduction -> t list ->
-  (t * verdict) list
+val decide_all : ?jobs:int -> t list -> (t * verdict) list
 (** Decide every test, sharded over [jobs] worker domains (default 1);
     order preserved. *)
 
-val run_all :
-  ?jobs:int -> ?reduction:Explore.Fast.reduction -> unit ->
-  (t * verdict * bool) list
+val run_all : ?jobs:int -> unit -> (t * verdict * bool) list
 
 val pp_events : Label.t list Fmt.t
 val pp_decided : (t * verdict) Fmt.t

@@ -346,8 +346,7 @@ let collect_workers () =
 (** [check_exhaustive_stats sys ~locs ~vals] checks all eight items from
     every invariant-satisfying configuration.  Returns all failures
     (empty list = Proposition 1 validated over this bounded domain) in a
-    deterministic order independent of [jobs] and [reduction], plus
-    sweep statistics.
+    deterministic order independent of [jobs], plus sweep statistics.
 
     Runs on the packed engine, sharding start configurations over [jobs]
     domains (each worker owns a private cache); falls back to the
@@ -361,24 +360,21 @@ let collect_workers () =
     every start iff [R_lhs(γ) ⊆ R_rhs(γ)] does (DESIGN, "Proposition 1
     as a local condition").
 
-    [reduction] (default {!Explore.Fast.full_reduction}) prunes the
-    first pass without changing its verdicts:
+    Two reductions prune the first pass without changing its verdicts:
 
-    - {e orbit skipping} ([sym]): the items quantify over every issuer,
-      location and value, and the issuer policies are ownership-based,
-      so the local condition at [c] is invariant under the context's
+    - {e orbit skipping}: the items are equivariant (see {!item}), so
+      the local condition at [c] is invariant under the context's
       {!Sym.group} — only orbit-representative starts are checked.
-    - {e location restriction} ([por]): the τ-steps between labels are
-      explored only on the labels' locations X; steps elsewhere commute
-      with every label.
+    - {e location restriction}: the τ-steps between labels are explored
+      only on the labels' locations X; steps elsewhere commute with
+      every label ({!Explore.Fast.images}).
 
     The first pass yields verdicts, not failures: any item it finds
     failing is re-checked {e unreduced}, start by start, with the two
     reachable sets of the packed engine, reproducing the reference
     engine's failures (including witnesses) byte-identically.  So
-    every [reduction] and [jobs] returns the same list. *)
-let check_exhaustive_stats ?(items = items) ?(jobs = 1)
-    ?(reduction = Explore.Fast.full_reduction) sys ~locs ~vals :
+    every [jobs] returns the same list. *)
+let check_exhaustive_stats ?(items = items) ?(jobs = 1) sys ~locs ~vals :
     failure list * sweep_stats =
   let packed_ctx =
     match Packed.make sys ~locs with
@@ -402,14 +398,14 @@ let check_exhaustive_stats ?(items = items) ?(jobs = 1)
       let items_a = Array.of_list items in
       let n_items = Array.length items_a in
       let register, workers = collect_workers () in
-      let g = if reduction.Explore.Fast.sym then Sym.group ctx else [||] in
+      let g = Sym.group ctx in
       let starts = Atomic.make 0 in
       ignore
         (Parallel.map_chunked ~jobs total
            ~init:(fun () ->
              register
                {
-                 cache = Explore.Fast.create ~reduction (Packed.make sys ~locs);
+                 cache = Explore.Fast.create (Packed.make sys ~locs);
                  dirty = Array.make n_items false;
                })
            ~f:(fun w m ->
@@ -456,8 +452,8 @@ let check_exhaustive_stats ?(items = items) ?(jobs = 1)
             |> List.map (fun it -> it.id);
         } )
 
-let check_exhaustive ?items ?jobs ?reduction sys ~locs ~vals : failure list =
-  fst (check_exhaustive_stats ?items ?jobs ?reduction sys ~locs ~vals)
+let check_exhaustive ?items ?jobs sys ~locs ~vals : failure list =
+  fst (check_exhaustive_stats ?items ?jobs sys ~locs ~vals)
 
 (** Default bounded domain: 2 NV machines, one location each, values
     {0, 1}.  [check_default ()] is the entry point used by the CLI. *)

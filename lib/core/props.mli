@@ -22,6 +22,15 @@ type item = {
   issuers : owner:Machine.id -> n:int -> Machine.id list;
       (** which issuers the item quantifies over *)
 }
+(** One simulation item.  {!check_exhaustive_stats} checks one start
+    per symmetry orbit, which is exact only for an {e equivariant}
+    item: for every machine/location automorphism [g] of the context
+    ({!module-Sym}), [lhs]/[rhs] at [(g·i, g·x, v)] are [g] applied to
+    the labels at [(i, x, v)], and [issuers ~owner:(g·k)] is [g]
+    applied to [issuers ~owner:k].  Items built only from their
+    arguments, with ownership-based issuer policies, are; an item that
+    names a fixed machine or location is not.  Nothing checks this at
+    run time; [test_reduction] checks it for {!items}. *)
 
 (** Issuer quantifiers for building custom items. *)
 
@@ -93,18 +102,18 @@ type sweep_stats = {
 }
 
 val check_exhaustive_stats :
-  ?items:item list -> ?jobs:int -> ?reduction:Explore.Fast.reduction ->
+  ?items:item list -> ?jobs:int ->
   Machine.system -> locs:Loc.t list -> vals:Value.t list ->
   failure list * sweep_stats
 (** All items from all enumerated configurations; empty = verified.
     Packed engine, [jobs] worker domains (default 1); identical output
-    for every [jobs] and [reduction] value.  The first pass checks, at
-    each start [c] and instantiation, that every state of
-    [ℓ_m(τ*_X(… ℓ_1(c)))] is in [R_rhs(c)] — over the τ-closed domain
-    this holds everywhere iff the item does.  [reduction] (default
-    {!Explore.Fast.full_reduction}): [sym] checks orbit-representative
-    starts only, [por] restricts the τ-steps between labels to the
-    labels' locations.  An item failing the first pass is re-checked
+    for every [jobs].  The first pass checks, at each start [c] and
+    instantiation, that every state of [ℓ_m(τ*_X(… ℓ_1(c)))] is in
+    [R_rhs(c)] — over the τ-closed domain this holds everywhere iff
+    the item does.  It checks orbit-representative starts only
+    (exact because the items are equivariant, see {!item}) and
+    takes the τ-steps between labels only on the labels' locations X
+    ({!Explore.Fast.images}).  An item failing the first pass is re-checked
     unreduced over the whole domain, so failures and witnesses are the
     reference engine's.  [sweep_states]/[sweep_transitions] count the
     first pass's work (the fallback is not counted).  Falls back to the
@@ -113,7 +122,7 @@ val check_exhaustive_stats :
     [sweep_rechecked] empty). *)
 
 val check_exhaustive :
-  ?items:item list -> ?jobs:int -> ?reduction:Explore.Fast.reduction ->
+  ?items:item list -> ?jobs:int ->
   Machine.system -> locs:Loc.t list -> vals:Value.t list -> failure list
 (** {!check_exhaustive_stats} without the statistics. *)
 

@@ -1,22 +1,21 @@
 (** Durable lock-free hash map.
 
-    Fixed-size bucket array; each bucket is a Harris-style sorted linked
-    list ({!Listset} construction) whose nodes additionally carry a
-    mutable [value] field: [key] at the node base, [value] at base+1,
-    [next] at base+2.
+    Fixed-size bucket array; each bucket is a {!Listset.chain}, the
+    Harris sorted list whose nodes additionally carry a mutable [value]
+    field: [key] at the node base, [value] at base+1, [next] at base+2.
+    The list owns the traversals; this module owns the value cell.
 
     [put] updates the value in place when the key exists (a plain shared
     store — the value field of a published node is raced on by
-    readers/writers), otherwise inserts a fresh node.  [del] marks then
-    unlinks, as in the set.  Keys must be positive; values must be
-    positive (get returns {!Absent.absent} for missing keys). *)
+    readers/writers), otherwise inserts a fresh node.  [del] is
+    {!Listset.remove}: mark, then unlink.  Keys must be positive; values
+    must be positive (get returns {!Absent.absent} for missing keys). *)
 
 module FI = Flit.Flit_intf
 
 type t = {
   flit : FI.instance;
-  buckets : Fabric.loc array;  (** bucket head-next locations *)
-  home : int;
+  chains : Listset.t array;  (** one per bucket *)
   pflag : bool;
 }
 
@@ -24,63 +23,29 @@ let key_of n = n
 let value_of n = n + 1
 let next_of n = n + 2
 
+let make ~flit ~pflag ~home heads =
+  { flit; chains = Array.map (Listset.chain ~flit ~pflag ~home) heads; pflag }
+
 let create (ctx : Runtime.Sched.ctx) ?(pflag = true) ?(buckets = 8) ~flit
     ~home () =
   (* bucket head-next cells are consecutive so a handle is
      recoverable from the first one *)
-  {
-    flit;
-    buckets = Array.of_list (Fabric.alloc_n ctx.fab ~owner:home buckets);
-    home;
-    pflag;
-  }
+  make ~flit ~pflag ~home
+    (Array.of_list (Fabric.alloc_n ctx.fab ~owner:home buckets))
 
-let root t = t.buckets.(0)
+let root t = Listset.root t.chains.(0)
 
 let attach (ctx : Runtime.Sched.ctx) ?(pflag = true) ?(buckets = 8) ~flit base
     =
-  {
-    flit;
-    buckets = Array.init buckets (fun i -> base + i);
-    home = Fabric.owner ctx.fab base;
-    pflag;
-  }
+  make ~flit ~pflag ~home:(Fabric.owner ctx.fab base)
+    (Array.init buckets (fun i -> base + i))
 
-let bucket t k = t.buckets.(k mod Array.length t.buckets)
-
-let alloc_node (ctx : Runtime.Sched.ctx) ~home =
-  let k = Fabric.alloc ctx.fab ~owner:home in
-  let v = Fabric.alloc ctx.fab ~owner:home in
-  let nx = Fabric.alloc ctx.fab ~owner:home in
-  assert (v = k + 1 && nx = k + 2);
-  k
-
-(* Same window-finding routine as {!Listset.find}, with the 3-cell
-   node layout. *)
-let rec find t ctx head_next k =
-  let rec walk pred_next cur =
-    if Ptr.is_marked_null cur then (pred_next, cur, None)
-    else
-      let cnode = Ptr.loc_of_marked cur in
-      let cnext = t.flit.FI.shared_load ctx (next_of cnode) ~pflag:t.pflag in
-      if Ptr.mark_of cnext then
-        if
-          t.flit.FI.shared_cas ctx pred_next ~expected:(Ptr.without_mark cur)
-            ~desired:(Ptr.without_mark cnext) ~pflag:t.pflag
-        then walk pred_next (Ptr.without_mark cnext)
-        else find t ctx head_next k
-      else
-        let ck = t.flit.FI.shared_load ctx (key_of cnode) ~pflag:t.pflag in
-        if ck >= k then (pred_next, Ptr.without_mark cur, Some ck)
-        else walk (next_of cnode) cnext
-  in
-  let first = t.flit.FI.shared_load ctx head_next ~pflag:t.pflag in
-  walk head_next (Ptr.without_mark first)
+let chain t k = t.chains.(k mod Array.length t.chains)
 
 (** [put t ctx k v] — bind [k] to [v] (insert or overwrite); returns 0. *)
 let rec put_loop t ctx k v =
-  let head_next = bucket t k in
-  let pred_next, cur, ck = find t ctx head_next k in
+  let c = chain t k in
+  let pred_next, cur, ck = Listset.find c ctx k in
   if ck = Some k then begin
     (* in-place update of a live node; if the node is concurrently
        deleted, the put linearizes before the delete (they overlap) *)
@@ -88,7 +53,7 @@ let rec put_loop t ctx k v =
     t.flit.FI.shared_store ctx (value_of cnode) v ~pflag:t.pflag
   end
   else begin
-    let n = alloc_node ctx ~home:t.home in
+    let n = Listset.alloc_node c ctx in
     t.flit.FI.private_store ctx (key_of n) k ~pflag:t.pflag;
     t.flit.FI.private_store ctx (value_of n) v ~pflag:t.pflag;
     t.flit.FI.private_store ctx (next_of n) cur ~pflag:t.pflag;
@@ -106,47 +71,16 @@ let put t ctx k v =
 
 (** [get t ctx k] — the bound value, or {!Absent.absent}. *)
 let get t ctx k =
-  let rec walk cur =
-    if Ptr.is_marked_null cur then Absent.absent
-    else
-      let cnode = Ptr.loc_of_marked cur in
-      let cnext = t.flit.FI.shared_load ctx (next_of cnode) ~pflag:t.pflag in
-      let ck = t.flit.FI.shared_load ctx (key_of cnode) ~pflag:t.pflag in
-      if ck < k then walk (Ptr.without_mark cnext)
-      else if ck = k then
-        if Ptr.mark_of cnext then Absent.absent
-        else t.flit.FI.shared_load ctx (value_of cnode) ~pflag:t.pflag
-      else Absent.absent
+  let n = Listset.lookup (chain t k) ctx k in
+  let r =
+    if n < 0 then Absent.absent
+    else t.flit.FI.shared_load ctx (value_of n) ~pflag:t.pflag
   in
-  let first = t.flit.FI.shared_load ctx (bucket t k) ~pflag:t.pflag in
-  let r = walk (Ptr.without_mark first) in
   t.flit.FI.complete_op ctx;
   r
 
 (** [del t ctx k] — 1 if [k] was bound (now removed), 0 otherwise. *)
-let rec del_loop t ctx k =
-  let head_next = bucket t k in
-  let pred_next, cur, ck = find t ctx head_next k in
-  if ck <> Some k then 0
-  else
-    let cnode = Ptr.loc_of_marked cur in
-    let cnext = t.flit.FI.shared_load ctx (next_of cnode) ~pflag:t.pflag in
-    if Ptr.mark_of cnext then del_loop t ctx k
-    else if
-      t.flit.FI.shared_cas ctx (next_of cnode) ~expected:cnext
-        ~desired:(Ptr.with_mark cnext) ~pflag:t.pflag
-    then begin
-      ignore
-        (t.flit.FI.shared_cas ctx pred_next ~expected:cur
-           ~desired:(Ptr.without_mark cnext) ~pflag:t.pflag);
-      1
-    end
-    else del_loop t ctx k
-
-let del t ctx k =
-  let r = del_loop t ctx k in
-  t.flit.FI.complete_op ctx;
-  r
+let del t ctx k = Listset.remove (chain t k) ctx k
 
 let dispatch t ctx op args =
   match (op, args) with

@@ -1,6 +1,6 @@
-(** Durable lock-free hash map: a fixed bucket array of Harris-style
-    chains whose nodes carry a mutable value cell (in-place update on
-    existing keys).  Keys and values must be positive. *)
+(** Durable lock-free hash map: a fixed bucket array of Harris lists
+    ({!Listset.chain}) whose nodes carry a mutable value cell (in-place
+    update on existing keys).  Keys and values must be positive. *)
 
 type t
 

@@ -154,8 +154,8 @@ let test_tau_reaches_closed_form () =
 
 (* [Fast.reaches] is membership in the unreduced run, [Fast.feasible]
    its non-emptiness, and [Fast.images] is the label-by-label image
-   (below it by τ-steps only, under the location restriction), from
-   random reachable starts: every member of the run and every
+   (below it by τ-steps only, as the location restriction drops some),
+   from random reachable starts: every member of the run and every
    enumerated configuration is queried. *)
 let prop_reaches_is_membership =
   QCheck.Test.make ~name:"Fast.reaches = membership in Fast.run" ~count:60
@@ -174,8 +174,8 @@ let prop_reaches_is_membership =
             cands.(Random.State.int rng (Array.length cands)))
         |> List.filter (fun l -> not (Label.is_silent l))
       in
-      let plain = Explore.Fast.create ctx in
-      let run = Explore.Fast.run plain st labels in
+      let cache = Explore.Fast.create ctx in
+      let run = Explore.Fast.run cache st labels in
       let targets =
         Explore.Fast.elements run
         @ List.init
@@ -190,32 +190,24 @@ let prop_reaches_is_membership =
               (Explore.apply_label sys (Explore.of_config cfg) l)
               ls
       in
-      List.for_all
-        (fun reduction ->
-          let cache = Explore.Fast.create ~reduction ctx in
-          let images = Explore.Fast.images cache st labels in
-          Explore.Fast.feasible cache st labels = (Explore.Fast.elements run <> [])
-          && List.for_all
-            (fun d -> Explore.Fast.reaches cache st labels d = Explore.Fast.mem run d)
-            targets
-          && List.for_all
-               (fun d -> Config.Set.mem (Packed.to_config ctx d) image_ref)
-               images
-          (* and it is the whole image up to trailing τ-steps: equal
-             without the restriction, below it otherwise *)
-          && Config.Set.for_all
-               (fun e ->
-                 let e = Packed.of_config ctx e in
-                 List.exists
-                   (fun d ->
-                     Array.for_all Fun.id
-                       (Array.mapi
-                          (fun xi w -> Packed.tau_reaches ctx xi w e.(xi))
-                          d)
-                     && (reduction.Explore.Fast.por || Packed.equal d e))
-                   images)
-               image_ref)
-        [ Explore.Fast.no_reduction; Explore.Fast.full_reduction ])
+      let images = Explore.Fast.images cache st labels in
+      Explore.Fast.feasible cache st labels = (Explore.Fast.elements run <> [])
+      && List.for_all
+           (fun d -> Explore.Fast.reaches cache st labels d = Explore.Fast.mem run d)
+           targets
+      && List.for_all
+           (fun d -> Config.Set.mem (Packed.to_config ctx d) image_ref)
+           images
+      (* and it is the whole image up to trailing τ-steps *)
+      && Config.Set.for_all
+           (fun e ->
+             let e = Packed.of_config ctx e in
+             List.exists
+               (fun d ->
+                 Array.for_all Fun.id
+                   (Array.mapi (fun xi w -> Packed.tau_reaches ctx xi w e.(xi)) d))
+               images)
+           image_ref)
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive sweep: engines and jobs counts agree                     *)

@@ -1,25 +1,29 @@
-(* Differential gate for the reductions: restricting the τ-steps
-   between labels to the labels' locations ([por]) and checking one
-   Proposition 1 start per symmetry orbit ([sym]) must never change what
-   the checker reports.
+(* Differential gate for the reductions the engine always applies:
+   restricting the τ-steps between labels to the labels' locations and
+   checking one Proposition 1 start per symmetry orbit must never change
+   what the checker reports.  Each check compares against an unreduced
+   oracle.
 
-   - every litmus file in test/data/litmus is decided with every
-     reduction setting and against the reference map-set oracle, and the
-     packed reachable sets (unreduced under every setting) equal the
-     oracle's;
-   - the Proposition 1 sweep is run reduced and unreduced over Prop-1
-     and Prop-2 (volatile / mixed persistence) domains at N=2 and N=3,
-     with failure lists compared verbatim (including a deliberately
-     false item, which exercises the exact-failure fallback);
+   - every litmus file in test/data/litmus, and every built-in test, is
+     decided against the reference map-set oracle, and the packed
+     reachable sets (unreduced) equal the oracle's;
+   - the Proposition 1 sweep is run over Prop-1 and Prop-2 (volatile /
+     mixed persistence) domains at N=2 and N=3 against the reference
+     sweep, with failure lists compared verbatim (including a
+     deliberately false item, which exercises the exact-failure
+     fallback), and its start count against an independent count of
+     orbit representatives;
    - QCheck properties pin the algebra the reductions rest on: canon is
      idempotent and permutation-invariant, the symmetry action commutes
      with the step rules, and a τ-step on one location neither enables
      nor disables a label on another and commutes with it;
-   - a seeded sweep of random small systems diffs reduced vs unreduced
-     verdicts, shrinking and printing any offending system;
+   - the eight Proposition 1 items are equivariant, the precondition of
+     orbit skipping (and a planted item that names a machine is not);
+   - a seeded sweep of random small systems diffs the engine's verdicts
+     against the oracle's, shrinking and printing any offending system;
    - seeded random items: the Proposition 1 sweep's first pass (the
      local condition) must give the verdict of the two-run check over
-     every start, under every reduction, shrinking any disagreement;
+     every start, shrinking any disagreement;
    - the configuration enumeration stays memory-bounded (streaming). *)
 
 open Cxl0
@@ -28,14 +32,6 @@ let x1 = Loc.v ~owner:0 0
 let x2 = Loc.v ~owner:1 0
 let x3 = Loc.v ~owner:2 0
 let y1 = Loc.v ~owner:0 1
-
-let plain = Explore.Fast.no_reduction
-let por_only = { Explore.Fast.por = true; sym = false }
-let sym_only = { Explore.Fast.por = false; sym = true }
-let full = Explore.Fast.full_reduction
-
-let reductions =
-  [ ("plain", plain); ("por", por_only); ("sym", sym_only); ("full", full) ]
 
 (* ------------------------------------------------------------------ *)
 (* Litmus files                                                        *)
@@ -122,8 +118,8 @@ let litmus_files () =
   |> List.sort String.compare
   |> List.map (fun f -> Filename.concat dir f)
 
-(* Every reduction setting agrees with the map-set oracle (and with the
-   paper) on every litmus file's verdict and on the built-in tests'. *)
+(* The engine agrees with the map-set oracle (and with the paper) on
+   every litmus file's verdict and on the built-in tests'. *)
 let test_litmus_verdicts () =
   let files = litmus_files () in
   Alcotest.(check bool) "found litmus files" true (List.length files >= 16);
@@ -138,17 +134,14 @@ let test_litmus_verdicts () =
         (t.Litmus.name ^ ": oracle matches the paper")
         true
         (Litmus.verdict_equal oracle t.Litmus.expect);
-      List.iter
-        (fun (rname, reduction) ->
-          Alcotest.(check bool)
-            (Fmt.str "%s: %s verdict = oracle" t.Litmus.name rname)
-            true
-            (Litmus.verdict_equal (Litmus.decide ~reduction t) oracle))
-        reductions)
+      Alcotest.(check bool)
+        (t.Litmus.name ^ ": verdict = oracle")
+        true
+        (Litmus.verdict_equal (Litmus.decide t) oracle))
     (List.map parse_litmus_file files @ Litmus.all)
 
 (* The reachable sets themselves: {!Explore.Fast.run} is unreduced, so
-   its set equals the oracle's under every setting. *)
+   its set equals the oracle's. *)
 let test_litmus_sets () =
   List.iter
     (fun path ->
@@ -159,15 +152,12 @@ let test_litmus_sets () =
         List.filter_map Label.loc events |> List.sort_uniq Loc.compare
       in
       let ctx = Packed.make sys ~locs in
-      List.iter
-        (fun (rname, reduction) ->
-          let cache = Explore.Fast.create ~reduction ctx in
-          let s = Explore.Fast.run cache (Packed.init ctx) events in
-          Alcotest.(check bool)
-            (Fmt.str "%s: %s set = oracle set" t.Litmus.name rname)
-            true
-            (Config.Set.equal reference (Explore.Fast.to_set cache s)))
-        reductions)
+      let cache = Explore.Fast.create ctx in
+      let s = Explore.Fast.run cache (Packed.init ctx) events in
+      Alcotest.(check bool)
+        (t.Litmus.name ^ ": set = oracle set")
+        true
+        (Config.Set.equal reference (Explore.Fast.to_set cache s)))
     (litmus_files ())
 
 (* The search keeps a state's visited phases in one int: a sequence
@@ -184,7 +174,7 @@ let test_too_many_labels () =
       ignore (Explore.Fast.feasible cache (Packed.init ctx) (labels Sys.int_size)))
 
 (* ------------------------------------------------------------------ *)
-(* Proposition sweeps, reduced vs unreduced vs oracle                  *)
+(* Proposition sweeps against the oracle                               *)
 (* ------------------------------------------------------------------ *)
 
 let check_failures_identical msg a b =
@@ -213,49 +203,32 @@ let mixed2 =
     |]
 
 (* Prop-1 (non-volatile) and Prop-2 (volatile / mixed persistence)
-   domains at N=2, plus two N=3 domains.  The reference oracle runs on
-   the N=2 domains and on the 900-configuration N=3 non-volatile domain
-   (every item); the engine pairs (reduced vs unreduced, all settings)
-   run everywhere. *)
+   domains at N=2, plus two N=3 domains; the reference oracle runs on
+   each (every item). *)
 let domains =
   [
-    ("n2-nv", Machine.uniform 2, [ x1; x2 ], true);
+    ("n2-nv", Machine.uniform 2, [ x1; x2 ]);
     ("n2-volatile", Machine.uniform ~persistence:Machine.Volatile 2,
-     [ x1; x2 ], true);
-    ("n2-mixed", mixed2, [ x1; x2 ], true);
-    ("n3-nv", Machine.uniform 3, [ x1; x2 ], true);
+     [ x1; x2 ]);
+    ("n2-mixed", mixed2, [ x1; x2 ]);
+    ("n3-nv", Machine.uniform 3, [ x1; x2 ]);
     ("n3-volatile", Machine.uniform ~persistence:Machine.Volatile 3,
-     [ x1; x2 ], false);
+     [ x1; x2 ]);
   ]
 
 let test_sweep_differential () =
   let vals = [ 0; 1 ] in
   List.iter
-    (fun (dname, sys, locs, with_oracle) ->
-      let by_reduction =
-        List.map
-          (fun (rname, reduction) ->
-            ( rname,
-              Props.check_exhaustive ~reduction ~jobs:1 sys ~locs ~vals ))
-          reductions
-      in
-      let _, base = List.hd by_reduction in
-      List.iter
-        (fun (rname, fs) ->
-          check_failures_identical
-            (Fmt.str "%s: %s vs plain" dname rname)
-            base fs)
-        (List.tl by_reduction);
-      if with_oracle then
-        check_failures_identical
-          (Fmt.str "%s: oracle vs plain" dname)
-          (Props.check_exhaustive_reference sys ~locs ~vals)
-          base)
+    (fun (dname, sys, locs) ->
+      check_failures_identical
+        (Fmt.str "%s: sweep vs oracle" dname)
+        (Props.check_exhaustive_reference sys ~locs ~vals)
+        (Props.check_exhaustive ~jobs:1 sys ~locs ~vals))
     domains
 
 (* The failing-item path: the exact-failure fallback must reproduce the
    oracle's failures (witnesses included) byte for byte, at any jobs
-   count and reduction setting. *)
+   count. *)
 let test_sweep_failing_item () =
   let vals = [ 0; 1 ] in
   List.iter
@@ -264,37 +237,113 @@ let test_sweep_failing_item () =
       let oracle = Props.check_exhaustive_reference ~items sys ~locs ~vals in
       Alcotest.(check bool) "bogus item does fail" true (oracle <> []);
       List.iter
-        (fun (rname, reduction) ->
-          List.iter
-            (fun jobs ->
-              check_failures_identical
-                (Fmt.str "bogus: %s jobs=%d vs oracle" rname jobs)
-                oracle
-                (Props.check_exhaustive ~items ~reduction ~jobs sys ~locs
-                   ~vals))
-            [ 1; 3 ])
-        reductions)
+        (fun jobs ->
+          check_failures_identical
+            (Fmt.str "bogus: jobs=%d vs oracle" jobs)
+            oracle
+            (Props.check_exhaustive ~items ~jobs sys ~locs ~vals))
+        [ 1; 3 ])
     [ (Machine.uniform 2, [ x1; x2 ]); (mixed2, [ x1; y1; x2 ]) ]
 
-(* Orbit skipping really skips: on a symmetric domain the reduced sweep
-   checks strictly fewer starts, and its counters shrink accordingly. *)
+(* Orbit skipping really skips: on a symmetric domain the sweep checks
+   exactly the orbit representatives, counted here independently of
+   the sweep. *)
 let test_sweep_stats () =
   let sys = Machine.uniform 3
   and locs = [ x1; x2; x3 ]
   and vals = [ 0; 1 ] in
-  let items = [ Props.item 2 ] in
-  let _, red = Props.check_exhaustive_stats ~items ~reduction:full sys ~locs ~vals in
-  let _, unred =
-    Props.check_exhaustive_stats ~items ~reduction:plain sys ~locs ~vals
+  let _, stats =
+    Props.check_exhaustive_stats ~items:[ Props.item 2 ] sys ~locs ~vals
   in
-  Alcotest.(check int) "domain size" 27000 unred.Props.sweep_configs;
-  Alcotest.(check int) "unreduced checks every start" 27000
-    unred.Props.sweep_starts;
-  (* |G| = 6 on this domain; Burnside gives 4720 orbits *)
-  Alcotest.(check int) "reduced checks one start per orbit" 4720
-    red.Props.sweep_starts;
-  Alcotest.(check bool) "engine explores >= 5x fewer states" true
-    (red.Props.sweep_states * 5 <= unred.Props.sweep_states)
+  let ctx = Packed.make sys ~locs in
+  let g = Sym.group ctx in
+  let canonical = ref 0 in
+  for m = 0 to Props.enum_configs_count sys ~locs ~vals - 1 do
+    if Sym.is_canonical g (Props.enum_packed_nth ctx ~vals m) then
+      incr canonical
+  done;
+  Alcotest.(check int) "domain size" 27000 stats.Props.sweep_configs;
+  Alcotest.(check int) "group size" 5 (Array.length g);
+  (* |G| = 6 on this domain (the identity is not stored); Burnside
+     gives 4720 orbits *)
+  Alcotest.(check int) "canonical starts" 4720 !canonical;
+  Alcotest.(check int) "the sweep checks one start per orbit" !canonical
+    stats.Props.sweep_starts
+
+(* Orbit skipping is exact only for equivariant items: for every [g] in
+   the group, the item at [(g·i, g·x, v)] is [g] applied to the item at
+   [(i, x, v)], on both sides, and the issuer policy commutes with [g].
+   [equivariance_failure ctx it] is the first counterexample, if any. *)
+let equivariance_failure ctx (it : Props.item) =
+  let n = Machine.n_machines (Packed.system ctx) in
+  let locs = Array.of_list (Packed.locs ctx) in
+  let gm (g : Sym.perm) i = g.Sym.mperm.(i) in
+  let gx (g : Sym.perm) x = locs.(g.Sym.lperm.(Packed.loc_index ctx x)) in
+  let sorted = List.sort Int.compare in
+  let side g name f i x v =
+    if
+      List.equal Label.equal
+        (f (gm g i) (gx g x) v)
+        (List.map (Sym.on_label ctx g) (f i x v))
+    then None
+    else
+      Some
+        (Fmt.str "%s at (M%d, %a, %d) under %a" name (i + 1) Loc.pp x v
+           Sym.pp g)
+  in
+  Array.to_list (Sym.group ctx)
+  |> List.find_map (fun g ->
+         Array.to_list locs
+         |> List.find_map (fun x ->
+                let k = Loc.owner x in
+                if
+                  sorted (it.Props.issuers ~owner:(gm g k) ~n)
+                  <> sorted (List.map (gm g) (it.Props.issuers ~owner:k ~n))
+                then
+                  Some
+                    (Fmt.str "issuers of owner M%d under %a" (k + 1) Sym.pp g)
+                else
+                  List.init n Fun.id
+                  |> List.find_map (fun i ->
+                         List.find_map
+                           (fun v ->
+                             match side g "lhs" it.Props.lhs i x v with
+                             | Some _ as f -> f
+                             | None -> side g "rhs" it.Props.rhs i x v)
+                           [ 0; 1 ])))
+
+(* The eight items are equivariant on N=2 and N=3 contexts, machine and
+   location permutations alike; an item whose lhs names machine 0 is
+   not, so the check has teeth. *)
+let test_items_equivariant () =
+  let contexts =
+    [
+      (Machine.uniform 2, [ x1; x2 ]);
+      (Machine.uniform 2, [ x1; x2; y1 ]);
+      (Machine.uniform 3, [ x1; x2; x3 ]);
+      (Machine.uniform 3, [ x1; x2; x3; y1 ]);
+    ]
+  in
+  List.iter
+    (fun (sys, locs) ->
+      let ctx = Packed.make sys ~locs in
+      Alcotest.(check bool) "the group is not trivial" true
+        (Array.length (Sym.group ctx) > 0);
+      List.iter
+        (fun it ->
+          match equivariance_failure ctx it with
+          | None -> ()
+          | Some what ->
+              Alcotest.failf "item %d is not equivariant: %s" it.Props.id what)
+        Props.items)
+    contexts;
+  let planted =
+    { (Props.item 1) with lhs = (fun _ x v -> [ Label.rstore 0 x v ]) }
+  in
+  Alcotest.(check bool) "an item naming machine 0 is caught" true
+    (equivariance_failure (Packed.make (Machine.uniform 2) ~locs:[ x1; x2 ])
+       planted
+    <> None)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: the algebra under the reductions                            *)
@@ -378,7 +427,7 @@ let prop_action_commutes =
             g)
         labels)
 
-(* Locality, the lemma the [por] restriction rests on: a τ-step on
+(* Locality, the lemma the location restriction rests on: a τ-step on
    location y and a visible label on a location x <> y.  The τ-step
    neither enables nor disables the label, it is still enabled after
    the label, and both orders reach the same state. *)
@@ -472,19 +521,15 @@ let random_events rng sys locs =
   let len = 1 + Random.State.int rng 5 in
   List.init len (fun _ -> pool.(Random.State.int rng (Array.length pool)))
 
-(* every engine's verdict on one random instance; [None] = all agree *)
+(* both engines' verdicts on one random instance; [None] = they agree *)
 let verdicts sys locs labels =
   let reference = Explore.feasible sys Config.init labels in
-  let fast reduction =
+  let fast =
     let ctx = Packed.make sys ~locs in
-    let cache = Explore.Fast.create ~reduction ctx in
-    Explore.Fast.feasible cache (Packed.init ctx) labels
+    Explore.Fast.feasible (Explore.Fast.create ctx) (Packed.init ctx) labels
   in
-  let got =
-    ("oracle", reference)
-    :: List.map (fun (rn, r) -> (rn, fast r)) reductions
-  in
-  if List.for_all (fun (_, v) -> v = reference) got then None else Some got
+  if fast = reference then None
+  else Some [ ("oracle", reference); ("engine", fast) ]
 
 (* greedy shrink: drop events while the disagreement persists *)
 let rec shrink sys locs labels =
@@ -593,8 +638,8 @@ let pp_spec ppf (sys, locs, spec) =
 (* The item's verdict from today's two-run check (two unreduced packed
    runs per start and instantiation, compared by inclusion; the
    differential tests hold them equal to the map-set oracle) against
-   the verdict of the sweep's first pass under every reduction.
-   Returns the two-run verdict and the first disagreement, if any. *)
+   the verdict of the sweep's first pass.  Returns the two-run verdict
+   and the disagreement, if any. *)
 let item_disagreement sys locs spec =
   let vals = [ 0; 1 ] and it = item_of spec in
   let ctx = Packed.make sys ~locs in
@@ -621,21 +666,14 @@ let item_disagreement sys locs spec =
       (Seq.init (Props.enum_configs_count sys ~locs ~vals) Fun.id)
   in
   let verdict fails = if fails then "fails" else "holds" in
+  let fs, stats = Props.check_exhaustive_stats ~items:[ it ] sys ~locs ~vals in
+  let local_fails = stats.Props.sweep_rechecked <> [] in
   ( oracle_fails,
-    List.find_map
-      (fun (rname, reduction) ->
-        let fs, stats =
-          Props.check_exhaustive_stats ~items:[ it ] ~reduction sys ~locs
-            ~vals
-        in
-        let local_fails = stats.Props.sweep_rechecked <> [] in
-        if local_fails = oracle_fails && (fs <> []) = oracle_fails then None
-        else
-          Some
-            (Fmt.str "%s: first pass says %s (%d failures), two-run check says %s"
-               rname (verdict local_fails) (List.length fs)
-               (verdict oracle_fails)))
-      reductions )
+    if local_fails = oracle_fails && (fs <> []) = oracle_fails then None
+    else
+      Some
+        (Fmt.str "first pass says %s (%d failures), two-run check says %s"
+           (verdict local_fails) (List.length fs) (verdict oracle_fails)) )
 
 (* greedy shrink: drop labels (keeping one per side) and locations
    (keeping one) while the disagreement persists *)
@@ -722,19 +760,21 @@ let () =
         [
           Alcotest.test_case "verdicts: all reductions = oracle = paper"
             `Quick test_litmus_verdicts;
-          Alcotest.test_case "reachable sets = oracle, every setting" `Quick
+          Alcotest.test_case "reachable sets = oracle" `Quick
             test_litmus_sets;
           Alcotest.test_case "search refuses more labels than phase bits"
             `Quick test_too_many_labels;
         ] );
       ( "prop-sweeps",
         [
-          Alcotest.test_case "reduced = unreduced = oracle (N=2, N=3)" `Slow
+          Alcotest.test_case "sweep = oracle (N=2, N=3)" `Slow
             test_sweep_differential;
           Alcotest.test_case "failing item: fallback is byte-identical" `Slow
             test_sweep_failing_item;
           Alcotest.test_case "orbit skipping counts (N=3 full domain)" `Slow
             test_sweep_stats;
+          Alcotest.test_case "the eight items are equivariant" `Quick
+            test_items_equivariant;
         ] );
       ( "qcheck",
         [
