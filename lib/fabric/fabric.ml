@@ -782,7 +782,14 @@ let evict_random t =
   in
   find 0
 
-let any_live t = Array.exists (fun c -> c > 0) t.live
+(* A loop, not [Array.exists]: the scheduler asks this once per idle
+   skip, and [Array.exists]'s inner closure allocated 6 words a call. *)
+let any_live t =
+  let i = ref 0 in
+  while !i < Array.length t.live && t.live.(!i) <= 0 do
+    incr i
+  done;
+  !i < Array.length t.live
 
 (** [maybe_evict t] — with probability [evict_prob], evict the oldest line
     of a random machine that caches anything.  Called by the scheduler

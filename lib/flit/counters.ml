@@ -25,15 +25,25 @@
     table is confined to the domain running its fabric's scheduler, so
     no locking is needed anywhere. *)
 
-type t = (int, int) Hashtbl.t
-(* location -> counter value; absent = 0 *)
+type t = { mutable values : int array }
+(* location -> counter value, indexed by the dense fabric location;
+   beyond the array's length = 0.  FliT keeps its counters in a flat
+   array the same way (Wei et al., PPoPP '22). *)
 
 (** [create ()] — a fresh, empty counter table.  Pure: no fabric
     traffic, no scheduling point. *)
-let create () : t = Hashtbl.create 64
+let create () : t = { values = [||] }
 
-let get_raw (t : t) x =
-  match Hashtbl.find_opt t x with Some v -> v | None -> 0
+let peek (t : t) x = if x < Array.length t.values then t.values.(x) else 0
+
+(* Grow (doubling, at least 64 slots) so that [x] is an index. *)
+let ensure (t : t) x =
+  let n = Array.length t.values in
+  if x >= n then begin
+    let bigger = Array.make (max (x + 1) (max 64 (2 * n))) 0 in
+    Array.blit t.values 0 bigger 0 n;
+    t.values <- bigger
+  end
 
 (* A counter transition (the new value after an incr/decr) is a traced
    event: a positive-counter window on the timeline is exactly the span
@@ -54,8 +64,9 @@ let trace_transition (ctx : Runtime.Sched.ctx) x v =
 (** [incr t ctx x] — FAA(+1) on [x]'s FliT counter (a scheduling
     point). *)
 let incr (t : t) (ctx : Runtime.Sched.ctx) x =
-  let v = get_raw t x + 1 in
-  Hashtbl.replace t x v;
+  ensure t x;
+  let v = t.values.(x) + 1 in
+  t.values.(x) <- v;
   Fabric.account_meta_faa ctx.fab ctx.machine x;
   trace_transition ctx x v;
   Runtime.Sched.yield ctx
@@ -63,16 +74,16 @@ let incr (t : t) (ctx : Runtime.Sched.ctx) x =
 (** [decr t ctx x] — FAA(-1); callers only decrement after incrementing,
     so the value never goes negative (asserted). *)
 let decr (t : t) (ctx : Runtime.Sched.ctx) x =
-  let v = get_raw t x in
+  let v = peek t x in
   assert (v > 0);
-  Hashtbl.replace t x (v - 1);
+  t.values.(x) <- v - 1;
   Fabric.account_meta_faa ctx.fab ctx.machine x;
   trace_transition ctx x (v - 1);
   Runtime.Sched.yield ctx
 
 (** [read t ctx x] — current counter value (a scheduling point). *)
 let read (t : t) (ctx : Runtime.Sched.ctx) x =
-  let v = get_raw t x in
+  let v = peek t x in
   Fabric.account_meta_read ctx.fab ctx.machine x;
   Runtime.Sched.yield ctx;
   v

@@ -7,8 +7,9 @@
     charged to the fabric via the metadata accounting hooks.  A table is
     confined to the domain running its fabric's scheduler — no locks. *)
 
-type t = (int, int) Hashtbl.t
-(** location -> counter value; absent = 0.  Exposed for tests. *)
+type t
+(** location -> counter value, a growable array indexed by the fabric's
+    dense location numbers; a location never incremented reads 0. *)
 
 val create : unit -> t
 (** A fresh, empty counter table.  Pure: no fabric traffic, no
@@ -22,3 +23,7 @@ val decr : t -> Runtime.Sched.ctx -> int -> unit
 
 val read : t -> Runtime.Sched.ctx -> int -> int
 (** Current counter value; a scheduling point. *)
+
+val peek : t -> int -> int
+(** Current counter value, read outside any fibre: no scheduling point,
+    no fabric accounting (tests and diagnostics). *)

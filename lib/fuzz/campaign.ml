@@ -43,8 +43,9 @@ type summary = {
 
 (** [judge profile c h] — the profile's oracle on [h], the history a run
     of [c] recorded: the status, and the verdict rendered on demand.  A
-    [Buffered_cut] oracle that blows its candidate-subset bound counts as
-    skipped, mirroring the durable checker's [History_too_long].  The
+    [Buffered_cut] oracle that blows its candidate-subset bound, or could
+    not decide a drop set because its kept history was too long, counts
+    as skipped, mirroring the durable checker's [History_too_long].  The
     rendering is lazy: formatting [describe c] for every satisfied cell
     was measurable across a campaign. *)
 let judge (p : Gen.profile) (c : W.config) (h : Lincheck.History.t) :
@@ -62,7 +63,9 @@ let judge (p : Gen.profile) (c : W.config) (h : Lincheck.History.t) :
   | Gen.Buffered_cut -> (
       match Lincheck.Buffered.check spec h with
       | v ->
-          ( (if v.buffered_durable then `Ok else `Violation),
+          ( (match v.skipped with
+            | Some e -> `Skipped (Fmt.str "%a" Lincheck.Check.pp_error e)
+            | None -> if v.buffered_durable then `Ok else `Violation),
             lazy
               (Fmt.str "%a [%s]" Lincheck.Buffered.pp_verdict v (W.describe c))
           )

@@ -631,20 +631,14 @@ let serve ?tracer (c : serve_config) : serve_result =
     else fun _ -> ()
   in
   let kv_ref = ref None in
-  (* the schedule is consumed as a stream: [pending] is the undrained
-     tail and [next_req] the memoized head, so the full request array is
-     never materialised *)
-  let pending = ref (Traffic.stream c.traffic) in
+  (* the schedule is drained from a cursor: [next_req] is the memoized
+     head, so the full request array is never materialised *)
+  let pending = Traffic.cursor c.traffic in
   let next_req = ref None in
   let refill () =
     match !next_req with
     | Some _ -> ()
-    | None -> (
-        match Seq.uncons !pending with
-        | None -> ()
-        | Some (r, rest) ->
-            next_req := Some r;
-            pending := rest)
+    | None -> next_req := Traffic.next pending
   in
   let served = [| 0; 0; 0 |] in
   let latencies = Array.init 3 (fun _ -> Obs.Hist.create ()) in
@@ -686,11 +680,24 @@ let serve ?tracer (c : serve_config) : serve_result =
   let in_flight = Array.make c.env.n_machines 0 in
   let killed = ref 0 in
   let claimed = ref 0 in
+  (* span close: emit the outcome's mark and drop the fibre's span
+     state.  Zero work when untraced. *)
+  let close kv ctx phase =
+    match tracer with
+    | None -> ()
+    | Some _ ->
+        mark ctx (span_st kv ctx) phase ~replica:(-1) ();
+        Hashtbl.remove kv.spans ctx.Runtime.Sched.tid
+  in
+  let record_res ctx ret =
+    record (Lincheck.History.Res { tid = ctx.Runtime.Sched.tid; ret })
+  in
   let serve_one kv ctx (r : Traffic.request) =
-    let op, args = map_op r in
-    record (Lincheck.History.Inv { tid = ctx.Runtime.Sched.tid; op; args });
+    if c.record_history then begin
+      let op, args = map_op r in
+      record (Lincheck.History.Inv { tid = ctx.Runtime.Sched.tid; op; args })
+    end;
     let oi = op_index r.Traffic.op in
-    let tid = ctx.Runtime.Sched.tid in
     (* span open: register the request on this fibre and emit the
        dispatch mark (which carries the arrival stamp — marks ride the
        tracer's nondecreasing cycle stream, so arrival cannot be its own
@@ -698,7 +705,7 @@ let serve ?tracer (c : serve_config) : serve_result =
     (match tracer with
     | None -> ()
     | Some _ ->
-        Hashtbl.replace kv.spans tid
+        Hashtbl.replace kv.spans ctx.Runtime.Sched.tid
           {
             s_session = r.Traffic.session;
             s_seq = r.Traffic.seq;
@@ -708,36 +715,29 @@ let serve ?tracer (c : serve_config) : serve_result =
           };
         mark ctx (span_st kv ctx) Obs.Event.P_dispatch ~replica:(-1)
           ~t0:r.Traffic.arrival ());
-    let close phase =
-      match tracer with
-      | None -> ()
-      | Some _ ->
-          mark ctx (span_st kv ctx) phase ~replica:(-1) ();
-          Hashtbl.remove kv.spans tid
-    in
-    match dispatch kv ctx op args with
+    (* [map_op]'s keys, without its pair *)
+    let k = r.Traffic.key + 1 in
+    match
+      match r.Traffic.op with
+      | Traffic.Read -> get kv ctx k
+      | Traffic.Update | Traffic.Insert -> put kv ctx k r.Traffic.value
+    with
     | ret ->
-        record
-          (Lincheck.History.Res
-             { tid = ctx.Runtime.Sched.tid; ret = Lincheck.History.Ret ret });
+        if c.record_history then record_res ctx (Lincheck.History.Ret ret);
         served.(oi) <- served.(oi) + 1;
         Obs.Hist.add latencies.(oi) (Fabric.cycles fab - r.Traffic.arrival);
-        close Obs.Event.P_ack
+        close kv ctx Obs.Event.P_ack
     | exception Runtime.Ops.Fault _ ->
-        record
-          (Lincheck.History.Res
-             { tid = ctx.Runtime.Sched.tid; ret = Lincheck.History.Faulted });
+        if c.record_history then record_res ctx Lincheck.History.Faulted;
         incr faulted;
-        close Obs.Event.P_fault
+        close kv ctx Obs.Event.P_fault
     | exception Unavailable ->
         (* deadline exhausted against a dead shard: the op is pending
            (it may or may not have reached a backup), which is exactly
            [Faulted] to the durability checker *)
-        record
-          (Lincheck.History.Res
-             { tid = ctx.Runtime.Sched.tid; ret = Lincheck.History.Faulted });
+        if c.record_history then record_res ctx Lincheck.History.Faulted;
         incr req_timed_out;
-        close Obs.Event.P_timeout
+        close kv ctx Obs.Event.P_timeout
   in
   (* true when the head may be claimed now, or the stream is drained
      (the server then exits) *)

@@ -160,7 +160,7 @@ val op_index : Traffic.op_type -> int
 
 val serve : ?tracer:Obs.Tracer.t -> serve_config -> serve_result
 (** Run the service: preload the keyspace, spawn [servers_per_machine]
-    serving threads on every up machine, drain the {!Traffic.stream}
+    serving threads on every up machine, drain the {!Traffic.cursor}
     schedule open-loop (a server behind schedule serves immediately, and
     the request's latency — completion minus *arrival* — shows the
     queueing delay; a request not yet arrived is claimed only when no op

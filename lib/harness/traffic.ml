@@ -139,16 +139,6 @@ let draw_gap rng mean =
   let u = 1.0 -. Random.State.float rng 1.0 (* in (0, 1] *) in
   max 1 (int_of_float (Float.round (-.mean *. log u)))
 
-let compare_request (a : request) (b : request) =
-  (* total order: sort stability is irrelevant, so any sort gives the
-     same schedule *)
-  match compare a.arrival b.arrival with
-  | 0 -> (
-      match compare a.session b.session with
-      | 0 -> compare a.seq b.seq
-      | c -> c)
-  | c -> c
-
 (** [validate s] — the typed spec validation shared by the generator and
     the CLI: every rejection names its field, and NaNs fail the positive
     checks (comparisons are written to reject them). *)
@@ -170,113 +160,126 @@ let validate (s : spec) : (unit, string) result =
 (* Streaming generation                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One session's merge cursor: the request it offers next plus the
-   frozen generator state that produces its successor.  Cells are
-   immutable — stepping a cell *copies* its RNG before drawing — so the
-   request sequence built from them is a persistent [Seq.t]: forcing a
-   node twice replays the identical draws. *)
-type cell = {
-  c_rng : Random.State.t;  (** state *before* generating the successor *)
-  c_session : int;
-  c_clock : int;
-  c_inserted : int;
-  c_pending : request;     (** what this session offers the merge next *)
+(* One session's generator: the request it offers the merge next, and
+   the state that draws its successor.  The RNG is advanced in place. *)
+type session_state = {
+  rng : Random.State.t;
+  mutable inserted : int;  (** inserts drawn so far *)
+  mutable pending : request;
 }
 
-(* Persistent pairing heap over cells ordered by [compare_request] on
-   the pending request — [(arrival, session, seq)] is a total order, so
-   the pop sequence equals the sorted order of the materialised
-   schedule, element for element. *)
-type heap = E | N of cell * heap list
-
-let heap_merge a b =
-  match (a, b) with
-  | E, h | h, E -> h
-  | N (x, xs), N (y, ys) ->
-      if compare_request x.c_pending y.c_pending <= 0 then N (x, b :: xs)
-      else N (y, a :: ys)
-
-let rec heap_merge_pairs = function
-  | [] -> E
-  | [ h ] -> h
-  | a :: b :: rest -> heap_merge (heap_merge a b) (heap_merge_pairs rest)
-
-(* The per-request draw sequence — gap, op weight, key, value, in that
-   order — is the byte-identity contract: it must match the PR-8
-   materialising generator draw for draw, which test_traffic pins. *)
-let draw_request (s : spec) zipf rng ~session ~seq ~clock ~inserted =
-  let clock = clock + draw_gap rng (mean_gap s) in
+(* Replace [st.pending] by its successor in the session.  The
+   per-request draw sequence — gap, op weight, key, value, in that order
+   — is the byte-identity contract: it must match the PR-8 materialising
+   generator draw for draw, which test_traffic pins. *)
+let advance (s : spec) zipf st =
+  let { session; seq; arrival; _ } = st.pending in
+  let rng = st.rng in
+  let arrival = arrival + draw_gap rng (mean_gap s) in
   let w = Random.State.int rng (s.mix.reads + s.mix.updates + s.mix.inserts) in
   let op =
     if w < s.mix.reads then Read
     else if w < s.mix.reads + s.mix.updates then Update
     else Insert
   in
-  let key, inserted =
+  let key =
     match op with
-    | Read | Update -> (Zipf.draw zipf rng, inserted)
+    | Read | Update -> Zipf.draw zipf rng
     | Insert ->
         (* fresh keys live above the preloaded keyspace, in a
            per-session block so streams never collide *)
-        (s.keyspace + (session * s.ops_per_session) + inserted, inserted + 1)
+        st.inserted <- st.inserted + 1;
+        s.keyspace + (session * s.ops_per_session) + st.inserted - 1
   in
   let value =
     match op with
     | Read -> 0
     | Update | Insert -> 1 + Random.State.int rng s.value_range
   in
-  ({ session; seq; arrival = clock; op; key; value }, clock, inserted)
+  st.pending <- { session; seq = seq + 1; arrival; op; key; value }
 
-let step_cell (s : spec) zipf (c : cell) : cell option =
-  let seq = c.c_pending.seq + 1 in
-  if seq >= s.ops_per_session then None
-  else
-    let rng = Random.State.copy c.c_rng in
-    let pending, clock, inserted =
-      draw_request s zipf rng ~session:c.c_session ~seq ~clock:c.c_clock
-        ~inserted:c.c_inserted
-    in
-    Some
-      {
-        c_rng = rng;
-        c_session = c.c_session;
-        c_clock = clock;
-        c_inserted = inserted;
-        c_pending = pending;
-      }
+(* A binary min-heap of the sessions that still have requests, ordered
+   by their pending request's [(arrival, session, seq)] — a total order,
+   so the pop sequence is the sorted order of the materialised schedule,
+   element for element. *)
+type cursor = {
+  spec : spec;
+  zipf : Zipf.t;
+  heap : session_state array;  (** [0, size) is the heap *)
+  mutable size : int;
+}
 
-let stream (s : spec) : request Seq.t =
-  (match validate s with
+let before a b =
+  let ra = a.pending and rb = b.pending in
+  ra.arrival < rb.arrival
+  || ra.arrival = rb.arrival
+     && (ra.session < rb.session
+        || (ra.session = rb.session && ra.seq < rb.seq))
+
+let rec sift_down c i =
+  let l = (2 * i) + 1 in
+  if l < c.size then begin
+    let r = l + 1 in
+    let m = if r < c.size && before c.heap.(r) c.heap.(l) then r else l in
+    if before c.heap.(m) c.heap.(i) then begin
+      let x = c.heap.(i) in
+      c.heap.(i) <- c.heap.(m);
+      c.heap.(m) <- x;
+      sift_down c m
+    end
+  end
+
+let validated entry (s : spec) =
+  match validate s with
   | Ok () -> ()
-  | Error m -> invalid_arg ("Traffic.stream: " ^ m));
+  | Error m -> invalid_arg (entry ^ ": " ^ m)
+
+let cursor (s : spec) : cursor =
+  validated "Traffic.cursor" s;
   let zipf = Zipf.create ~theta:s.theta ~n:s.keyspace in
-  let init = ref E in
-  for session = s.sessions - 1 downto 0 do
-    (* one RNG per session, derived only from (seed, session): the
-       stream is independent of every other session and of evaluation
-       order *)
-    let rng = Random.State.make [| s.seed; session; 0x5e55 |] in
-    let pending, clock, inserted =
-      draw_request s zipf rng ~session ~seq:0 ~clock:0 ~inserted:0
-    in
-    init :=
-      heap_merge
-        (N
-           ( { c_rng = rng; c_session = session; c_clock = clock;
-               c_inserted = inserted; c_pending = pending },
-             [] ))
-        !init
-  done;
-  let rec seq_of = function
-    | E -> Seq.empty
-    | N (c, hs) ->
-        fun () ->
-          let rest = heap_merge_pairs hs in
-          let rest =
-            match step_cell s zipf c with
-            | None -> rest
-            | Some c' -> heap_merge (N (c', [])) rest
-          in
-          Seq.Cons (c.c_pending, seq_of rest)
+  let heap =
+    Array.init s.sessions (fun session ->
+        (* one RNG per session, derived only from (seed, session): the
+           stream is independent of every other session and of
+           evaluation order *)
+        let st =
+          {
+            rng = Random.State.make [| s.seed; session; 0x5e55 |];
+            inserted = 0;
+            (* the start of the session, before its request 0 *)
+            pending =
+              { session; seq = -1; arrival = 0; op = Read; key = 0; value = 0 };
+          }
+        in
+        advance s zipf st;
+        st)
   in
-  seq_of !init
+  let c = { spec = s; zipf; heap; size = s.sessions } in
+  for i = (c.size / 2) - 1 downto 0 do
+    sift_down c i
+  done;
+  c
+
+let next c =
+  if c.size = 0 then None
+  else begin
+    let top = c.heap.(0) in
+    let r = top.pending in
+    if r.seq + 1 < c.spec.ops_per_session then advance c.spec c.zipf top
+    else begin
+      c.size <- c.size - 1;
+      c.heap.(0) <- c.heap.(c.size)
+    end;
+    sift_down c 0;
+    Some r
+  end
+
+(* A view over a fresh cursor per traversal from the root. *)
+let stream (s : spec) : request Seq.t =
+  validated "Traffic.stream" s;
+  fun () ->
+    let c = cursor s in
+    let rec from () =
+      match next c with None -> Seq.Nil | Some r -> Seq.Cons (r, from)
+    in
+    from ()

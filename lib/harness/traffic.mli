@@ -1,11 +1,11 @@
 (** Open-loop serving traffic: simulated client sessions issuing
     YCSB-style read/update/insert mixes under Zipfian key skew.
 
-    A {!spec} describes the offered load; {!stream} produces the request
-    schedule — every request stamped with its arrival cycle — as a lazy
-    persistent sequence in arrival order, holding O(sessions) state
-    rather than the whole materialised schedule (a pairing-heap merge of
-    per-session generators).  It is deterministic in [seed] alone:
+    A {!spec} describes the offered load; a {!cursor} produces the
+    request schedule — every request stamped with its arrival cycle — in
+    arrival order, holding O(sessions) state rather than the whole
+    materialised schedule (a binary-heap merge of per-session
+    generators); {!stream} is the same schedule as a lazy sequence.  It is deterministic in [seed] alone:
     every random draw comes from a per-session RNG, so evaluation order
     cannot change a byte.  The serving engine ({!Kv.serve}) drains the
     schedule open-loop: a request's latency is measured from its
@@ -84,12 +84,27 @@ val validate : spec -> (unit, string) result
     mix weights).  Shared by the generator and the CLI front-ends so
     both reject with the same message. *)
 
+type cursor
+(** The schedule's generator: one mutable state per session (its RNG
+    advanced in place) in a binary heap keyed by each session's next
+    request.  Memory is O(sessions) — independent of
+    [ops_per_session]. *)
+
+val cursor : spec -> cursor
+(** A cursor at the start of the schedule.
+    @raise Invalid_argument when {!validate} rejects the spec. *)
+
+val next : cursor -> request option
+(** The next request in [(arrival, session, seq)] order, advancing the
+    cursor; [None] once every session is drained. *)
+
 val stream : spec -> request Seq.t
-(** The request schedule as a lazy *persistent* sequence in
-    [(arrival, session, seq)] order ([Array.of_seq] materialises it);
-    forcing a node twice replays the identical draws (each step copies its session RNG), so the sequence
-    can be shared or re-traversed.  Memory is O(sessions) — independent
-    of [ops_per_session].
+(** The request schedule as a lazy sequence in [(arrival, session,
+    seq)] order ([Array.of_seq] materialises it), a view over a fresh
+    {!cursor} per traversal: each traversal from the root replays the
+    identical draws, so the sequence can be shared or re-traversed from
+    its root (not from an inner node, which shares its traversal's
+    cursor).
     @raise Invalid_argument when {!validate} rejects the spec. *)
 
 val total_ops : spec -> int

@@ -33,6 +33,10 @@ type verdict = {
   buffered_durable : bool;
   dropped : History.op list;  (** a witness drop set, when satisfiable *)
   subsets_tried : int;
+  skipped : Check.error option;
+      (** the error of a drop set whose kept history was too long for the
+          search, when no drop set was a witness: [buffered_durable =
+          false] is then "undecided", not "violation" *)
 }
 
 (* candidate = completed before some crash *)
@@ -70,7 +74,12 @@ let popcount n =
     {!Durable.check}. *)
 let check spec (h : History.t) : verdict =
   if not (History.well_formed h) then
-    { buffered_durable = false; dropped = []; subsets_tried = 0 }
+    {
+      buffered_durable = false;
+      dropped = [];
+      subsets_tried = 0;
+      skipped = None;
+    }
   else begin
     let cands = Array.of_list (candidates h) in
     let n = Array.length cands in
@@ -97,7 +106,7 @@ let check spec (h : History.t) : verdict =
       done;
       !ok
     in
-    let result = ref None in
+    let result = ref None and undecided = ref None in
     List.iter
       (fun mask ->
         if !result = None && closed mask then begin
@@ -115,7 +124,9 @@ let check spec (h : History.t) : verdict =
           let kept_ok =
             match Check.linearizable spec kept with
             | Ok o -> o.Check.ok
-            | Error _ -> false
+            | Error e ->
+                if !undecided = None then undecided := Some e;
+                false
           in
           if kept_ok then
             result :=
@@ -127,14 +138,29 @@ let check spec (h : History.t) : verdict =
       by_size;
     match !result with
     | Some dropped ->
-        { buffered_durable = true; dropped; subsets_tried = !tried }
-    | None -> { buffered_durable = false; dropped = []; subsets_tried = !tried }
+        {
+          buffered_durable = true;
+          dropped;
+          subsets_tried = !tried;
+          skipped = None;
+        }
+    | None ->
+        {
+          buffered_durable = false;
+          dropped = [];
+          subsets_tried = !tried;
+          skipped = !undecided;
+        }
   end
 
 let pp_verdict ppf v =
-  if v.buffered_durable then
-    Fmt.pf ppf "buffered durably linearizable (dropping %d op(s): %a)"
-      (List.length v.dropped)
-      Fmt.(list ~sep:comma History.pp_op)
-      v.dropped
-  else Fmt.pf ppf "NOT buffered durably linearizable"
+  match v.skipped with
+  | Some e ->
+      Fmt.pf ppf "buffered durability undecided (tried %d): %a" v.subsets_tried
+        Check.pp_error e
+  | None when v.buffered_durable ->
+      Fmt.pf ppf "buffered durably linearizable (dropping %d op(s): %a)"
+        (List.length v.dropped)
+        Fmt.(list ~sep:comma History.pp_op)
+        v.dropped
+  | None -> Fmt.pf ppf "NOT buffered durably linearizable"

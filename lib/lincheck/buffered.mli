@@ -6,8 +6,15 @@
 
 type verdict = {
   buffered_durable : bool;
-  dropped : History.op list;  (** a (size-minimal) witness drop set *)
+  dropped : History.op list;
+      (** a witness drop set, size-minimal among the drop sets the
+          search could decide *)
   subsets_tried : int;
+  skipped : Check.error option;
+      (** [Some _] when no drop set was a witness and the kept history of
+          some drop set was too long for the search;
+          [buffered_durable = false] then means "undecided", not
+          "violation". *)
 }
 
 val popcount : int -> int

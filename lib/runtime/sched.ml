@@ -44,8 +44,8 @@
     draw picks the calling fibre it returns in place: no effect, no
     continuation, no allocation.  Only a handoff to another task (or a
     fallback to a plain suspension) performs an effect and allocates:
-    the fresh continuation's one-word wrapper, plus the carried decision
-    for a handoff. *)
+    the continuation and its one-word wrapper.  A handoff's decision
+    rides in the scheduler ([picked]), not in the effect. *)
 
 type ctx = {
   sched : t;
@@ -80,11 +80,12 @@ and task = {
 
 (* What a fibre's {!yield} leaves for the run loop: nothing (the loop
    takes the next decision itself), a decision already taken — the task
-   it picked, or [dummy_task] when the idle skip stopped at a plan step —
+   it picked, held in [picked] so that a handoff allocates nothing of
+   its own, or [dummy_task] when the idle skip stopped at a plan step —
    or the exception a poll raised while the fibre woke the polls. *)
 and handoff =
   | Draw
-  | Picked of task
+  | Picked
   | Raised of exn
 
 and action =
@@ -120,6 +121,7 @@ and t = {
       (** tid of the task whose fibre is executing (-1 between
           fibres) *)
   mutable handoff : handoff;
+  mutable picked : task;  (** the decision a [Picked] handoff carries *)
   mutable inline_yields : int;  (** yields that returned in place *)
   mutable skip_key : int;  (** [(u, n)] of the cached [skip_log] *)
   mutable skip_log : float;  (** [log (1 - u/n)] *)
@@ -141,7 +143,6 @@ and t = {
 
 type _ Effect.t +=
   | Yield : unit Effect.t
-  | Handoff : handoff -> unit Effect.t
   | Wait : (unit -> bool) -> unit Effect.t
 
 let dummy_task =
@@ -163,6 +164,7 @@ let create ?(seed = 42) fabric =
     n_parked = 0;
     running = -1;
     handoff = Draw;
+    picked = dummy_task;
     inline_yields = 0;
     skip_key = 0;
     skip_log = 0.0;
@@ -216,26 +218,31 @@ let restart t i =
         (Obs.Event.Restart
            { machine = i; cycle = Fabric.cycles t.fabric; step = t.step })
 
+(* The [Yield] arm's answer, built once: a [Some] built in the arm
+   allocated on every suspension. *)
+let suspend : ((unit, tstate) Effect.Deep.continuation -> tstate) option =
+  Some (fun k -> Cont k)
+
+(* One handler serves every fibre: a suspension carries nothing but its
+   continuation (a handoff's decision is already in the scheduler's
+   [handoff] and [picked]). *)
+let handler : (unit, tstate) Effect.Deep.handler =
+  {
+    retc = (fun () -> Dead);
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Yield ->
+            (suspend : ((a, tstate) Effect.Deep.continuation -> tstate) option)
+        | Wait p ->
+            Some
+              (fun (k : (a, tstate) Effect.Deep.continuation) -> Poll (p, k))
+        | _ -> None);
+  }
+
 (* Wrap a thread body as an effect-handled fibre. *)
-let fiber t (body : unit -> unit) : unit -> tstate =
- fun () ->
-  Effect.Deep.match_with body ()
-    {
-      retc = (fun () -> Dead);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-              Some (fun (k : (a, tstate) Effect.Deep.continuation) -> Cont k)
-          | Handoff h ->
-              t.handoff <- h;
-              Some (fun (k : (a, tstate) Effect.Deep.continuation) -> Cont k)
-          | Wait p ->
-              Some
-                (fun (k : (a, tstate) Effect.Deep.continuation) -> Poll (p, k))
-          | _ -> None);
-    }
+let fiber (body : unit -> unit) () = Effect.Deep.match_with body () handler
 
 (** [spawn t ~machine ~name body] creates a thread on [machine]; it will
     start running at some future scheduling decision.  Raises if the
@@ -254,7 +261,7 @@ let spawn t ~machine ~name (body : ctx -> unit) =
       task_tid = tid;
       task_machine = machine;
       name;
-      state = Start (fiber t (fun () -> body ctx));
+      state = Start (fiber (fun () -> body ctx));
       parked = false;
     };
   tid
@@ -286,18 +293,29 @@ let note_retry_cycles ctx n =
 let retry_cycles t tid =
   Option.value ~default:0 (Hashtbl.find_opt t.retry_cycles tid)
 
+(* No task's poll: the "poll run just before" at the start of a wake. *)
+let no_poll () = false
+
 (* After a decision that resumed a fibre or ran a plan action, run
    every poll once: a task is parked until its poll holds.  Until the
    next such decision nothing a poll reads changes, so an unparked
-   waiting task is resumed when picked without polling again. *)
+   waiting task is resumed when picked without polling again.  Within
+   one wake nothing changes between two polls either (a poll has no
+   side effect on the simulation), so a poll physically equal to the
+   one run just before it is not run again: its result is reused. *)
 let wake t =
   if t.n_polls > 0 then begin
     t.n_parked <- 0;
+    let last = ref no_poll and held = ref false in
     for k = 0 to t.n_tasks - 1 do
       let task = t.tasks.(k) in
       match task.state with
       | Poll (p, _) ->
-          task.parked <- not (p ());
+          if p != !last then begin
+            last := p;
+            held := p ()
+          end;
+          task.parked <- not !held;
           if task.parked then t.n_parked <- t.n_parked + 1
       | Start _ | Cont _ | Running | Dead -> ()
     done
@@ -431,7 +449,7 @@ let resume t task st =
         t.n_dead <- t.n_dead + 1
       end);
   t.running <- -1;
-  match t.handoff with Draw -> wake t | Picked _ | Raised _ -> ()
+  match t.handoff with Draw -> wake t | Picked | Raised _ -> ()
 
 (* Carry out a decision: resume the task it picked (never a parked
    one), or nothing for [dummy_task] (the idle skip stopped at a plan
@@ -522,11 +540,16 @@ let yield ctx =
       if t.n_dead > 0 then prune_dead t;
       draw t
     with
-    | exception e -> Effect.perform (Handoff (Raised e))
+    | exception e ->
+        t.handoff <- Raised e;
+        Effect.perform Yield
     | task when task.task_tid = ctx.tid ->
         switch t task;
         t.inline_yields <- t.inline_yields + 1
-    | task -> Effect.perform (Handoff (Picked task))
+    | task ->
+        t.picked <- task;
+        t.handoff <- Picked;
+        Effect.perform Yield
 
 (** [run t] — schedule until no runnable threads remain and no plan
     actions are pending.  Returns the number of scheduling decisions
@@ -537,9 +560,9 @@ let run t =
     | Raised e ->
         t.handoff <- Draw;
         raise e
-    | Picked task ->
+    | Picked ->
         t.handoff <- Draw;
-        dispatch t task;
+        dispatch t t.picked;
         loop ()
     | Draw ->
         run_due_actions t;

@@ -81,7 +81,13 @@ val wait : ctx -> (unit -> bool) -> unit
     clock is fine; a primitive, a charge or a scheduler call is not),
     has no side effect on the simulation, and reads only state that a
     resumed fibre or a plan action changes.  It may update state private
-    to the waiting fibre, but runs once per wake, not once per decision.
+    to the waiting fibre, but runs at most once per wake, not once per
+    decision.  Waiters may share one closure: within a wake, a poll
+    physically equal to the one run just before it (the previous waiting
+    task in spawn order) is not run again, and its result goes to every
+    task that holds it.  By the contract nothing a poll reads changes
+    between the two, so this is exact; a poll whose result depends on
+    which fibre runs it must be a closure of its own per fibre.
     An exception from [p] escapes {!run}. *)
 
 val jitter : ctx -> int -> int

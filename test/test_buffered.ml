@@ -136,6 +136,47 @@ let test_candidate_limit () =
     (Invalid_argument "Buffered.check: too many droppable operations")
     (fun () -> ignore (Lincheck.Buffered.check Lincheck.Specs.register h))
 
+let test_too_long_is_undecided () =
+  (* 10 sequential writes, a crash, then 60 reads of the last value: 70
+     ops.  Every drop set that keeps more than 62 ops is beyond the
+     search, and every smaller kept history drops the last write its
+     reads observe — so no drop set is a witness, and the verdict is
+     undecided, as the durable checker's is, never a violation. *)
+  let probe read =
+    List.concat_map
+      (fun v -> [ inv 0 "write" [ v ]; res 0 0 ])
+      (List.init 10 (fun i -> i + 1))
+    @ [ crash 1 ]
+    @ List.concat_map
+        (fun _ -> [ inv 0 "read" []; res 0 read ])
+        (List.init 60 Fun.id)
+  in
+  let h = probe 10 in
+  let d = Lincheck.Durable.check Lincheck.Specs.register h in
+  Alcotest.(check bool) "durable checker: undecided" true
+    (d.Lincheck.Durable.skipped <> None);
+  let v = Lincheck.Buffered.check Lincheck.Specs.register h in
+  Alcotest.(check int) "every suffix of the writes tried" 11
+    v.Lincheck.Buffered.subsets_tried;
+  Alcotest.(check bool) "no witness" false v.Lincheck.Buffered.buffered_durable;
+  Alcotest.(check bool) "buffered checker: undecided" true
+    (v.Lincheck.Buffered.skipped
+    = Some (Lincheck.Check.History_too_long { length = 70; max_ops = 62 }));
+  let c =
+    Harness.Workload.default_config O.Register Flit.Registry.buffered
+  in
+  let status, _ =
+    Fuzz.Campaign.judge (Fuzz.Gen.profile_of_transform Flit.Registry.buffered)
+      c h
+  in
+  Alcotest.(check bool) "the campaign counts it as skipped" true
+    (match status with `Skipped _ -> true | `Ok | `Violation -> false);
+  (* a witness the search can decide still wins over an undecided set *)
+  let v' = Lincheck.Buffered.check Lincheck.Specs.register (probe 0) in
+  Alcotest.(check bool) "dropping every write is a witness" true
+    v'.Lincheck.Buffered.buffered_durable;
+  Alcotest.(check bool) "decided" true (v'.Lincheck.Buffered.skipped = None)
+
 (* ------------------------------------------------------------------ *)
 (* The buffered-sync transformation, end to end                        *)
 (* ------------------------------------------------------------------ *)
@@ -347,6 +388,8 @@ let () =
             test_no_crash_equals_linearizability;
           Alcotest.test_case "dropped reads" `Quick test_dropped_reads_allowed;
           Alcotest.test_case "candidate limit" `Quick test_candidate_limit;
+          Alcotest.test_case "too long is undecided" `Quick
+            test_too_long_is_undecided;
         ] );
       ( "transformation (E11)",
         [

@@ -38,9 +38,19 @@ let test_counters_per_instance () =
      for the same location on the same fabric *)
   let t1 = Flit.Counters.create () in
   let t2 = Flit.Counters.create () in
-  Hashtbl.replace t1 0 5;
-  Alcotest.(check bool) "isolated" true (Hashtbl.find_opt t2 0 = None);
-  Alcotest.(check int) "fresh table empty" 0 (Hashtbl.length t2)
+  let _, x =
+    with_thread (fun _fab ctx ->
+        let x = Runtime.Ops.alloc ctx ~owner:1 in
+        Flit.Counters.incr t1 ctx x;
+        Flit.Counters.incr t1 ctx x;
+        Alcotest.(check int) "isolated" 0 (Flit.Counters.read t2 ctx x);
+        x)
+  in
+  Alcotest.(check int) "own table holds its increments" 2
+    (Flit.Counters.peek t1 x);
+  Alcotest.(check int) "fresh table reads 0" 0 (Flit.Counters.peek t2 x);
+  Alcotest.(check int) "far location reads 0" 0
+    (Flit.Counters.peek t1 1_000_000)
 
 let test_counters_account () =
   (* counter traffic is charged to the fabric *)

@@ -50,14 +50,14 @@ let test_interleaved_same_domain () =
       ia.FI.complete_op ctx;
       Flit.Counters.incr ca ctx x);
   Alcotest.(check int) "A left an in-flight marker" 1
-    (Option.value ~default:0 (Hashtbl.find_opt ca !xa));
+    (Flit.Counters.peek ca !xa);
   (* B runs next on the SAME domain; both fabrics number their first
      allocation identically, so a uid-less global table would collide *)
   run_thread fab_b (fun ctx ->
       let x = Runtime.Ops.alloc ctx ~owner:1 in
       Alcotest.(check int) "same location number on both fabrics" !xa x;
-      Alcotest.(check bool) "no bleed from A into B's table" true
-        (Hashtbl.find_opt cb x = None);
+      Alcotest.(check int) "no bleed from A into B's table" 0
+        (Flit.Counters.peek cb x);
       Alcotest.(check int) "B's counter reads 0" 0 (Flit.Counters.read cb ctx x);
       ib.FI.shared_store ctx x 7 ~pflag:true;
       ib.FI.complete_op ctx;
@@ -65,7 +65,7 @@ let test_interleaved_same_domain () =
         (Flit.Counters.read cb ctx x));
   (* ...and B's whole run never touched A's residue *)
   Alcotest.(check int) "A's marker intact after B's run" 1
-    (Option.value ~default:0 (Hashtbl.find_opt ca !xa));
+    (Flit.Counters.peek ca !xa);
   (* back to A: the instance still works after B's lifetime ended *)
   run_thread fab_a (fun ctx ->
       Flit.Counters.decr ca ctx !xa;

@@ -604,6 +604,41 @@ let test_inline_share () =
     true
     (float_of_int inline >= 0.9 *. float_of_int !switches)
 
+(* An allocation regression guard on the untraced serving path: a
+   kv-read-shaped run (YCSB-b, Zipf 0.99, unreplicated, below the knee)
+   with no history recorded allocates at most [bound] minor words per
+   offered request, the keyspace preload included.  It measured 59.5
+   words per request when the bound was set about 15% above that; with
+   a hash-table FliT counter table, a persistent request stream, history
+   records built unrecorded and a closure per idle skip it was 355.3. *)
+let test_untraced_alloc_bound () =
+  let bound = 68.0 in
+  let traffic =
+    {
+      T.sessions = 64;
+      ops_per_session = 50;
+      rate = 0.05;
+      theta = 0.99;
+      keyspace = 256;
+      mix = T.mix_of_string "b";
+      value_range = 1000;
+      seed = 1;
+    }
+  in
+  let c =
+    K.default_serve_config ~transform:Flit.Registry.alg3'_weakest ~traffic
+  in
+  Alcotest.(check bool) "no history recorded" false c.K.record_history;
+  let w0 = Gc.minor_words () in
+  let r = K.serve c in
+  let words = (Gc.minor_words () -. w0) /. float_of_int (T.total_ops traffic) in
+  Alcotest.(check int) "every request served" (T.total_ops traffic)
+    (r.K.served.(0) + r.K.served.(1) + r.K.served.(2));
+  Alcotest.(check bool) "history = []" true (r.K.history = []);
+  Alcotest.(check bool)
+    (Fmt.str "%.1f minor words per request <= %.0f" words bound)
+    true (words <= bound)
+
 let test_series_conservation () =
   (* the windowed timeline is a partition of the same run: summing the
      windows recovers every engine counter *)
@@ -652,6 +687,8 @@ let () =
             test_serve_history_matches_counts;
           Alcotest.test_case "kv-read shape: yields return inline" `Quick
             test_inline_share;
+          Alcotest.test_case "kv-read shape: minor words per request bounded"
+            `Quick test_untraced_alloc_bound;
         ] );
       ( "durability",
         [

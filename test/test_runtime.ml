@@ -375,6 +375,71 @@ let test_plan_in_skip_window () =
   Alcotest.(check bool) "most plan steps fell inside a skip window" true
     (!inside > 20 * 7 / 2)
 
+(* Five waiters on one condition, spawned one after another behind a
+   worker that moves it.  [tick] counts the fibre slices: every fibre
+   bumps it before it yields or waits, so two polls run in one wake see
+   the same tick, and polls of different wakes never do.  [`Shared]
+   hands every waiter the same poll closure; [`Distinct] gives each its
+   own closure with the same body.  Returns the steps, the picks and
+   the ticks each closure ran at, newest first. *)
+let shared_poll_run mode seed =
+  let tr = Obs.Tracer.create ~capacity:(1 lsl 14) () in
+  let fab = F.uniform ~seed ~evict_prob:0.1 ~tracer:tr 2 in
+  let s = S.create ~seed fab in
+  let tick = ref 0 and count = ref 0 in
+  let poll log () =
+    log := !tick :: !log;
+    !count >= 30
+  in
+  let shared_log = ref [] in
+  let shared = poll shared_log in
+  ignore
+    (S.spawn s ~machine:0 ~name:"worker" (fun ctx ->
+         for _ = 1 to 40 do
+           incr count;
+           incr tick;
+           S.yield ctx
+         done));
+  let logs =
+    List.init 5 (fun i ->
+        let log = match mode with `Shared -> shared_log | `Distinct -> ref [] in
+        let p = match mode with `Shared -> shared | `Distinct -> poll log in
+        ignore
+          (S.spawn s ~machine:(i mod 2) ~name:"waiter" (fun ctx ->
+               incr tick;
+               S.wait ctx p;
+               incr tick));
+        log)
+  in
+  let steps = S.run s in
+  let logs = match mode with `Shared -> [ shared_log ] | `Distinct -> logs in
+  (steps, switches tr, List.map ( ! ) logs)
+
+let test_shared_poll_once_per_wake () =
+  List.iter
+    (fun seed ->
+      let steps, sw, shared = shared_poll_run `Shared seed in
+      let steps', sw', distinct = shared_poll_run `Distinct seed in
+      let name s = Fmt.str "seed %d: %s" seed s in
+      Alcotest.(check int) (name "same steps") steps' steps;
+      Alcotest.(check bool) (name "same picks") true (sw = sw');
+      let ticks = List.concat shared in
+      Alcotest.(check bool) (name "the shared poll ran") true (ticks <> []);
+      (* newest first: strictly decreasing = never twice in one wake *)
+      let rec strictly_down = function
+        | a :: (b :: _ as rest) -> a > b && strictly_down rest
+        | _ -> true
+      in
+      Alcotest.(check bool) (name "shared poll runs once per wake") true
+        (strictly_down ticks);
+      let all = List.concat distinct in
+      Alcotest.(check (list int))
+        (name "one run for every wake a distinct closure ran in")
+        (List.sort_uniq compare all) (List.sort compare ticks);
+      Alcotest.(check bool) (name "distinct closures share wakes") true
+        (List.length all > List.length ticks))
+    (List.init 10 (fun i -> i + 1))
+
 (* Short fibres finish at different steps; a fibre alone on machine 3
    crashes it and yields (so only its suspension can count the death),
    another crashes its own machine 0, killing a long fibre, and returns;
@@ -932,6 +997,8 @@ let () =
             test_no_waiter_pinned;
           Alcotest.test_case "plan step inside a skip" `Quick
             test_plan_in_skip_window;
+          Alcotest.test_case "a shared poll runs once per wake" `Quick
+            test_shared_poll_once_per_wake;
           Alcotest.test_case "compaction after deaths pinned" `Quick
             test_prune_on_death_pinned;
           Alcotest.test_case "one fibre: every yield inline" `Quick

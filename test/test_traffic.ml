@@ -133,20 +133,82 @@ let test_schedule_well_formed () =
     (List.length (List.sort_uniq compare !insert_keys))
 
 let test_stream_persistent () =
-  (* the streaming engine's contract: deterministic in the seed,
-     persistent (forcing twice replays the same draws), and O(sessions)
-     in state — the big spec here would blow an eager engine's memory
-     budget times over if it materialised *)
+  (* the streaming engine's contract: deterministic in the seed, each
+     traversal from the root replays the same draws (a fresh cursor per
+     traversal), and O(sessions) in state — the big spec here would blow
+     an eager engine's memory budget times over if it materialised *)
   let s = T.stream spec in
   let arr = Array.of_seq s in
   Alcotest.(check bool) "rerun identical" true (schedule spec = arr);
-  Alcotest.(check bool) "stream is persistent" true
+  Alcotest.(check bool) "a second traversal from the root replays" true
     (Array.of_seq s = arr);
+  let c = T.cursor spec in
+  let rec drain acc =
+    match T.next c with None -> List.rev acc | Some r -> drain (r :: acc)
+  in
+  Alcotest.(check bool) "the cursor drains the same schedule" true
+    (Array.of_list (drain []) = arr);
+  Alcotest.(check bool) "a drained cursor stays drained" true (T.next c = None);
   Alcotest.(check bool) "seed matters" true
     (schedule { spec with T.seed = 8 } <> arr);
   let big = { spec with T.sessions = 3; ops_per_session = 100_000 } in
   let n = Seq.fold_left (fun n (_ : T.request) -> n + 1) 0 (T.stream big) in
   Alcotest.(check int) "lazy stream drains fully" (T.total_ops big) n
+
+(* The materialising generator, spelled out: each session draws its
+   requests in sequence from its own RNG — gap, op weight, key, value —
+   and the whole schedule is sorted by (arrival, session, seq).  The
+   streaming generator must equal it draw for draw. *)
+let materialised (s : T.spec) =
+  let zipf = T.Zipf.create ~theta:s.T.theta ~n:s.T.keyspace in
+  let mean = float_of_int s.T.sessions *. 1000.0 /. s.T.rate in
+  let m = s.T.mix in
+  let all = ref [] in
+  for session = 0 to s.T.sessions - 1 do
+    let rng = Random.State.make [| s.T.seed; session; 0x5e55 |] in
+    let clock = ref 0 and inserted = ref 0 in
+    for seq = 0 to s.T.ops_per_session - 1 do
+      let u = 1.0 -. Random.State.float rng 1.0 in
+      clock := !clock + max 1 (int_of_float (Float.round (-.mean *. log u)));
+      let w = Random.State.int rng (m.T.reads + m.T.updates + m.T.inserts) in
+      let op =
+        if w < m.T.reads then T.Read
+        else if w < m.T.reads + m.T.updates then T.Update
+        else T.Insert
+      in
+      let key =
+        match op with
+        | T.Read | T.Update -> T.Zipf.draw zipf rng
+        | T.Insert ->
+            incr inserted;
+            s.T.keyspace + (session * s.T.ops_per_session) + !inserted - 1
+      in
+      let value =
+        match op with
+        | T.Read -> 0
+        | T.Update | T.Insert -> 1 + Random.State.int rng s.T.value_range
+      in
+      all := { T.session; seq; arrival = !clock; op; key; value } :: !all
+    done
+  done;
+  Array.of_list
+    (List.sort
+       (fun (a : T.request) (b : T.request) ->
+         compare (a.T.arrival, a.T.session, a.T.seq)
+           (b.T.arrival, b.T.session, b.T.seq))
+       !all)
+
+let test_matches_materialised () =
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (T.describe spec) true
+        (schedule spec = materialised spec))
+    [
+      spec;
+      { spec with T.mix = T.mix_of_string "90:5:5"; seed = 3 };
+      { spec with T.mix = T.mix_of_string "a"; theta = 0.0; rate = 40.0 };
+      { spec with T.sessions = 1; ops_per_session = 50 };
+    ]
 
 let test_validate () =
   let ok s = Result.is_ok (T.validate s) in
@@ -174,7 +236,10 @@ let test_validate () =
       ignore (T.stream { spec with T.rate = -1.0 } : T.request Seq.t));
   Alcotest.check_raises "stream raises"
     (Invalid_argument "Traffic.stream: sessions must be positive") (fun () ->
-      ignore (T.stream { spec with T.sessions = 0 } : T.request Seq.t))
+      ignore (T.stream { spec with T.sessions = 0 } : T.request Seq.t));
+  Alcotest.check_raises "cursor raises"
+    (Invalid_argument "Traffic.cursor: sessions must be positive") (fun () ->
+      ignore (T.cursor { spec with T.sessions = 0 } : T.cursor))
 
 let test_mix_respected () =
   let all_ops mix =
@@ -208,6 +273,8 @@ let () =
           Alcotest.test_case "well-formed" `Quick test_schedule_well_formed;
           Alcotest.test_case "stream persistent" `Quick
             test_stream_persistent;
+          Alcotest.test_case "matches the materialising generator" `Quick
+            test_matches_materialised;
           Alcotest.test_case "validate" `Quick test_validate;
           Alcotest.test_case "mix respected" `Quick test_mix_respected;
         ] );
