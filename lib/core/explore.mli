@@ -34,12 +34,6 @@ val run : Machine.system -> Config.t -> Label.t list -> t
 
 val feasible : Machine.system -> Config.t -> Label.t list -> bool
 
-val load_outcomes_closed :
-  Machine.system -> t -> Machine.id -> Loc.t -> Value.t list
-(** Like {!load_outcomes}, but the caller supplies an already τ-closed
-    set (a {!run} result, or an explicit {!tau_closure}) — the closure
-    is not recomputed. *)
-
 val load_outcomes : Machine.system -> t -> Machine.id -> Loc.t -> Value.t list
 (** The values the *next* load could observe from some configuration in
     the τ-closure of the set, sorted and deduplicated. *)

@@ -21,5 +21,4 @@ val map_items :
 (** The pool over arbitrary work items instead of ranked config indices;
     per-worker state as in {!map_chunked}, result order is item order. *)
 
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -19,8 +19,6 @@ type perm = {
 val max_machines : int
 (** Machine counts above this yield the empty group. *)
 
-val is_identity : perm -> bool
-
 val group : Packed.ctx -> perm array
 (** Every non-identity automorphism of the context (complete group,
     not a generating set — orbits need no closure computation). *)

@@ -10,7 +10,6 @@ type t = int
 
 let zero = 0
 let of_int = Fun.id
-let to_int = Fun.id
 let equal = Int.equal
 let compare = Int.compare
 let hash = Hashtbl.hash

@@ -10,7 +10,6 @@ val zero : t
     re-initialises to on crash. *)
 
 val of_int : int -> t
-val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

@@ -117,7 +117,7 @@ type t = {
   lat_atomic_extra : int;
   cost_rc : int array;  (** remote-cache crossing, surcharge folded in *)
   cost_rm : int array;  (** remote-memory crossing, surcharge folded in *)
-  mutable rng : Random.State.t;
+  rng : Random.State.t;
   mutable evict_prob : float;  (** chance of spontaneous eviction per tick *)
   mutable evict_gap : int;
       (** failed chances left before {!maybe_evict_n}'s next eviction;
@@ -233,9 +233,6 @@ let set_evict_prob t p =
   t.evict_prob <- p;
   t.evict_gap <- -1
 
-let reseed t seed =
-  t.rng <- Random.State.make [| seed |];
-  t.evict_gap <- -1
 let faults t = t.faults
 let tracer t = t.tracer
 

@@ -80,8 +80,6 @@ val visible : t -> loc -> int
 val set_evict_prob : t -> float -> unit
 (** Raises [Invalid_argument] outside [0,1] (NaN included). *)
 
-val reseed : t -> int -> unit
-
 val charge : t -> int -> unit
 (** Account extra simulated cycles (the runtime's retry backoff). *)
 

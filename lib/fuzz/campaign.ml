@@ -42,12 +42,11 @@ type summary = {
 }
 
 (** [judge profile c h] — the profile's oracle on [h], the history a run
-    of [c] recorded: the status, and the verdict rendered on demand.  A
-    [Buffered_cut] oracle that blows its candidate-subset bound, or could
-    not decide a drop set because its kept history was too long, counts
-    as skipped, mirroring the durable checker's [History_too_long].  The
-    rendering is lazy: formatting [describe c] for every satisfied cell
-    was measurable across a campaign. *)
+    of [c] recorded: the status, and the verdict rendered on demand.
+    Either oracle counts a history too long for the search
+    ([History_too_long], beyond {!Lincheck.Check.max_ops}) as skipped.
+    The rendering is lazy: formatting [describe c] for every satisfied
+    cell was measurable across a campaign. *)
 let judge (p : Gen.profile) (c : W.config) (h : Lincheck.History.t) :
     [ `Ok | `Violation | `Skipped of string ] * string Lazy.t =
   let spec = Harness.Objects.spec c.kind in
@@ -60,17 +59,12 @@ let judge (p : Gen.profile) (c : W.config) (h : Lincheck.History.t) :
         lazy
           (Fmt.str "%a" Lincheck.Durable.pp_verdict
              { v with provenance = Some (W.describe c) }) )
-  | Gen.Buffered_cut -> (
-      match Lincheck.Buffered.check spec h with
-      | v ->
-          ( (match v.skipped with
-            | Some e -> `Skipped (Fmt.str "%a" Lincheck.Check.pp_error e)
-            | None -> if v.buffered_durable then `Ok else `Violation),
-            lazy
-              (Fmt.str "%a [%s]" Lincheck.Buffered.pp_verdict v (W.describe c))
-          )
-      | exception Invalid_argument msg ->
-          (`Skipped msg, lazy ("skipped: " ^ msg)))
+  | Gen.Buffered_cut ->
+      let v = Lincheck.Buffered.check spec h in
+      ( (match v.skipped with
+        | Some e -> `Skipped (Fmt.str "%a" Lincheck.Check.pp_error e)
+        | None -> if v.buffered_durable then `Ok else `Violation),
+        lazy (Fmt.str "%a [%s]" Lincheck.Buffered.pp_verdict v (W.describe c)) )
 
 (* One run of [c] judged by [p]'s oracle, rendered on the violation path
    only, with the run's fabric stats. *)

@@ -24,140 +24,56 @@
       cut, not holes;
     - [h] minus [D] minus crash events is linearizable.
 
-    The checker enumerates happens-after-closed candidate subsets (the
-    candidate sets are small in crash-injection histories) and reuses the
-    Wing–Gong search.  With [D = ∅] this degenerates to plain durable
-    linearizability, so buffered-DL is (as it must be) weaker than DL. *)
+    Dropping is a move of {!Check.search}, the Wing–Gong search that
+    {!Durable.check} runs: a candidate may linearize only if no dropped
+    candidate responded before its invocation, so the drop set is closed
+    by construction.  Searching budgets 0, 1, 2, … in turn makes the
+    first witness size-minimal.  With [D = ∅] this is plain durable
+    linearizability, so buffered-DL is (as it must be) weaker than DL,
+    and both checkers share one bound, {!Check.max_ops}. *)
 
 type verdict = {
   buffered_durable : bool;
   dropped : History.op list;  (** a witness drop set, when satisfiable *)
-  subsets_tried : int;
+  budgets_searched : int;
   skipped : Check.error option;
-      (** the error of a drop set whose kept history was too long for the
-          search, when no drop set was a witness: [buffered_durable =
+      (** the history was too long for the search: [buffered_durable =
           false] is then "undecided", not "violation" *)
 }
 
-(* candidate = completed before some crash *)
-let candidates (h : History.t) : History.op list =
-  let crash_times =
-    List.filteri (fun _ _ -> true) h
-    |> List.mapi (fun i e -> (i, e))
-    |> List.filter_map (fun (i, e) ->
-           match e with History.Crash _ -> Some i | _ -> None)
-  in
-  match crash_times with
-  | [] -> []
-  | _ ->
-      let last_crash = List.fold_left max 0 crash_times in
-      List.filter
-        (fun (o : History.op) ->
-          match o.History.res_at with
-          | Some r -> r < last_crash
-          | None -> false)
-        (History.demote_faulted (History.ops h))
+(* the event index of the last crash; 0 (nothing droppable) without one *)
+let last_crash (h : History.t) =
+  let last = ref 0 in
+  List.iteri (fun i e -> match e with History.Crash _ -> last := i | _ -> ()) h;
+  !last
 
-(* a happens-before b: a responded before b was invoked *)
-let hb (a : History.op) (b : History.op) =
-  match a.History.res_at with
-  | Some r -> r < b.History.inv_at
-  | None -> false
-
-let popcount n =
-  let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
-  go n 0
-
-(** [check spec h] — decide buffered durable linearizability.  Cost is
-    O(2^c) linearizability checks where [c] is the number of candidates;
-    intended for the same small crash-injection histories as
-    {!Durable.check}. *)
+(** [check spec h] — decide buffered durable linearizability by
+    iterative deepening on the drop budget, stopping at the first
+    witness or at the first budget the search did not exhaust. *)
 let check spec (h : History.t) : verdict =
-  if not (History.well_formed h) then
-    {
-      buffered_durable = false;
-      dropped = [];
-      subsets_tried = 0;
-      skipped = None;
-    }
+  let fail = { buffered_durable = false; dropped = []; budgets_searched = 0;
+               skipped = None } in
+  if not (History.well_formed h) then fail
   else begin
-    let cands = Array.of_list (candidates h) in
-    let n = Array.length cands in
-    if n > 16 then
-      invalid_arg "Buffered.check: too many droppable operations";
-    (* fault-aborted ops count as pending (may-complete-or-omit) *)
-    let all_ops = History.demote_faulted (History.ops h) in
-    let tried = ref 0 in
-    (* enumerate drop sets in increasing size so the witness is minimal *)
-    let by_size =
-      List.sort
-        (fun a b -> compare (popcount a) (popcount b))
-        (List.init (1 lsl n) Fun.id)
+    let ops = History.ops h and crash = last_crash h in
+    let rec deepen budget =
+      let searched = budget + 1 in
+      match Check.search spec ~budget ~crash ops with
+      | Error e -> { fail with budgets_searched = searched; skipped = Some e }
+      | Ok o when o.Check.ok ->
+          { buffered_durable = true; dropped = o.Check.dropped;
+            budgets_searched = searched; skipped = None }
+      | Ok o when o.Check.cut_off -> deepen searched
+      | Ok _ -> { fail with budgets_searched = searched }
     in
-    let closed mask =
-      (* drop set must be happens-after-closed within the candidates *)
-      let dropped i = mask land (1 lsl i) <> 0 in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        if dropped i then
-          for j = 0 to n - 1 do
-            if (not (dropped j)) && hb cands.(i) cands.(j) then ok := false
-          done
-      done;
-      !ok
-    in
-    let result = ref None and undecided = ref None in
-    List.iter
-      (fun mask ->
-        if !result = None && closed mask then begin
-          incr tried;
-          let dropped_ids =
-            List.filteri (fun i _ -> mask land (1 lsl i) <> 0)
-              (Array.to_list cands)
-            |> List.map (fun o -> o.History.id)
-          in
-          let kept =
-            List.filter
-              (fun (o : History.op) -> not (List.mem o.History.id dropped_ids))
-              all_ops
-          in
-          let kept_ok =
-            match Check.linearizable spec kept with
-            | Ok o -> o.Check.ok
-            | Error e ->
-                if !undecided = None then undecided := Some e;
-                false
-          in
-          if kept_ok then
-            result :=
-              Some
-                (List.filter
-                   (fun (o : History.op) -> List.mem o.History.id dropped_ids)
-                   all_ops)
-        end)
-      by_size;
-    match !result with
-    | Some dropped ->
-        {
-          buffered_durable = true;
-          dropped;
-          subsets_tried = !tried;
-          skipped = None;
-        }
-    | None ->
-        {
-          buffered_durable = false;
-          dropped = [];
-          subsets_tried = !tried;
-          skipped = !undecided;
-        }
+    deepen 0
   end
 
 let pp_verdict ppf v =
   match v.skipped with
   | Some e ->
-      Fmt.pf ppf "buffered durability undecided (tried %d): %a" v.subsets_tried
-        Check.pp_error e
+      Fmt.pf ppf "buffered durability undecided (%d budget(s) searched): %a"
+        v.budgets_searched Check.pp_error e
   | None when v.buffered_durable ->
       Fmt.pf ppf "buffered durably linearizable (dropping %d op(s): %a)"
         (List.length v.dropped)

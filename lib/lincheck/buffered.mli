@@ -7,22 +7,20 @@
 type verdict = {
   buffered_durable : bool;
   dropped : History.op list;
-      (** a witness drop set, size-minimal among the drop sets the
-          search could decide *)
-  subsets_tried : int;
+      (** a size-minimal witness drop set, in invocation order *)
+  budgets_searched : int;
+      (** drop budgets 0, 1, … the search ran before it stopped *)
   skipped : Check.error option;
-      (** [Some _] when no drop set was a witness and the kept history of
-          some drop set was too long for the search;
+      (** [Some _] when the history was too long for the search (more
+          than {!Check.max_ops} operations, as for {!Durable.check});
           [buffered_durable = false] then means "undecided", not
           "violation". *)
 }
 
-val popcount : int -> int
-
 val check : Spec.t -> History.t -> verdict
-(** Enumerates happens-after-closed drop-candidate subsets (operations
-    completed before the last crash) in increasing size and reuses the
-    Wing–Gong search.  With no crashes this degenerates to plain
-    linearizability.  Raises [Invalid_argument] beyond 16 candidates. *)
+(** Runs {!Check.search} with drop budgets 0, 1, 2, … over the
+    operations completed before the last crash, until one finds a
+    witness or a budget is not exhausted, so the witness is
+    size-minimal.  With no crashes this is plain linearizability. *)
 
 val pp_verdict : verdict Fmt.t

@@ -28,7 +28,8 @@ type verdict = {
           campaign can be traced back to its origin *)
 }
 
-let no_outcome = { Check.ok = false; witness = []; explored = 0 }
+let no_outcome =
+  { Check.ok = false; witness = []; dropped = []; cut_off = false; explored = 0 }
 
 (** [check ?provenance spec h] — decide durable linearizability of [h].
     [provenance] labels the verdict with the config/seed that produced

@@ -70,7 +70,6 @@ let pp_op ppf o =
 let ret_int (o : op) = match o.ret with Some (Ret r) -> Some r | _ -> None
 
 let is_corrupt (o : op) = o.ret = Some Corrupt
-let is_faulted (o : op) = o.ret = Some Faulted
 
 (** [demote_faulted ops] — rewrite every [Faulted] op as pending (no
     result, no response time): the sound model for fault-aborted

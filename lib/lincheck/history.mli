@@ -45,7 +45,6 @@ val ret_int : op -> int option
 (** The integer result of a completed op; [None] if pending or corrupt. *)
 
 val is_corrupt : op -> bool
-val is_faulted : op -> bool
 
 val demote_faulted : op list -> op list
 (** Rewrite every [Faulted] op as pending (no result, no response time)

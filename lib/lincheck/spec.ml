@@ -20,7 +20,9 @@ module type S = sig
       [args] is never legal in [state] (checker prunes the branch) *)
 
   val equal : state -> state -> bool
+
   val hash : state -> int
+  (** equal states hash equally: the checker's memo relies on it *)
 end
 
 type t = (module S)

@@ -5,9 +5,6 @@
 
 type t
 
-val n_ops : int
-(** 3: read / update / insert ({!Span.op_name}). *)
-
 val of_spans : Span.t list -> t
 
 val e2e : t -> op:int -> Hist.t

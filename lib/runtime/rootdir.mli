@@ -26,7 +26,3 @@ val lookup : t -> Sched.ctx -> name:string -> Fabric.loc option
     crash reads as absent. *)
 
 val names_used : t -> Sched.ctx -> int
-
-val hash_name : string -> int
-(** The positive, non-zero name hash used for slot keys (exposed for
-    tests). *)

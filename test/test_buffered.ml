@@ -1,6 +1,7 @@
 (* Buffered durable linearizability (§7 future work): the consistent-cut
-   checker on hand-crafted histories, and the buffered-sync
-   transformation end to end (experiment E11).
+   checker on hand-crafted histories and against a brute-force reference
+   on random ones, and the buffered-sync transformation end to end
+   (experiment E11).
 
    Empirical structure this suite pins down:
    - buffered-DL is strictly weaker than DL (histories exist that are
@@ -125,23 +126,32 @@ let test_dropped_reads_allowed () =
   Alcotest.(check bool) "observer dropped with its write" true
     (buffered Lincheck.Specs.register h)
 
-let test_candidate_limit () =
+let test_many_candidates_decided () =
+  (* 20 sequential writes, a crash, then a read of the 10th value: the
+     minimal cut drops the last 10 writes.  Every write is a candidate;
+     the search is bounded by the history's length, not by how many of
+     its ops could be dropped. *)
   let h =
     List.concat_map
-      (fun i -> [ inv 0 "write" [ 1 + (i mod 3) ]; res 0 0 ])
-      (List.init 17 Fun.id)
-    @ [ crash 1 ]
+      (fun v -> [ inv 0 "write" [ v ]; res 0 0 ])
+      (List.init 20 (fun i -> i + 1))
+    @ [ crash 1; inv 1 "read" []; res 1 10 ]
   in
-  Alcotest.check_raises "guard"
-    (Invalid_argument "Buffered.check: too many droppable operations")
-    (fun () -> ignore (Lincheck.Buffered.check Lincheck.Specs.register h))
+  let v = Lincheck.Buffered.check Lincheck.Specs.register h in
+  Alcotest.(check bool) "buffered" true v.Lincheck.Buffered.buffered_durable;
+  Alcotest.(check int) "the last 10 writes dropped" 10
+    (List.length v.Lincheck.Buffered.dropped);
+  Alcotest.(check (list int)) "exactly writes 11..20"
+    (List.init 10 (fun i -> i + 11))
+    (List.concat_map
+       (fun (o : Lincheck.History.op) -> o.Lincheck.History.args)
+       v.Lincheck.Buffered.dropped)
 
 let test_too_long_is_undecided () =
-  (* 10 sequential writes, a crash, then 60 reads of the last value: 70
-     ops.  Every drop set that keeps more than 62 ops is beyond the
-     search, and every smaller kept history drops the last write its
-     reads observe — so no drop set is a witness, and the verdict is
-     undecided, as the durable checker's is, never a violation. *)
+  (* 10 sequential writes, a crash, then 60 reads: 70 ops.  Both
+     checkers share one bound, [Check.max_ops] = 62, on the whole
+     history, so the verdict is undecided whatever the reads observed,
+     as the durable checker's is — never a violation. *)
   let probe read =
     List.concat_map
       (fun v -> [ inv 0 "write" [ v ]; res 0 0 ])
@@ -156,8 +166,8 @@ let test_too_long_is_undecided () =
   Alcotest.(check bool) "durable checker: undecided" true
     (d.Lincheck.Durable.skipped <> None);
   let v = Lincheck.Buffered.check Lincheck.Specs.register h in
-  Alcotest.(check int) "every suffix of the writes tried" 11
-    v.Lincheck.Buffered.subsets_tried;
+  Alcotest.(check int) "only the zero budget searched" 1
+    v.Lincheck.Buffered.budgets_searched;
   Alcotest.(check bool) "no witness" false v.Lincheck.Buffered.buffered_durable;
   Alcotest.(check bool) "buffered checker: undecided" true
     (v.Lincheck.Buffered.skipped
@@ -171,11 +181,130 @@ let test_too_long_is_undecided () =
   in
   Alcotest.(check bool) "the campaign counts it as skipped" true
     (match status with `Skipped _ -> true | `Ok | `Violation -> false);
-  (* a witness the search can decide still wins over an undecided set *)
+  (* dropping all 10 writes would leave 60 ops, but the bound is on the
+     history, not on a kept part of it *)
   let v' = Lincheck.Buffered.check Lincheck.Specs.register (probe 0) in
-  Alcotest.(check bool) "dropping every write is a witness" true
+  Alcotest.(check bool) "no witness claimed" false
     v'.Lincheck.Buffered.buffered_durable;
-  Alcotest.(check bool) "decided" true (v'.Lincheck.Buffered.skipped = None)
+  Alcotest.(check bool) "undecided too" true (v'.Lincheck.Buffered.skipped <> None)
+
+(* The consistent-cut definition by brute force, the reference for the
+   search's drop move: every drop set of ops completed before the last
+   crash that is closed under happens-after within those ops, in
+   increasing size, each kept history through [Check.linearizable].
+   The size of the first witness, if any. *)
+let reference_cut spec h =
+  let open Lincheck.History in
+  let ops = demote_faulted (ops h) in
+  let last =
+    List.fold_left max 0
+      (List.mapi (fun i e -> match e with Crash _ -> i | _ -> 0) h)
+  in
+  let cands =
+    List.filter
+      (fun o -> match o.res_at with Some r -> r < last | None -> false)
+      ops
+  in
+  let hb a b = match a.res_at with Some r -> r < b.inv_at | None -> false in
+  let closed d =
+    List.for_all
+      (fun a ->
+        List.for_all (fun b -> List.memq b d || not (hb a b)) cands)
+      d
+  in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | x :: xs ->
+        let s = subsets xs in
+        s @ List.map (fun d -> x :: d) s
+  in
+  subsets cands
+  |> List.filter closed
+  |> List.stable_sort (fun a b -> compare (List.length a) (List.length b))
+  |> List.find_opt (fun d ->
+         match
+           Lincheck.Check.linearizable spec
+             (List.filter (fun o -> not (List.memq o d)) ops)
+         with
+         | Ok o -> o.Lincheck.Check.ok
+         | Error _ -> false)
+  |> Option.map List.length
+
+(* A random well-formed history of at most 16 events over 1–3 threads:
+   register writes of 1–3 and reads, or counter incs and gets, with
+   results drawn from 0–3 (so some histories are linearizable, some
+   only after a cut, some not at all), crash events that may kill a
+   thread mid-operation, and an occasional faulted or corrupt
+   response. *)
+let random_history rng ~register =
+  let threads = 1 + Random.State.int rng 3 in
+  let open_op = Array.make threads false and dead = Array.make threads false in
+  let small () = Random.State.int rng 4 in
+  let events = ref [] in
+  for _ = 1 to Random.State.int rng 17 do
+    let live = List.filter (fun t -> not dead.(t)) (List.init threads Fun.id) in
+    if live = [] || Random.State.int rng 8 = 0 then begin
+      events := crash 1 :: !events;
+      Array.iteri
+        (fun t o -> if o && Random.State.bool rng then dead.(t) <- true)
+        open_op
+    end
+    else begin
+      let t = List.nth live (Random.State.int rng (List.length live)) in
+      if open_op.(t) then begin
+        let ret =
+          match Random.State.int rng 40 with
+          | 0 -> Lincheck.History.Faulted
+          | 1 -> Lincheck.History.Corrupt
+          | _ -> Lincheck.History.Ret (small ())
+        in
+        events := Lincheck.History.Res { tid = t; ret } :: !events;
+        open_op.(t) <- false
+      end
+      else begin
+        let op, args =
+          match (register, Random.State.bool rng) with
+          | true, true -> ("write", [ 1 + Random.State.int rng 3 ])
+          | true, false -> ("read", [])
+          | false, true -> ("inc", [])
+          | false, false -> ("get", [])
+        in
+        events := inv t op args :: !events;
+        open_op.(t) <- true
+      end
+    end
+  done;
+  List.rev !events
+
+let test_matches_reference_cut () =
+  let rng = Random.State.make [| 2026 |] in
+  let cut_witnesses = ref 0 and violations = ref 0 in
+  for i = 1 to 20_000 do
+    let register = i mod 2 = 0 in
+    let spec =
+      if register then Lincheck.Specs.register else Lincheck.Specs.counter
+    in
+    let h = random_history rng ~register in
+    let v = Lincheck.Buffered.check spec h in
+    let got =
+      if v.Lincheck.Buffered.buffered_durable then
+        Some (List.length v.Lincheck.Buffered.dropped)
+      else None
+    in
+    let want = reference_cut spec h in
+    if got <> want || v.Lincheck.Buffered.skipped <> None then
+      Alcotest.failf "history %d: search %s, reference %s@.%a" i
+        (match got with Some k -> Fmt.str "drops %d" k | None -> "no cut")
+        (match want with Some k -> Fmt.str "drops %d" k | None -> "no cut")
+        Lincheck.History.pp h;
+    match want with
+    | Some k when k > 0 -> incr cut_witnesses
+    | Some _ -> ()
+    | None -> incr violations
+  done;
+  (* the sample exercises both non-trivial outcomes *)
+  Alcotest.(check bool) "witnesses that need a cut" true (!cut_witnesses > 500);
+  Alcotest.(check bool) "histories with no cut" true (!violations > 500)
 
 (* ------------------------------------------------------------------ *)
 (* The buffered-sync transformation, end to end                        *)
@@ -387,9 +516,12 @@ let () =
           Alcotest.test_case "no crash = plain lin" `Quick
             test_no_crash_equals_linearizability;
           Alcotest.test_case "dropped reads" `Quick test_dropped_reads_allowed;
-          Alcotest.test_case "candidate limit" `Quick test_candidate_limit;
+          Alcotest.test_case "many candidates are decided" `Quick
+            test_many_candidates_decided;
           Alcotest.test_case "too long is undecided" `Quick
             test_too_long_is_undecided;
+          Alcotest.test_case "matches the brute-force cut" `Slow
+            test_matches_reference_cut;
         ] );
       ( "transformation (E11)",
         [
