@@ -7,7 +7,10 @@
      dune exec bin/cxl0_explore.exe -- -n 3 --volatile \
        "MStore_1(x^2,1); crash_2" --outcomes-for "x^2"
 
-   Machine count defaults to the highest index mentioned. *)
+   Machine count defaults to the highest index the events mention; an
+   --outcomes-for location must be owned by one of the machines.  The
+   reachable sets come from the map-based reference engine
+   ({!Cxl0.Explore.run}), unreduced. *)
 
 open Cmdliner
 
@@ -21,22 +24,44 @@ let max_machine_in labels =
       max acc (max m o))
     0 labels
 
+(* The events, machine count and --outcomes-for location, or the
+   message for an invocation that names something the system lacks:
+   such an invocation is rejected like a parse error, never explored. *)
+let validate events n outcomes_for =
+  let ( let* ) = Result.bind in
+  let* labels =
+    Result.map_error (Fmt.str "parse error: %s") (Cxl0.Parse.program events)
+  in
+  let named = max_machine_in labels + 1 in
+  let* n =
+    match n with
+    | Some n when n < named ->
+        Error
+          (Fmt.str "cxl0-explore: -n %d, but the events name machine %d" n
+             named)
+    | Some n -> Ok n
+    | None -> Ok named
+  in
+  let* x =
+    match Option.map Cxl0.Parse.loc outcomes_for with
+    | None -> Ok None
+    | Some (Error e) -> Error (Fmt.str "bad --outcomes-for location: %s" e)
+    | Some (Ok x) when Cxl0.Loc.owner x >= n ->
+        Error
+          (Fmt.str
+             "cxl0-explore: --outcomes-for %a, but the system has %d \
+              machine(s)"
+             Cxl0.Loc.pp x n)
+    | Some (Ok x) -> Ok (Some x)
+  in
+  Ok (labels, n, x)
+
 let run events n volatile outcomes_for verbose =
-  match (Cxl0.Parse.program events, n) with
-  | Error e, _ ->
-      Fmt.epr "parse error: %s@."
-        e;
+  match validate events n outcomes_for with
+  | Error msg ->
+      Fmt.epr "%s@." msg;
       2
-  | Ok labels, Some n when n <= max_machine_in labels ->
-      (* a system without a machine the events name: rejected like a
-         parse error, never explored *)
-      Fmt.epr "cxl0-explore: -n %d, but the events name machine %d@." n
-        (max_machine_in labels + 1);
-      2
-  | Ok labels, n ->
-      let n =
-        match n with Some n -> n | None -> max_machine_in labels + 1
-      in
+  | Ok (labels, n, outcomes_for) ->
       let sys =
         Cxl0.Machine.uniform
           ~persistence:
@@ -46,24 +71,7 @@ let run events n volatile outcomes_for verbose =
       in
       Fmt.pr "system: %a@." Cxl0.Machine.pp_system sys;
       Fmt.pr "events: %a@." Cxl0.Litmus.pp_events labels;
-      let reach =
-        let fast () =
-          let locs =
-            List.filter_map Cxl0.Label.loc labels
-            |> List.sort_uniq Cxl0.Loc.compare
-          in
-          let ctx = Cxl0.Packed.make sys ~locs in
-          let cache = Cxl0.Explore.Fast.create ctx in
-          let set = Cxl0.Explore.Fast.run cache (Cxl0.Packed.init ctx) labels in
-          let st = Cxl0.Explore.Fast.stats cache in
-          Fmt.epr "%d state(s), %d transition(s) explored@."
-            st.Cxl0.Explore.Fast.states st.Cxl0.Explore.Fast.transitions;
-          Cxl0.Explore.Fast.to_set cache set
-        in
-        try fast ()
-        with Cxl0.Packed.Unrepresentable _ ->
-          Cxl0.Explore.run sys Cxl0.Config.init labels
-      in
+      let reach = Cxl0.Explore.run sys Cxl0.Config.init labels in
       let feasible = not (Cxl0.Config.Set.is_empty reach) in
       Fmt.pr "verdict: %s@."
         (if feasible then "ALLOWED (some execution realises this sequence)"
@@ -76,19 +84,15 @@ let run events n volatile outcomes_for verbose =
           (Cxl0.Explore.elements reach)
       end;
       (match outcomes_for with
-      | None -> ()
-      | Some locstr -> (
-          match Cxl0.Parse.loc locstr with
-          | Error e -> Fmt.epr "bad --outcomes-for location: %s@." e
-          | Ok x ->
-              if feasible then
-                List.iter
-                  (fun i ->
-                    Fmt.pr "next Load_%d(%a) could observe: %a@." (i + 1)
-                      Cxl0.Loc.pp x
-                      Fmt.(list ~sep:(any ", ") int)
-                      (Cxl0.Explore.load_outcomes sys reach i x))
-                  (Cxl0.Machine.ids sys)));
+      | Some x when feasible ->
+          List.iter
+            (fun i ->
+              Fmt.pr "next Load_%d(%a) could observe: %a@." (i + 1)
+                Cxl0.Loc.pp x
+                Fmt.(list ~sep:(any ", ") int)
+                (Cxl0.Explore.load_outcomes sys reach i x))
+            (Cxl0.Machine.ids sys)
+      | _ -> ());
       if feasible then 0 else 1
 
 let events =
@@ -104,7 +108,7 @@ let n =
     value
     & opt (some int) None
     & info [ "n" ] ~docv:"N"
-        ~doc:"Number of machines (default: highest index mentioned).")
+        ~doc:"Number of machines (default: highest index the events mention).")
 
 let volatile =
   Arg.(value & flag & info [ "volatile" ] ~doc:"All shared memory volatile.")

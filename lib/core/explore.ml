@@ -8,16 +8,16 @@
     flushes are modelled as blocking preconditions, applying a flush label
     simply *filters* the τ-saturated set.
 
-    Two engines implement the same exploration:
+    Two engines decide the same relation:
 
     - the {e reference} engine below works on {!Config.Set.t} over the
       canonical map-based {!Config.t} — easy to audit, kept as the
-      differential-testing oracle;
-    - {!Fast} works on bit-packed {!Packed.t} states: full reachable
-      sets for the {!Props.check_exhaustive} sweep's exact-failure
-      re-check, and one first-hit search for the litmus verdicts and
-      the sweep's membership queries ({!Fast.feasible},
-      {!Fast.reaches}). *)
+      differential-testing oracle; it builds the reachable sets that
+      the {!Props.check_exhaustive} sweep's exact-failure re-check and
+      [cxl0_explore] print;
+    - {!Fast} works on bit-packed {!Packed.t} states and builds no set:
+      one first-hit search decides the litmus verdicts and the sweep's
+      membership queries ({!Fast.feasible}, {!Fast.reaches}). *)
 
 type t = Config.Set.t
 
@@ -109,104 +109,32 @@ let pp ppf s =
 (* ------------------------------------------------------------------ *)
 
 module Fast = struct
-  (** Same exploration, an order of magnitude faster: states are
-      bit-packed words ({!Packed.t}), visited sets are hash tables with
-      O(1) membership, and τ-successor arrays are memoised in [cache] —
-      the many {!run} calls of one exact-failure re-check revisit the
-      same configurations constantly, so successor enumeration
-      amortises to a table lookup.  A cache is private to one domain
-      (hash tables are not domain-safe); the parallel driver creates
-      one per worker.
+  (** The packed search: states are bit-packed words ({!Packed.t})
+      and visited states live in a hash table with O(1) membership.  A
+      cache is private to one domain (its counters are not atomic); the
+      parallel driver creates one per worker.
 
-      {!run} builds full reachable sets, unreduced.  {!feasible} and
-      {!reaches} are one first-hit search ([search]) that builds no
-      set and restricts its τ-steps between labels to the labels'
-      locations ({!within}), which is exact because a τ-step on another
-      location commutes with every label and neither enables nor
-      disables one. *)
+      {!feasible} and {!reaches} are one first-hit search ([search])
+      that builds no reachable set and restricts its τ-steps between
+      labels to the labels' locations ({!within}), which is exact
+      because a τ-step on another location commutes with every label
+      and neither enables nor disables one. *)
 
   type stats = {
-    states : int;       (** insertions into reachable sets *)
+    states : int;       (** search visits *)
     transitions : int;  (** τ-successors generated + labels applied *)
   }
 
   type cache = {
     ctx : Packed.ctx;
-    taus : Packed.t array Packed.Tbl.t;  (** τ-successor memo *)
     mutable n_states : int;
     mutable n_transitions : int;
   }
 
-  let create ctx =
-    { ctx; taus = Packed.Tbl.create 4096; n_states = 0; n_transitions = 0 }
+  let create ctx = { ctx; n_states = 0; n_transitions = 0 }
 
   let ctx cache = cache.ctx
   let stats cache = { states = cache.n_states; transitions = cache.n_transitions }
-
-  type set = unit Packed.Tbl.t
-  (** a reachable set: the keys are the members *)
-
-  let of_packed st : set =
-    let s = Packed.Tbl.create 64 in
-    Packed.Tbl.replace s st ();
-    s
-
-  let successors cache st =
-    match Packed.Tbl.find_opt cache.taus st with
-    | Some ts -> ts
-    | None ->
-        let acc = ref [] in
-        Array.iteri
-          (fun xi w ->
-            Packed.word_taus cache.ctx xi w (fun w' ->
-                let st' = Array.copy st in
-                st'.(xi) <- w';
-                acc := st' :: !acc))
-          st;
-        let ts = Array.of_list (List.rev !acc) in
-        Packed.Tbl.add cache.taus st ts;
-        ts
-
-  (** Worklist τ-closure, in place: [s] is grown to its closure and
-      returned. *)
-  let tau_closure cache (s : set) : set =
-    let work = Stack.create () in
-    Packed.Tbl.iter (fun st _ -> Stack.push st work) s;
-    while not (Stack.is_empty work) do
-      Array.iter
-        (fun st' ->
-          cache.n_transitions <- cache.n_transitions + 1;
-          if not (Packed.Tbl.mem s st') then begin
-            Packed.Tbl.replace s st' ();
-            cache.n_states <- cache.n_states + 1;
-            Stack.push st' work
-          end)
-        (successors cache (Stack.pop work))
-    done;
-    s
-
-  let apply_label cache (s : set) (l : Label.t) : set =
-    let out = Packed.Tbl.create (Packed.Tbl.length s) in
-    Packed.Tbl.iter
-      (fun st _ ->
-        match Packed.apply cache.ctx st l with
-        | Some st' ->
-            cache.n_transitions <- cache.n_transitions + 1;
-            if not (Packed.Tbl.mem out st') then begin
-              Packed.Tbl.replace out st' ();
-              cache.n_states <- cache.n_states + 1
-            end
-        | None -> ())
-      s;
-    out
-
-  (** [run cache st ls] — the packed mirror of {!Explore.run},
-      unreduced. *)
-  let run cache st ls =
-    tau_closure cache
-      (List.fold_left
-         (fun s l -> apply_label cache (tau_closure cache s) l)
-         (of_packed st) ls)
 
   (* ---------------------------------------------------------------- *)
   (* First-hit search: feasibility and membership                      *)
@@ -322,13 +250,13 @@ module Fast = struct
     in
     match visit 0 st with () -> false | exception Hit -> true
 
-  (** [feasible cache st labels] — whether {!run} is non-empty: some
-      state follows the last label.  A trailing τ-closure never empties
-      a set, so none is searched. *)
+  (** [feasible cache st labels] — whether {!Explore.run} is non-empty:
+      some state follows the last label.  A trailing τ-closure never
+      empties a set, so none is searched. *)
   let feasible cache st labels = search cache st labels (fun _ -> true)
 
-  (** [reaches cache st labels d] — [d ∈ R_labels(st)], the membership
-      query of {!run}, without building the set: the state after the
+  (** [reaches cache st labels d] — [d ∈ R_labels(st)], membership in
+      {!Explore.run}, without building the set: the state after the
       last label must reach [d] by τ-steps, settled in closed form one
       location at a time ({!Packed.tau_reaches}). *)
   let reaches cache st labels d =
@@ -338,29 +266,4 @@ module Fast = struct
           || (Packed.tau_reaches cache.ctx xi s.(xi) d.(xi) && go (xi - 1))
         in
         go (Array.length s - 1))
-
-  let mem (s : set) st = Packed.Tbl.mem s st
-
-  let subset (a : set) (b : set) =
-    try
-      Packed.Tbl.iter
-        (fun st _ -> if not (Packed.Tbl.mem b st) then raise Exit)
-        a;
-      true
-    with Exit -> false
-
-  let elements (s : set) = Packed.Tbl.fold (fun st _ acc -> st :: acc) s []
-
-  (** [diff_elements a b] — members of [a] not in [b] (unordered). *)
-  let diff_elements (a : set) (b : set) =
-    Packed.Tbl.fold
-      (fun st _ acc -> if Packed.Tbl.mem b st then acc else st :: acc)
-      a []
-
-  (** [to_set cache s] — the reference-representation image, for
-      cross-checking against the map-based engine. *)
-  let to_set cache (s : set) : Config.Set.t =
-    Packed.Tbl.fold
-      (fun st _ acc -> Config.Set.add (Packed.to_config cache.ctx st) acc)
-      s Config.Set.empty
 end

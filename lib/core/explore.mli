@@ -8,9 +8,10 @@
     filters).
 
     The functions at the top level form the {e reference} engine over
-    canonical map-based configurations; {!Fast} is the bit-packed
-    hash-set engine used on the hot path, differentially tested against
-    the reference. *)
+    canonical map-based configurations, the only one that builds
+    reachable sets; {!Fast} is the bit-packed first-hit search used on
+    the hot path (litmus verdicts, the Proposition 1 sweep's membership
+    queries), differentially tested against the reference. *)
 
 type t = Config.Set.t
 
@@ -43,38 +44,26 @@ val cardinal : t -> int
 val elements : t -> Config.t list
 val pp : t Fmt.t
 
-(** {1 The packed fast engine} *)
+(** {1 The packed search} *)
 
 module Fast : sig
   type cache
-  (** Exploration context plus the τ-successor memo shared across runs.
-      Not domain-safe: create one per worker domain. *)
+  (** Exploration context plus work counters.  Not domain-safe: create
+      one per worker domain. *)
 
   type stats = { states : int; transitions : int }
-  (** Cumulative work counters since creation: reachable-set insertions
-      (search visits) and generated τ-successors / applied labels. *)
+  (** Cumulative work counters since creation: search visits and
+      generated τ-successors / applied labels. *)
 
   val create : Packed.ctx -> cache
 
   val ctx : cache -> Packed.ctx
   val stats : cache -> stats
 
-  type set
-  (** A reachable set of packed states (hash-set backed). *)
-
-  val of_packed : Packed.t -> set
-
-  val tau_closure : cache -> set -> set
-  (** In-place worklist closure (the argument is grown and returned). *)
-
-  val run : cache -> Packed.t -> Label.t list -> set
-  (** Packed mirror of {!Explore.run}, unreduced: every τ-step on every
-      location, before, between and after the labels. *)
-
   val feasible : cache -> Packed.t -> Label.t list -> bool
-  (** Whether {!run} is non-empty, decided by the first-hit search of
-      {!reaches} with every state after the last label accepted.  At
-      most [Sys.int_size - 1] labels. *)
+  (** Whether {!Explore.run} from the state is non-empty, decided by the
+      first-hit search of {!reaches} with every state after the last
+      label accepted.  At most [Sys.int_size - 1] labels. *)
 
   val images : cache -> Packed.t -> Label.t list -> Packed.t list
   (** [images cache st labels] — the states [ℓ_m(τ*_X(… ℓ_1(st)))]:
@@ -86,20 +75,11 @@ module Fast : sig
       Deduplicated, unordered; empty iff infeasible. *)
 
   val reaches : cache -> Packed.t -> Label.t list -> Packed.t -> bool
-  (** [reaches cache st labels d] — whether [d] is in
-      [run cache st labels], decided by a first-hit depth-first search
-      over (phase, state) pairs: τ-steps before the last label only on
-      X (as in {!images}), then [→τ*] to [d] in closed form
+  (** [reaches cache st labels d] — whether [d] is in {!Explore.run}
+      from [st] over [labels], decided by a first-hit depth-first
+      search over (phase, state) pairs: τ-steps before the last label
+      only on X (as in {!images}), then [→τ*] to [d] in closed form
       ({!Packed.tau_reaches}).  Visits count as states, generated
       successors and applied labels as transitions.  At most
       [Sys.int_size - 1] labels. *)
-
-  val mem : set -> Packed.t -> bool
-  val subset : set -> set -> bool
-  val elements : set -> Packed.t list
-  val diff_elements : set -> set -> Packed.t list
-  (** Members of the first set absent from the second (unordered). *)
-
-  val to_set : cache -> set -> Config.Set.t
-  (** Reference-representation image, for differential testing. *)
 end

@@ -3,12 +3,12 @@
 
     The model checker's sweeps are embarrassingly parallel over start
     configurations / litmus tests, but each worker wants private mutable
-    scratch state (a τ-successor memo cache, which [Hashtbl] makes
-    domain-unsafe to share).  So the pool hands each domain its own
-    worker state ([init]) and dynamically load-balances chunk of indices
-    via an [Atomic] cursor; results land in a per-index slot array, so
-    output order is deterministic and independent of [jobs] — parallel
-    and sequential runs return identical results. *)
+    state (a search context with plain, non-atomic work counters).  So
+    the pool hands each domain its own worker state ([init]) and
+    dynamically load-balances chunk of indices via an [Atomic] cursor;
+    results land in a per-index slot array, so output order is
+    deterministic and independent of [jobs] — parallel and sequential
+    runs return identical results. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 

@@ -16,17 +16,16 @@
     scale, so exhaustion over N ≤ 4 machines / ≤ 3 locations / 2 values
     gives high confidence — this is the standard small-scope argument.
 
-    Two engines back the sweep.  The default path runs on the bit-packed
+    Two engines back the sweep.  Its first pass runs on the bit-packed
     representation ({!Packed}) with an optional domain-parallel driver
-    ({!Parallel}) sharding start configurations across cores.  Its first
-    pass decides each item by an equivalent local condition, one
-    membership query per lhs successor ({!holds_locally}); an item that
-    fails it is re-checked start by start with two packed runs.
+    ({!Parallel}) sharding start configurations across cores, and
+    decides each item by an equivalent local condition, one membership
+    query per lhs successor ({!holds_locally}).
     {!check_exhaustive_reference} is the original map-set
-    implementation, kept as the differential oracle.  Both return
-    failures in the same deterministic order (item-major, then
-    start-configuration order), so sequential, parallel and reference
-    runs are comparable verbatim. *)
+    implementation, kept as the differential oracle; an item that fails
+    the first pass is re-checked by it, so failures come only from the
+    reference engine, in one deterministic order (item-major, then
+    start-configuration order) for every [jobs]. *)
 
 type item = {
   id : int;          (** item number within Proposition 1 *)
@@ -166,34 +165,6 @@ let check_item sys it cfg ~locs ~vals : failure option =
             witness = Config.Set.min_elt (Config.Set.diff r_lhs r_rhs);
           })
 
-(* [check_item_packed cache it pc ~locs ~vals] — {!check_item} on the
-   packed engine over an unreduced [cache]: the same two runs per
-   instantiation, the same first failure and witness.  The sweep's
-   exact-failure fallback. *)
-let check_item_packed cache it (pc : Packed.t) ~locs ~vals : failure option =
-  let ctx = Explore.Fast.ctx cache in
-  let n = Machine.n_machines (Packed.system ctx) in
-  first_instance it ~n ~locs ~vals (fun i x v ->
-      let r_lhs = Explore.Fast.run cache pc (it.lhs i x v) in
-      let r_rhs = Explore.Fast.run cache pc (it.rhs i x v) in
-      (* the minimum of the diff under Config.compare — exactly the
-         reference engine's min_elt *)
-      Explore.Fast.diff_elements r_lhs r_rhs
-      |> List.map (Packed.to_config ctx)
-      |> List.sort Config.compare
-      |> function
-      | [] -> None
-      | witness :: _ ->
-          Some
-            {
-              item_id = it.id;
-              start = Packed.to_config ctx pc;
-              issuer = i;
-              location = x;
-              value = v;
-              witness;
-            })
-
 (* [holds_locally cache it pc ~locs ~vals] — the sweep's first pass at
    one start [c = pc]: for every instantiation, every state of
    [ℓ_m(τ*_X(… ℓ_1(c)))] ({!Explore.Fast.images} of the lhs) is in
@@ -307,8 +278,9 @@ let enum_configs sys ~locs ~vals : Config.t list =
 (* ------------------------------------------------------------------ *)
 
 (** [check_exhaustive_reference sys ~locs ~vals] — the original
-    sequential map-set sweep, kept as the differential oracle and
-    benchmark baseline.  Configurations are streamed per item through
+    sequential map-set sweep, kept as the differential oracle and run
+    by {!check_exhaustive_stats} on the items its first pass finds
+    failing.  Configurations are streamed per item through
     {!enum_configs_seq} rather than materialised once up front: on the
     N=3 domains the eager list kept hundreds of thousands of map-backed
     configurations live for the whole sweep, dominating peak memory. *)
@@ -327,7 +299,7 @@ type sweep_stats = {
   sweep_transitions : int;   (** τ-successors + label applications *)
   sweep_rechecked : int list;
       (** ids of the items the first pass found failing, which the
-          unreduced fallback re-checked *)
+          reference sweep re-checked *)
 }
 
 (* One sweep worker: a private cache (its counters are the sweep's
@@ -369,11 +341,10 @@ let collect_workers () =
       only on the labels' locations X; steps elsewhere commute with
       every label ({!Explore.Fast.images}).
 
-    The first pass yields verdicts, not failures: any item it finds
-    failing is re-checked {e unreduced}, start by start, with the two
-    reachable sets of the packed engine, reproducing the reference
-    engine's failures (including witnesses) byte-identically.  So
-    every [jobs] returns the same list. *)
+    The first pass yields verdicts, not failures: the items it finds
+    failing are re-checked by {!check_exhaustive_reference}, so the
+    failures (witnesses included) are the reference engine's and every
+    [jobs] returns the same list. *)
 let check_exhaustive_stats ?(items = items) ?(jobs = 1) sys ~locs ~vals :
     failure list * sweep_stats =
   let packed_ctx =
@@ -420,22 +391,13 @@ let check_exhaustive_stats ?(items = items) ?(jobs = 1) sys ~locs ~vals :
              end)
           : unit array);
       let workers = workers () in
-      let dirty j = List.exists (fun w -> w.dirty.(j)) workers in
-      (* Exact-failure fallback: re-check every dirty item over the whole
-         domain with the unreduced packed engine (differentially identical
-         to the reference), so witnesses and ordering match the oracle
-         byte for byte. *)
-      let cache = lazy (Explore.Fast.create ctx) in
+      let dirty_items =
+        List.filteri
+          (fun j _ -> List.exists (fun w -> w.dirty.(j)) workers)
+          items
+      in
       let failures =
-        List.concat
-          (List.init n_items (fun j ->
-               if not (dirty j) then []
-               else
-                 Seq.init total (enum_packed_nth ctx ~vals)
-                 |> Seq.filter_map (fun pc ->
-                        check_item_packed (Lazy.force cache) items_a.(j) pc
-                          ~locs ~vals)
-                 |> List.of_seq))
+        check_exhaustive_reference ~items:dirty_items sys ~locs ~vals
       in
       let sum f =
         List.fold_left (fun acc w -> acc + f (Explore.Fast.stats w.cache)) 0
@@ -447,9 +409,7 @@ let check_exhaustive_stats ?(items = items) ?(jobs = 1) sys ~locs ~vals :
           sweep_starts = Atomic.get starts;
           sweep_states = sum (fun s -> s.Explore.Fast.states);
           sweep_transitions = sum (fun s -> s.Explore.Fast.transitions);
-          sweep_rechecked =
-            List.filteri (fun j _ -> dirty j) items
-            |> List.map (fun it -> it.id);
+          sweep_rechecked = List.map (fun it -> it.id) dirty_items;
         } )
 
 let check_exhaustive ?items ?jobs sys ~locs ~vals : failure list =

@@ -5,12 +5,12 @@
     statements in Coq).  See DESIGN.md for the small-scope argument and
     for the local condition the sweep decides (decision 18).
 
-    The sweep runs on the bit-packed engine ({!Packed} /
+    The sweep's first pass runs on the bit-packed search ({!Packed} /
     {!Explore.Fast}) with an optional domain-parallel driver; the
     original map-set implementation is retained as
-    {!check_exhaustive_reference} for differential testing.  Failure
-    order is deterministic (item-major, then start-configuration order)
-    for every engine and every [jobs]. *)
+    {!check_exhaustive_reference}, the differential oracle and the
+    source of every reported failure.  Failure order is deterministic
+    (item-major, then start-configuration order) for every [jobs]. *)
 
 type item = {
   id : int;          (** item number within Proposition 1 *)
@@ -98,7 +98,7 @@ type sweep_stats = {
   sweep_transitions : int;   (** τ-successors + label applications *)
   sweep_rechecked : int list;
       (** ids of the items the first pass found failing, which the
-          unreduced fallback re-checked *)
+          reference sweep re-checked *)
 }
 
 val check_exhaustive_stats :
@@ -113,11 +113,12 @@ val check_exhaustive_stats :
     the item does.  It checks orbit-representative starts only
     (exact because the items are equivariant, see {!item}) and
     takes the τ-steps between labels only on the labels' locations X
-    ({!Explore.Fast.images}).  An item failing the first pass is re-checked
-    unreduced over the whole domain, so failures and witnesses are the
-    reference engine's.  [sweep_states]/[sweep_transitions] count the
-    first pass's work (the fallback is not counted).  Falls back to the
-    reference engine when the domain does not fit the packed layout
+    ({!Explore.Fast.images}).  The items failing the first pass are
+    re-checked by {!check_exhaustive_reference}, so failures and
+    witnesses are the reference engine's.
+    [sweep_states]/[sweep_transitions] count the first pass's work (the
+    re-check is not counted).  Falls back to the reference engine when
+    the domain does not fit the packed layout
     ([sweep_states]/[sweep_transitions] are then 0 and
     [sweep_rechecked] empty). *)
 
@@ -129,7 +130,9 @@ val check_exhaustive :
 val check_exhaustive_reference :
   ?items:item list ->
   Machine.system -> locs:Loc.t list -> vals:Value.t list -> failure list
-(** The original sequential map-set sweep (the differential oracle). *)
+(** The original sequential map-set sweep: the differential oracle, and
+    the re-check of the items {!check_exhaustive_stats}'s first pass
+    finds failing. *)
 
 val check_default : unit -> Machine.system * failure list
 (** The default domain: 2 NV machines, one location each, values

@@ -1,8 +1,9 @@
 (* Differential tests for the bit-packed model-checking engine: the
    packed representation must round-trip through the canonical map
-   representation, the packed exploration engine must compute exactly the
-   reference engine's reachable sets, and the domain-parallel exhaustive
-   sweep must be invariant in the jobs count. *)
+   representation, the packed search must decide membership in and
+   non-emptiness of the reference engine's reachable sets, and the
+   domain-parallel exhaustive sweep must be invariant in the jobs
+   count. *)
 
 open Cxl0
 
@@ -66,27 +67,6 @@ let prop_equal_coincides =
 (* Reachable-set agreement                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* On the visible projection of a random walk, the packed engine and the
-   reference engine must compute the same reachable set. *)
-let prop_reachable_sets_agree =
-  QCheck.Test.make
-    ~name:"packed and reference engines compute identical reachable sets"
-    ~count:150
-    QCheck.(triple small_nat (int_bound 25) (int_range 2 3))
-    (fun (seed, len, n) ->
-      let sys = Machine.uniform n in
-      let locs = if n = 3 then [ x1; x2; x3 ] else [ x1; x2; y1 ] in
-      let vals = [ 0; 1 ] in
-      let t = Lts_trace.random_walk ~seed ~len sys ~locs ~vals in
-      let visible =
-        List.filter (fun l -> not (Label.is_silent l)) (Lts_trace.labels t)
-      in
-      let reference = Explore.run sys Config.init visible in
-      let cache = Explore.Fast.create (Packed.make sys ~locs) in
-      let ctx = Explore.Fast.ctx cache in
-      let fast = Explore.Fast.run cache (Packed.init ctx) visible in
-      Config.Set.equal reference (Explore.Fast.to_set cache fast))
-
 (* Per-label agreement of Packed.apply with Semantics.apply from random
    reachable configurations. *)
 let prop_apply_agrees =
@@ -110,7 +90,7 @@ let prop_apply_agrees =
         (Lts_trace.candidates sys cfg ~locs ~vals))
 
 (* The closed form of →τ* on one location equals membership in the
-   engine's τ-closure of the one-word state, for every pair of words:
+   reference τ-closure of the one-word state, for every pair of words:
    N = 2..4 machines, every owner, volatile and non-volatile memory,
    two values. *)
 let test_tau_reaches_closed_form () =
@@ -130,16 +110,16 @@ let test_tau_reaches_closed_form () =
                 (if h = 0 then [ 0 ] else [ 0; 1 ]))
             (List.init (1 lsl n) Fun.id)
         in
-        let cache = Explore.Fast.create ctx in
+        let config w = Packed.to_config ctx [| w |] in
         List.iter
           (fun w ->
             let closure =
-              Explore.Fast.tau_closure cache (Explore.Fast.of_packed [| w |])
+              Explore.tau_closure sys (Explore.of_config (config w))
             in
             List.iter
               (fun w' ->
                 let closed = Packed.tau_reaches ctx 0 w w' in
-                if closed <> Explore.Fast.mem closure [| w' |] then
+                if closed <> Config.Set.mem (config w') closure then
                   Alcotest.failf
                     "N=%d owner=M%d: tau_reaches %a -> %a is %b, the \
                      closure says %b"
@@ -152,13 +132,13 @@ let test_tau_reaches_closed_form () =
        (fun n -> [ (n, Machine.Non_volatile); (n, Machine.Volatile) ])
        [ 2; 3; 4 ])
 
-(* [Fast.reaches] is membership in the unreduced run, [Fast.feasible]
+(* [Fast.reaches] is membership in the reference run, [Fast.feasible]
    its non-emptiness, and [Fast.images] is the label-by-label image
    (below it by τ-steps only, as the location restriction drops some),
    from random reachable starts: every member of the run and every
    enumerated configuration is queried. *)
 let prop_reaches_is_membership =
-  QCheck.Test.make ~name:"Fast.reaches = membership in Fast.run" ~count:60
+  QCheck.Test.make ~name:"Fast.reaches = membership in Explore.run" ~count:60
     QCheck.(triple small_nat (int_bound 20) (int_range 1 3))
     (fun (seed, len, k) ->
       let sys = Machine.uniform ~persistence:Machine.Volatile 2 in
@@ -175,9 +155,9 @@ let prop_reaches_is_membership =
         |> List.filter (fun l -> not (Label.is_silent l))
       in
       let cache = Explore.Fast.create ctx in
-      let run = Explore.Fast.run cache st labels in
+      let run = Explore.run sys cfg labels in
       let targets =
-        Explore.Fast.elements run
+        List.map (Packed.of_config ctx) (Explore.elements run)
         @ List.init
             (Props.enum_configs_count sys ~locs ~vals)
             (Props.enum_packed_nth ctx ~vals)
@@ -191,9 +171,11 @@ let prop_reaches_is_membership =
               ls
       in
       let images = Explore.Fast.images cache st labels in
-      Explore.Fast.feasible cache st labels = (Explore.Fast.elements run <> [])
+      Explore.Fast.feasible cache st labels = not (Config.Set.is_empty run)
       && List.for_all
-           (fun d -> Explore.Fast.reaches cache st labels d = Explore.Fast.mem run d)
+           (fun d ->
+             Explore.Fast.reaches cache st labels d
+             = Config.Set.mem (Packed.to_config ctx d) run)
            targets
       && List.for_all
            (fun d -> Config.Set.mem (Packed.to_config ctx d) image_ref)
@@ -244,6 +226,54 @@ let test_engines_agree () =
       let packed = Props.check_exhaustive ~items sys ~locs ~vals in
       check_failures_identical "reference vs packed" reference packed)
     [ Props.items; [ bogus_item ]; bogus_item :: Props.items ]
+
+(* A value wider than a packed field ([1 lsl 20]) does not fit the
+   layout, so the sweep runs the reference engine alone: the same
+   failures as the oracle, and no first-pass work. *)
+let wide = 1 lsl 20
+
+let test_unrepresentable_sweep () =
+  let sys = Machine.uniform 2 in
+  let locs = [ x1; x2 ] in
+  let vals = [ 0; wide ] in
+  Alcotest.(check bool) "the value does not fit" false
+    (Packed.fits_value (Packed.make sys ~locs) wide);
+  let items = [ bogus_item; Props.item 2 ] in
+  let reference = Props.check_exhaustive_reference ~items sys ~locs ~vals in
+  Alcotest.(check bool) "bogus item does fail" true (reference <> []);
+  let failures, stats = Props.check_exhaustive_stats ~items sys ~locs ~vals in
+  check_failures_identical "unrepresentable sweep vs reference" reference
+    failures;
+  Alcotest.(check int) "no first-pass states" 0 stats.Props.sweep_states;
+  Alcotest.(check int) "every start checked" stats.Props.sweep_configs
+    stats.Props.sweep_starts
+
+(* ... and a litmus test over such a value is decided by the reference
+   engine: both verdicts occur. *)
+let test_unrepresentable_litmus () =
+  let system = Machine.uniform 2 in
+  let events =
+    [
+      [ Label.mstore 0 x2 wide; Label.crash 1; Label.load 0 x2 0 ];
+      [ Label.lstore 0 x2 wide; Label.crash 1; Label.load 0 x2 0 ];
+      [ Label.lstore 0 x2 wide; Label.load 1 x2 wide ];
+      [ Label.rstore 0 x2 wide; Label.rflush 0 x2; Label.load 1 x2 0 ];
+    ]
+  in
+  let verdicts =
+    List.map
+      (fun events ->
+        let reference = Explore.feasible system Config.init events in
+        let t = Litmus.make ~system ~expect:Litmus.Allowed "wide" events in
+        Alcotest.(check bool)
+          (Fmt.str "%a" Litmus.pp_events events)
+          reference
+          (Litmus.verdict_equal (Litmus.decide t) Litmus.Allowed);
+        reference)
+      events
+  in
+  Alcotest.(check bool) "both verdicts occur" true
+    (List.mem true verdicts && List.mem false verdicts)
 
 let test_jobs_invariant () =
   let sys = Machine.uniform 2 in
@@ -351,12 +381,15 @@ let () =
         ] );
       ( "engine-agreement",
         [
-          QCheck_alcotest.to_alcotest prop_reachable_sets_agree;
           QCheck_alcotest.to_alcotest prop_apply_agrees;
           Alcotest.test_case "exhaustive sweeps" `Quick test_engines_agree;
           Alcotest.test_case "closed-form tau reach" `Quick
             test_tau_reaches_closed_form;
           QCheck_alcotest.to_alcotest prop_reaches_is_membership;
+          Alcotest.test_case "unrepresentable sweep = reference" `Quick
+            test_unrepresentable_sweep;
+          Alcotest.test_case "unrepresentable litmus = reference" `Quick
+            test_unrepresentable_litmus;
         ] );
       ( "parallel-sweep",
         [

@@ -5,13 +5,12 @@
    oracle.
 
    - every litmus file in test/data/litmus, and every built-in test, is
-     decided against the reference map-set oracle, and the packed
-     reachable sets (unreduced) equal the oracle's;
+     decided against the reference map-set oracle;
    - the Proposition 1 sweep is run over Prop-1 and Prop-2 (volatile /
      mixed persistence) domains at N=2 and N=3 against the reference
      sweep, with failure lists compared verbatim (including a
-     deliberately false item, which exercises the exact-failure
-     fallback), and its start count against an independent count of
+     deliberately false item, which exercises the re-check of failing
+     items), and its start count against an independent count of
      orbit representatives;
    - QCheck properties pin the algebra the reductions rest on: canon is
      idempotent and permutation-invariant, the symmetry action commutes
@@ -22,8 +21,8 @@
    - a seeded sweep of random small systems diffs the engine's verdicts
      against the oracle's, shrinking and printing any offending system;
    - seeded random items: the Proposition 1 sweep's first pass (the
-     local condition) must give the verdict of the two-run check over
-     every start, shrinking any disagreement;
+     local condition) must give the verdict of the reference engine's
+     two-run check over every start, shrinking any disagreement;
    - the configuration enumeration stays memory-bounded (streaming). *)
 
 open Cxl0
@@ -139,26 +138,6 @@ let test_litmus_verdicts () =
         true
         (Litmus.verdict_equal (Litmus.decide t) oracle))
     (List.map parse_litmus_file files @ Litmus.all)
-
-(* The reachable sets themselves: {!Explore.Fast.run} is unreduced, so
-   its set equals the oracle's. *)
-let test_litmus_sets () =
-  List.iter
-    (fun path ->
-      let t = parse_litmus_file path in
-      let sys = t.Litmus.system and events = t.Litmus.events in
-      let reference = Explore.run sys Config.init events in
-      let locs =
-        List.filter_map Label.loc events |> List.sort_uniq Loc.compare
-      in
-      let ctx = Packed.make sys ~locs in
-      let cache = Explore.Fast.create ctx in
-      let s = Explore.Fast.run cache (Packed.init ctx) events in
-      Alcotest.(check bool)
-        (t.Litmus.name ^ ": set = oracle set")
-        true
-        (Config.Set.equal reference (Explore.Fast.to_set cache s)))
-    (litmus_files ())
 
 (* The search keeps a state's visited phases in one int: a sequence
    with more labels than it has bits is refused, never answered with
@@ -635,35 +614,17 @@ let pp_spec ppf (sys, locs, spec) =
     Fmt.(list ~sep:(any "; ") Label.pp)
     (it.Props.rhs 0 x 0) Loc.pp x
 
-(* The item's verdict from today's two-run check (two unreduced packed
-   runs per start and instantiation, compared by inclusion; the
-   differential tests hold them equal to the map-set oracle) against
+(* The item's verdict from the reference engine's two-run check (two
+   reachable sets per start and instantiation, compared by inclusion;
+   {!Props.check_item}, stopping at the first failing start) against
    the verdict of the sweep's first pass.  Returns the two-run verdict
    and the disagreement, if any. *)
 let item_disagreement sys locs spec =
   let vals = [ 0; 1 ] and it = item_of spec in
-  let ctx = Packed.make sys ~locs in
-  let cache = Explore.Fast.create ctx in
-  let n = Machine.n_machines sys in
-  let fails_from pc =
-    List.exists
-      (fun x ->
-        List.exists
-          (fun i ->
-            List.exists
-              (fun v ->
-                not
-                  (Explore.Fast.subset
-                     (Explore.Fast.run cache pc (it.Props.lhs i x v))
-                     (Explore.Fast.run cache pc (it.Props.rhs i x v))))
-              vals)
-          (it.Props.issuers ~owner:(Loc.owner x) ~n))
-      locs
-  in
   let oracle_fails =
     Seq.exists
-      (fun m -> fails_from (Props.enum_packed_nth ctx ~vals m))
-      (Seq.init (Props.enum_configs_count sys ~locs ~vals) Fun.id)
+      (fun cfg -> Props.check_item sys it cfg ~locs ~vals <> None)
+      (Props.enum_configs_seq sys ~locs ~vals)
   in
   let verdict fails = if fails then "fails" else "holds" in
   let fs, stats = Props.check_exhaustive_stats ~items:[ it ] sys ~locs ~vals in
@@ -760,8 +721,6 @@ let () =
         [
           Alcotest.test_case "verdicts: all reductions = oracle = paper"
             `Quick test_litmus_verdicts;
-          Alcotest.test_case "reachable sets = oracle" `Quick
-            test_litmus_sets;
           Alcotest.test_case "search refuses more labels than phase bits"
             `Quick test_too_many_labels;
         ] );
