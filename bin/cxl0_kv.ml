@@ -162,7 +162,9 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
   (* span/timeline features imply tracing for that combo; the trace ring
      is enlarged so early spans of a long run survive for attribution
      (span stats and the timeline are online and never lossy; only the
-     raw marks for --explain-tail / --trace-out live in the ring) *)
+     raw marks for --explain-tail / --trace-out live in the ring).  The
+     ring allocates as it fills, so a short run pays only for the events
+     it retains, not for the 1 Mi slots. *)
   let want_spans =
     explain_tail > 0 || timeline <> None || trace_out <> None
   in

@@ -49,11 +49,6 @@ let iter_bits f mask =
     incr i
   done
 
-let popcount mask =
-  let c = ref 0 in
-  iter_bits (fun _ -> incr c) mask;
-  !c
-
 (* ------------------------------------------------------------------ *)
 (* Context: system + location domain + field layout                    *)
 (* ------------------------------------------------------------------ *)

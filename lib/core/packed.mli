@@ -24,8 +24,6 @@ val iter_bits : (int -> unit) -> int -> unit
 (** [iter_bits f mask] applies [f] to the index of every set bit,
     lowest first. *)
 
-val popcount : int -> int
-
 (** {1 Context} *)
 
 type ctx
@@ -72,24 +70,9 @@ val to_config : ctx -> t -> Config.t
 
 (** {1 Per-location fields} *)
 
-val holders : ctx -> int -> int
-(** Holder bitmask of a packed word. *)
-
-val cval : ctx -> int -> Value.t
-(** Cached value of a packed word (0 when no holders). *)
-
-val memv : ctx -> int -> Value.t
-(** Memory value of a packed word. *)
-
 val word : ctx -> holders:int -> cval:Value.t -> mem:Value.t -> int
 
 (** {1 Step rules (packed mirror of {!Semantics})} *)
-
-val load : ctx -> t -> Machine.id -> int -> Value.t * t
-(** [load ctx c i xi] — observed value and successor for a load of the
-    location with dense index [xi] by machine [i]. *)
-
-val crash : ctx -> t -> Machine.id -> t
 
 val word_taus : ctx -> int -> int -> (int -> unit) -> unit
 (** [word_taus ctx xi w f] — [f] on every τ-successor word of word [w]

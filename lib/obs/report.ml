@@ -10,11 +10,13 @@
    because the tracer is created before the fabric it observes. *)
 let max_machines = 64
 
+module Lines = Hashtbl.Make (Int)
+
 type t = {
   hists : Hist.t array;          (** indexed by {!Event.prim_index} *)
   machine_ops : int array;       (** primitives issued by each machine *)
   machine_cycles : int array;    (** cycles spent by each machine *)
-  line_ops : (int, int) Hashtbl.t;  (** location -> primitives touching it *)
+  line_ops : int ref Lines.t;    (** location -> primitives touching it *)
   mutable failovers : int;       (** KV read-path switches *)
   mutable rejoins : int;         (** stale replicas re-synced *)
   unavail : Hist.t;  (** lengths of shard unavailability windows, cycles *)
@@ -28,7 +30,7 @@ let create () =
     hists = Array.init Event.n_prims (fun _ -> Hist.create ());
     machine_ops = Array.make max_machines 0;
     machine_cycles = Array.make max_machines 0;
-    line_ops = Hashtbl.create 64;
+    line_ops = Lines.create 64;
     failovers = 0;
     rejoins = 0;
     unavail = Hist.create ();
@@ -39,11 +41,18 @@ let clear t =
   Array.iter Hist.clear t.hists;
   Array.fill t.machine_ops 0 max_machines 0;
   Array.fill t.machine_cycles 0 max_machines 0;
-  Hashtbl.reset t.line_ops;
+  Lines.reset t.line_ops;
   t.failovers <- 0;
   t.rejoins <- 0;
   Hist.clear t.unavail;
   t.dropped <- 0
+
+(* Add [n] to [loc]'s counter: one lookup, and no allocation once the
+   line has been seen. *)
+let count_line lines loc n =
+  match Lines.find lines loc with
+  | r -> r := !r + n
+  | exception Not_found -> Lines.add lines loc (ref n)
 
 let observe t ~prim ~machine ~loc ~cycles =
   Hist.add t.hists.(Event.prim_index prim) cycles;
@@ -51,9 +60,7 @@ let observe t ~prim ~machine ~loc ~cycles =
     t.machine_ops.(machine) <- t.machine_ops.(machine) + 1;
     t.machine_cycles.(machine) <- t.machine_cycles.(machine) + cycles
   end;
-  if loc >= 0 then
-    Hashtbl.replace t.line_ops loc
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.line_ops loc))
+  if loc >= 0 then count_line t.line_ops loc 1
 
 let observe_failover t = t.failovers <- t.failovers + 1
 let observe_rejoin t = t.rejoins <- t.rejoins + 1
@@ -76,11 +83,7 @@ let merge ~into src =
     into.machine_ops.(m) <- into.machine_ops.(m) + src.machine_ops.(m);
     into.machine_cycles.(m) <- into.machine_cycles.(m) + src.machine_cycles.(m)
   done;
-  Hashtbl.iter
-    (fun loc n ->
-      Hashtbl.replace into.line_ops loc
-        (n + Option.value ~default:0 (Hashtbl.find_opt into.line_ops loc)))
-    src.line_ops;
+  Lines.iter (fun loc n -> count_line into.line_ops loc !n) src.line_ops;
   into.failovers <- into.failovers + src.failovers;
   into.rejoins <- into.rejoins + src.rejoins;
   Hist.merge ~into:into.unavail src.unavail;
@@ -103,7 +106,7 @@ let machines t =
 (** [lines t] — per-line [(loc, ops)] rows sorted by descending traffic,
     then ascending location (a deterministic hot-line ranking). *)
 let lines t =
-  Hashtbl.fold (fun loc n acc -> (loc, n) :: acc) t.line_ops []
+  Lines.fold (fun loc n acc -> (loc, !n) :: acc) t.line_ops []
   |> List.sort (fun (l1, n1) (l2, n2) ->
          if n1 <> n2 then compare n2 n1 else compare l1 l2)
 

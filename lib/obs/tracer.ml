@@ -15,14 +15,19 @@
     primitive ever emitted.
 
     The ring is packed (slot layout in tracer.mli): [stride] unboxed
-    ints per event in one flat [int array], so a retained event is not a
-    heap block the minor GC must promote, and a store into the ring
-    passes no write barrier.  Only [Mark] records are kept boxed, in the
-    [marks] side array. *)
+    ints per event, so a retained event is not a heap block the minor GC
+    must promote, and a store into the ring passes no write barrier.
+    Only [Mark] records are kept boxed, in a side array.  Slots live in
+    chunks of [chunk] events, allocated the first time the ring reaches
+    them and dropped by [clear], so a ring holds memory for what it has
+    retained, not for its capacity. *)
 
 type t = {
-  buf : int array;        (** [stride * cap] ints, one slot per event *)
-  marks : Event.t array;  (** [Mark] records by slot; [filler] elsewhere *)
+  buf : int array array;
+      (** chunk directory: [stride * chunk] ints per chunk (fewer in the
+          last), [[||]] until the ring reaches it *)
+  marks : Event.t array array;
+      (** [Mark] records by slot, chunked like [buf]; [filler] elsewhere *)
   cap : int;
   mutable start : int;    (** slot of the oldest retained event *)
   mutable len : int;      (** retained events, <= [cap] *)
@@ -35,6 +40,9 @@ type t = {
 
 let default_capacity = 1 lsl 16
 let stride = 4
+let chunk_bits = 12
+let chunk = 1 lsl chunk_bits
+let chunk_mask = chunk - 1
 let max_small = (1 lsl 54) - 2
 
 (* Slot tags are the {!Event.t} constructors numbered in declaration
@@ -65,9 +73,10 @@ let fault_kinds =
 
 let create ?(capacity = default_capacity) ?series () =
   if capacity < 1 then invalid_arg "Obs.Tracer.create: capacity < 1";
+  let chunks = ((capacity - 1) lsr chunk_bits) + 1 in
   {
-    buf = Array.make (stride * capacity) 0;
-    marks = Array.make capacity filler;
+    buf = Array.make chunks [||];
+    marks = Array.make chunks [||];
     cap = capacity;
     start = 0;
     len = 0;
@@ -76,15 +85,22 @@ let create ?(capacity = default_capacity) ?series () =
     series;
   }
 
+(* Allocate chunk [c]; only the last one may be short. *)
+let grow t c =
+  let n = min chunk (t.cap - (c lsl chunk_bits)) in
+  t.buf.(c) <- Array.make (stride * n) 0;
+  t.marks.(c) <- Array.make n filler
+
 let put t i tag sub small w1 w2 w3 =
   if small < -1 || small > max_small then
     invalid_arg "Obs.Tracer.emit: machine or shard out of range";
-  let o = stride * i in
-  if t.buf.(o) land 15 = tag_mark then t.marks.(i) <- filler;
-  t.buf.(o) <- tag lor (sub lsl 4) lor ((small + 1) lsl 8);
-  t.buf.(o + 1) <- w1;
-  t.buf.(o + 2) <- w2;
-  t.buf.(o + 3) <- w3
+  let c = i lsr chunk_bits and j = i land chunk_mask in
+  let buf = t.buf.(c) and o = stride * j in
+  if buf.(o) land 15 = tag_mark then t.marks.(c).(j) <- filler;
+  buf.(o) <- tag lor (sub lsl 4) lor ((small + 1) lsl 8);
+  buf.(o + 1) <- w1;
+  buf.(o + 2) <- w2;
+  buf.(o + 3) <- w3
 
 (* Pack [e] into slot [i]. *)
 let store t i e =
@@ -113,16 +129,18 @@ let store t i e =
   | Event.Unavail { shard; cycles; cycle } ->
       put t i 11 0 shard cycles cycle 0
   | Event.Mark _ ->
-      t.buf.(stride * i) <- tag_mark;
-      t.marks.(i) <- e
+      let c = i lsr chunk_bits and j = i land chunk_mask in
+      t.buf.(c).(stride * j) <- tag_mark;
+      t.marks.(c).(j) <- e
   | Event.Trust { trusted; cycle } -> put t i 13 0 (-1) trusted cycle 0
 
 (* Unpack slot [i]; a mark comes back as the record that was emitted. *)
 let load t i =
-  let o = stride * i in
-  let w0 = t.buf.(o) in
+  let c = i lsr chunk_bits and j = i land chunk_mask in
+  let buf = t.buf.(c) and o = stride * j in
+  let w0 = buf.(o) in
   let sub = (w0 lsr 4) land 15 and small = (w0 lsr 8) - 1 in
-  let w1 = t.buf.(o + 1) and w2 = t.buf.(o + 2) and w3 = t.buf.(o + 3) in
+  let w1 = buf.(o + 1) and w2 = buf.(o + 2) and w3 = buf.(o + 3) in
   match w0 land 15 with
   | 0 ->
       Event.Prim
@@ -146,7 +164,7 @@ let load t i =
         { shard = small; from_machine = w1; to_machine = w2; cycle = w3 }
   | 10 -> Event.Rejoin { shard = small; machine = w1; cycle = w2 }
   | 11 -> Event.Unavail { shard = small; cycles = w1; cycle = w2 }
-  | 12 -> t.marks.(i)
+  | 12 -> t.marks.(c).(j)
   | _ -> Event.Trust { trusted = w1; cycle = w2 }
 
 (* The slot of the [k]-th oldest retained event. *)
@@ -164,7 +182,11 @@ let emit t e =
   | _ -> ());
   (match t.series with None -> () | Some s -> Series.observe s e);
   if t.len < t.cap then begin
-    store t (slot t t.len) e;
+    (* below capacity the ring has not wrapped since the last clear:
+       [start] is 0, slots fill in order, and a slot that opens a chunk
+       is the first use of that chunk *)
+    if t.len land chunk_mask = 0 then grow t (t.len lsr chunk_bits);
+    store t t.len e;
     t.len <- t.len + 1
   end
   else begin
@@ -189,7 +211,8 @@ let iter f t =
 let iter_marks f t =
   for k = 0 to t.len - 1 do
     let i = slot t k in
-    if t.buf.(stride * i) land 15 = tag_mark then f t.marks.(i)
+    let c = i lsr chunk_bits and j = i land chunk_mask in
+    if t.buf.(c).(stride * j) land 15 = tag_mark then f t.marks.(c).(j)
   done
 
 let events t = List.init t.len (fun k -> load t (slot t k))
@@ -198,6 +221,7 @@ let clear t =
   t.start <- 0;
   t.len <- 0;
   t.dropped <- 0;
-  Array.fill t.marks 0 t.cap filler;
+  Array.fill t.buf 0 (Array.length t.buf) [||];
+  Array.fill t.marks 0 (Array.length t.marks) [||];
   Report.clear t.report;
   match t.series with None -> () | Some s -> Series.clear s

@@ -7,27 +7,34 @@
     every primitive ever emitted.
 
     {b Ring layout.}  Events are stored packed, not as boxed records:
-    one slot is 4 unboxed ints in a flat [int array].  Word 0 holds the
-    constructor tag (bits 0-3), a sub-kind (bits 4-7: the prim index,
-    evict kind or fault kind) and one small field stored plus one (bits
-    8 and up: the event's [machine], or [shard] for
+    one slot is 4 unboxed ints in its chunk's [int array].  Word 0 holds
+    the constructor tag (bits 0-3), a sub-kind (bits 4-7: the prim
+    index, evict kind or fault kind) and one small field stored plus one
+    (bits 8 and up: the event's [machine], or [shard] for
     [Failover]/[Rejoin]/[Unavail]); words 1-3 hold the remaining fields
     unchanged.  [Mark], with ten fields, is the one exception: its slot
-    holds only the tag, and the emitted record is kept as is in a
-    parallel [Event.t array] (reset to a static filler when a non-mark
-    event reuses the slot).  Retained events are therefore not heap
-    blocks, so the minor GC never promotes them and storing one passes
-    no write barrier.
+    holds only the tag, and the emitted record is kept as is in the
+    chunk's parallel [Event.t array] (reset to a static filler when a
+    non-mark event reuses the slot).  Retained events are therefore not
+    heap blocks, so the minor GC never promotes them and storing one
+    passes no write barrier.
 
-    Memory: 4 words plus 1 pointer per event of capacity, whatever was
-    emitted — 40 bytes on a 64-bit host, so the [1 lsl 20]-event ring
-    that [cxl0_kv]'s span features and the perfbench [kv-storm] workload
-    use takes ≈40 MB (plus the [Mark] records it retains). *)
+    Memory: slots come in chunks of {!chunk} events, 4 words plus 1
+    pointer per slot (160 KB a chunk on a 64-bit host).  [create]
+    allocates only a directory with one entry per chunk of capacity; a
+    chunk is allocated the first time the ring reaches it, and {!clear}
+    drops them all.  So a ring costs what it retains, rounded up to a
+    chunk: the [1 lsl 20]-event ring that [cxl0_kv]'s span features and
+    the perfbench [kv-storm] workload use takes 4 KB when created and
+    ≈40 MB only once full (plus the [Mark] records it retains). *)
 
 type t
 
 val default_capacity : int
 (** 65536 events. *)
+
+val chunk : int
+(** 4096 events: the unit in which a ring allocates its slots. *)
 
 val create : ?capacity:int -> ?series:Series.t -> unit -> t
 (** Raises [Invalid_argument] on a capacity below 1.  An attached
@@ -70,4 +77,5 @@ val events : t -> Event.t list
 (** Oldest to newest. *)
 
 val clear : t -> unit
-(** Empty the buffer and the report (and the attached series). *)
+(** Empty the buffer, releasing its chunks, and the report (and the
+    attached series). *)

@@ -172,6 +172,25 @@ let test_ring_report_survives_wrap () =
   Alcotest.(check int) "report saw 10" 10
     (Obs.Hist.count (Obs.Report.hist (Obs.Tracer.report tr) Obs.Event.Load))
 
+let test_ring_allocates_as_it_fills () =
+  (* a ring holds memory for what it retains, not for its capacity: a
+     flat 1 Mi-slot ring alone is over 5M words *)
+  let tr = Obs.Tracer.create ~capacity:(1 lsl 20) () in
+  let check what =
+    let words = Obj.reachable_words (Obj.repr tr) in
+    Alcotest.(check bool) (Fmt.str "%s: %d words < 64k" what words) true
+      (words < 65536)
+  in
+  for i = 1 to 100 do
+    Obs.Tracer.emit tr (ev i)
+  done;
+  check "100 events";
+  for i = 101 to 5 * Obs.Tracer.chunk do
+    Obs.Tracer.emit tr (ev i)
+  done;
+  Obs.Tracer.clear tr;
+  check "cleared"
+
 let test_tracer_capacity_validation () =
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Obs.Tracer.create: capacity < 1") (fun () ->
@@ -545,13 +564,26 @@ let g_event =
               retry; cycle }));
     ]
 
-(* A run: a capacity in 1..17 and a stream of emits with interleaved
-   clears ([None]). *)
+(* A run: a capacity and a stream of emits with interleaved clears
+   ([None]).  Most runs take a capacity in 1..17 and up to 80 ops, one
+   clear in 31.  One in five sits on either side of a chunk boundary,
+   with up to [3 * cap] ops and one clear per [2 * cap] or so, so its
+   ring often fills its last chunk and wraps. *)
 let arb_ring_run =
+  let ops ~len ~emits =
+    G.list_size (G.int_bound len)
+      (G.frequency [ (1, G.return None); (emits, G.map Option.some g_event) ])
+  in
+  let c = Obs.Tracer.chunk in
   let gen =
-    G.pair (G.int_range 1 17)
-      (G.list_size (G.int_bound 80)
-         (G.frequency [ (1, G.return None); (30, G.map Option.some g_event) ]))
+    G.frequency
+      [
+        (4, G.pair (G.int_range 1 17) (ops ~len:80 ~emits:30));
+        ( 1,
+          G.(
+            oneofl [ c - 1; c; c + 1; (2 * c) + 1 ] >>= fun cap ->
+            pair (return cap) (ops ~len:(3 * cap) ~emits:(2 * cap))) );
+      ]
   in
   QCheck.make gen ~print:(fun (cap, ops) ->
       Fmt.str "cap %d: %a" cap
@@ -881,6 +913,8 @@ let () =
           Alcotest.test_case "ring wrap" `Quick test_ring_wrap;
           Alcotest.test_case "report survives wrap" `Quick
             test_ring_report_survives_wrap;
+          Alcotest.test_case "allocates as it fills" `Quick
+            test_ring_allocates_as_it_fills;
           Alcotest.test_case "capacity validation" `Quick
             test_tracer_capacity_validation;
           Alcotest.test_case "small-field range" `Quick
