@@ -159,14 +159,11 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
     reject "--trace-out needs exactly one transform x mix combo";
   let merged_report = Obs.Report.create () in
   let failures = ref 0 in
-  (* span/timeline features imply tracing for that combo; the trace ring
-     is enlarged so early spans of a long run survive for attribution
-     (span stats and the timeline are online and never lossy; only the
-     raw marks for --explain-tail / --trace-out live in the ring).  The
-     ring allocates as it fills, so a short run pays only for the events
-     it retains, not for the 1 Mi slots. *)
-  let want_spans =
-    explain_tail > 0 || timeline <> None || trace_out <> None
+  (* span/timeline features imply tracing for that combo; spans come
+     from the tracer's mark log, so they cover the whole run at the
+     default ring capacity *)
+  let traced =
+    trace || explain_tail > 0 || timeline <> None || trace_out <> None
   in
   let series_acc = ref [] in
   let results =
@@ -176,17 +173,12 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
           (fun mix ->
             let c = config transform mix in
             let tracer =
-              if trace || want_spans then
+              if traced then
                 let series =
                   if timeline <> None then Some (Obs.Series.create ~window)
                   else None
                 in
-                Some
-                  (Obs.Tracer.create
-                     ~capacity:
-                       (if want_spans then 1 lsl 20
-                        else Obs.Tracer.default_capacity)
-                     ?series ())
+                Some (Obs.Tracer.create ?series ())
               else None
             in
             let r = K.serve ?tracer c in
@@ -199,7 +191,7 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
               tracer;
             let spans =
               match tracer with
-              | Some tr when want_spans || sig_only ->
+              | Some tr when explain_tail > 0 || sig_only ->
                   Some (Obs.Span.assemble tr)
               | _ -> None
             in
@@ -207,20 +199,10 @@ let run sessions ops rate theta keys mixes transforms shards servers machines
             else begin
               print_combo transform mix r;
               match spans with
-              | Some sp when explain_tail > 0 ->
+              | Some sp ->
                   let attrib = Obs.Attrib.of_spans sp in
                   Fmt.pr "  tail attribution (exact per-phase cycle totals; \
                           dominant = heaviest phase over the p99 tail):@.";
-                  (* the totals are exact per span, but spans come from
-                     the ring: say how much of the run they cover *)
-                  Option.iter
-                    (fun tr ->
-                      Fmt.pr
-                        "  spans cover %d of %d claimed requests (the trace \
-                         ring dropped %d of %d events)@."
-                        (List.length sp) r.K.claimed (Obs.Tracer.dropped tr)
-                        (Obs.Tracer.emitted tr))
-                    tracer;
                   Fmt.pr "  @[<v>%a@]@." Obs.Attrib.pp attrib;
                   List.iteri
                     (fun i s ->
@@ -465,7 +447,8 @@ let explain_tail =
            attribution per op type (queue / service / replication / \
            retry / failover-wait, exact cycle totals plus the dominant \
            p99 phase), then the $(docv) slowest requests as annotated \
-           span trees.")
+           span trees.  Spans cover every claimed request of the run, \
+           however many raw events the trace ring dropped.")
 
 let timeline =
   Arg.(
@@ -491,8 +474,10 @@ let trace_out =
         ~doc:
           "Write the combo's Chrome/Perfetto trace JSON to $(docv), \
            request spans nested as a synthetic \"requests\" process \
-           (sexp dump when $(docv) ends in .sexp).  Needs exactly one \
-           transform x mix combo.")
+           (sexp dump when $(docv) ends in .sexp).  The raw events are \
+           the newest 65,536 the trace ring kept; the request spans \
+           cover the whole run.  Needs exactly one transform x mix \
+           combo.")
 
 let cmd =
   Cmd.v

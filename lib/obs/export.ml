@@ -219,17 +219,15 @@ let to_chrome_json tracer =
              (Span.outcome_name (Span.outcome sp))
              comp_args)
         ();
-      match sp.Span.marks with
+      match Span.segments sp with
       | [] -> ()
-      | dispatch :: rest ->
-          if dispatch.Span.cycle > sp.Span.arrival then
+      | queue :: rest ->
+          if queue.Span.residual > 0 then
             obj buf ~first ~name:"queue" ~ph:"X" ~pid:requests_pid ~tid
-              ~ts:sp.Span.arrival
-              ~dur:(dispatch.Span.cycle - sp.Span.arrival)
-              ();
-          let prev = ref dispatch in
+              ~ts:queue.Span.start ~dur:queue.Span.residual ();
           List.iter
-            (fun (m : Span.mark) ->
+            (fun (s : Span.segment) ->
+              let m = s.Span.mark in
               let name =
                 if m.Span.replica >= 0 then
                   Printf.sprintf "%s-r%d"
@@ -238,16 +236,13 @@ let to_chrome_json tracer =
                 else Event.span_phase_name m.Span.phase
               in
               obj buf ~first ~name ~ph:"X" ~pid:requests_pid ~tid
-                ~ts:!prev.Span.cycle
-                ~dur:(m.Span.cycle - !prev.Span.cycle)
+                ~ts:s.Span.start
+                ~dur:(m.Span.cycle - s.Span.start)
                 ~args:
                   (Printf.sprintf
                      "\"lock_wait\":%d,\"failover_wait\":%d,\"retry\":%d"
-                     (m.Span.wait_lock - !prev.Span.wait_lock)
-                     (m.Span.wait_degraded - !prev.Span.wait_degraded)
-                     (m.Span.retry - !prev.Span.retry))
-                ();
-              prev := m)
+                     s.Span.lock_wait s.Span.failover_wait s.Span.backoff)
+                ())
             rest)
     spans;
   Buffer.add_string buf

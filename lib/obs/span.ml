@@ -32,7 +32,8 @@ type outcome =
   | Faulted
   | Incomplete
       (** no terminal mark: the serving fibre died mid-request (its
-          machine crashed) or the ring dropped part of the span *)
+          machine crashed), or the run ended or the tracer was cleared
+          before the request completed *)
 
 let outcome_name = function
   | Acked -> "acked"
@@ -96,57 +97,63 @@ let all_components = [ Queue; Service; Replication; Retry; Failover_wait ]
 (* The residual of a segment ending in [phase] belongs to: *)
 let base_component = function
   | Event.P_apply_backup -> Replication
-  | Event.P_dispatch (* unreachable as a segment end; classify as queue *) ->
-      Queue
+  | Event.P_dispatch -> Queue (* arrival -> dispatch is queueing delay *)
   | Event.P_apply_acting | Event.P_ack | Event.P_timeout | Event.P_fault ->
       Service
 
-(** [components t] — cycles per component, indexed by
-    {!component_index}.  For a complete span the array sums exactly to
-    [latency t]; for an incomplete span it covers arrival → last mark.
+type segment = {
+  mark : mark;
+  start : int;
+  lock_wait : int;
+  failover_wait : int;
+  backoff : int;
+  residual : int;
+}
 
-    Each inter-mark segment's raw duration splits into the deltas of the
-    cumulative wait/retry counters (→ queue / failover-wait / retry) and
-    a residual (→ the segment's base component).  The deltas never
-    exceed the raw duration: waits and retries are sub-intervals of the
-    segment, disjoint by construction (sequential fibre code). *)
+(* The dispatch segment starts at arrival with the dispatch mark's own
+   counters as baselines, so it is all residual.  Counter deltas never
+   exceed a segment's raw duration: waits and retries are disjoint
+   sub-intervals of it (sequential fibre code). *)
+let segments t =
+  let rec go (prev : mark) = function
+    | [] -> []
+    | (m : mark) :: rest ->
+        let lock_wait = m.wait_lock - prev.wait_lock
+        and failover_wait = m.wait_degraded - prev.wait_degraded
+        and backoff = m.retry - prev.retry in
+        {
+          mark = m;
+          start = prev.cycle;
+          lock_wait;
+          failover_wait;
+          backoff;
+          residual =
+            m.cycle - prev.cycle - lock_wait - failover_wait - backoff;
+        }
+        :: go m rest
+  in
+  match t.marks with
+  | [] -> []
+  | first :: _ as ms -> go { first with cycle = t.arrival } ms
+
 let components t =
   let c = Array.make n_components 0 in
   let add comp n = c.(component_index comp) <- c.(component_index comp) + n in
-  (match t.marks with
-  | [] -> ()
-  | first :: rest ->
-      (* arrival → dispatch is pure queueing delay; the dispatch mark's
-         counters are the span's baselines (wait counters start at 0 for
-         each request; the retry counter is cumulative per fibre) *)
-      add Queue (first.cycle - t.arrival);
-      let prev = ref first in
-      List.iter
-        (fun m ->
-          let raw = m.cycle - !prev.cycle in
-          let dwl = m.wait_lock - !prev.wait_lock in
-          let dwd = m.wait_degraded - !prev.wait_degraded in
-          let drt = m.retry - !prev.retry in
-          add Queue dwl;
-          add Failover_wait dwd;
-          add Retry drt;
-          add (base_component m.phase) (raw - dwl - dwd - drt);
-          prev := m)
-        rest);
+  List.iter
+    (fun s ->
+      add Queue s.lock_wait;
+      add Failover_wait s.failover_wait;
+      add Retry s.backoff;
+      add (base_component s.mark.phase) s.residual)
+    (segments t);
   c
 
-(** [assemble tr] — group the tracer's {!Event.Mark}s into spans, sorted
-    by (arrival, session, seq).  Marks whose dispatch was lost to ring
-    wrap yield spans classified {!Incomplete} (no usable arrival) and
-    are dropped; everything else — including genuinely incomplete spans
-    whose server crashed — is returned, so callers filter by
-    {!outcome}. *)
+(* (session, seq) is unique, so the sort alone fixes the order. *)
 let assemble tr =
   let tbl : (int * int, (int * int * mark list) ref) Hashtbl.t =
     Hashtbl.create 256
   in
-  let order = ref [] in
-  Tracer.iter_marks
+  Tracer.iter_mark_log
     (fun e ->
       match e with
       | Event.Mark
@@ -160,19 +167,17 @@ let assemble tr =
               cell := (op', arr, m :: ms)
           | None ->
               (* only a dispatch mark can open a span: it carries the
-                 arrival stamp.  A non-dispatch head means the ring
-                 dropped the start of this request — skip it. *)
-              if phase = Event.P_dispatch then begin
-                Hashtbl.replace tbl key (ref (op, t0, [ m ]));
-                order := key :: !order
-              end)
+                 arrival stamp.  A non-dispatch head means the request
+                 was dispatched before the last clear — skip it. *)
+              if phase = Event.P_dispatch then
+                Hashtbl.replace tbl key (ref (op, t0, [ m ])))
       | _ -> ())
     tr;
-  !order
-  |> List.rev_map (fun key ->
-         let op, arrival, ms = !(Hashtbl.find tbl key) in
-         let session, seq = key in
-         { session; seq; op; arrival; marks = List.rev ms })
+  Hashtbl.fold
+    (fun (session, seq) cell acc ->
+      let op, arrival, ms = !cell in
+      { session; seq; op; arrival; marks = List.rev ms } :: acc)
+    tbl []
   |> List.sort (fun a b ->
          if a.arrival <> b.arrival then compare a.arrival b.arrival
          else if a.session <> b.session then compare a.session b.session
@@ -219,32 +224,22 @@ let pp ppf t =
   Fmt.pf ppf "@[<v2>%s s%d.q%d arrival=%d latency=%d outcome=%s"
     (op_name t.op) t.session t.seq t.arrival (latency t)
     (outcome_name (outcome t));
-  (match t.marks with
-  | [] -> ()
-  | first :: rest ->
-      Fmt.pf ppf "@,%-14s @%d  queue=%d" "dispatch" first.cycle
-        (first.cycle - t.arrival);
-      let prev = ref first in
-      List.iter
-        (fun m ->
-          let raw = m.cycle - !prev.cycle in
-          let dwl = m.wait_lock - !prev.wait_lock in
-          let dwd = m.wait_degraded - !prev.wait_degraded in
-          let drt = m.retry - !prev.retry in
-          let residual = raw - dwl - dwd - drt in
-          let label =
-            if m.replica >= 0 then
-              Printf.sprintf "%s r%d" (Event.span_phase_name m.phase) m.replica
-            else Event.span_phase_name m.phase
-          in
-          Fmt.pf ppf "@,%-14s @%d  %s=%d" label m.cycle
-            (component_name (base_component m.phase))
-            residual;
-          if dwl > 0 then Fmt.pf ppf " +lock-wait=%d" dwl;
-          if dwd > 0 then Fmt.pf ppf " +failover-wait=%d" dwd;
-          if drt > 0 then Fmt.pf ppf " +retry=%d" drt;
-          prev := m)
-        rest);
+  List.iter
+    (fun s ->
+      let m = s.mark in
+      let label =
+        if m.replica >= 0 then
+          Printf.sprintf "%s r%d" (Event.span_phase_name m.phase) m.replica
+        else Event.span_phase_name m.phase
+      in
+      Fmt.pf ppf "@,%-14s @%d  %s=%d" label m.cycle
+        (component_name (base_component m.phase))
+        s.residual;
+      if s.lock_wait > 0 then Fmt.pf ppf " +lock-wait=%d" s.lock_wait;
+      if s.failover_wait > 0 then
+        Fmt.pf ppf " +failover-wait=%d" s.failover_wait;
+      if s.backoff > 0 then Fmt.pf ppf " +retry=%d" s.backoff)
+    (segments t);
   Fmt.pf ppf "@,=";
   List.iter
     (fun comp ->

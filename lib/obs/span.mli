@@ -13,8 +13,8 @@ type outcome =
   | Timed_out
   | Faulted
   | Incomplete
-      (** no terminal mark: the serving fibre died mid-request or the
-          ring dropped part of the span *)
+      (** no terminal mark: the serving fibre died mid-request, or the
+          run ended or the tracer was cleared before it completed *)
 
 val outcome_name : outcome -> string
 
@@ -47,15 +47,32 @@ val component_index : component -> int
 val component_name : component -> string
 val all_components : component list
 
+(** The cycles from the previous mark (arrival, for the dispatch mark)
+    to [mark]: counter deltas plus a [residual] that is queue for
+    dispatch, replication for a backup apply and service otherwise. *)
+type segment = {
+  mark : mark;
+  start : int;
+  lock_wait : int;
+  failover_wait : int;
+  backoff : int;
+  residual : int;
+}
+
+val segments : t -> segment list
+(** One per mark, in order: the one decomposition that {!components},
+    {!pp} and the Perfetto export read. *)
+
 val components : t -> int array
 (** Cycles per component, indexed by {!component_index}.  For a complete
     span the array sums exactly to [latency t]. *)
 
 val assemble : Tracer.t -> t list
-(** Group the tracer's marks into spans, sorted by (arrival, session,
-    seq).  Spans whose dispatch mark was lost to ring wrap are dropped;
-    spans missing only their terminal mark are returned as
-    {!Incomplete}. *)
+(** Group the tracer's mark log ({!Tracer.iter_mark_log}) into spans,
+    sorted by (arrival, session, seq): every claimed request of the run,
+    whatever the ring capacity.  Marks of a request dispatched before
+    the last clear are dropped; spans missing only their terminal mark
+    are returned as {!Incomplete}. *)
 
 val digest : t list -> string
 (** Order-sensitive digest ["<count>:<hex>"] over identity, timing and

@@ -17,17 +17,21 @@
     The ring is packed (slot layout in tracer.mli): [stride] unboxed
     ints per event, so a retained event is not a heap block the minor GC
     must promote, and a store into the ring passes no write barrier.
-    Only [Mark] records are kept boxed, in a side array.  Slots live in
-    chunks of [chunk] events, allocated the first time the ring reaches
-    them and dropped by [clear], so a ring holds memory for what it has
-    retained, not for its capacity. *)
+    Slots live in chunks of [chunk] events, allocated the first time the
+    ring reaches them and dropped by [clear], so a ring holds memory for
+    what it has retained, not for its capacity.  [Mark] records are the
+    exception to both: each is kept boxed, once, in an append-only log
+    that the ring never overwrites, and its slot holds only its log
+    index — so spans are assembled from every mark of the run. *)
 
 type t = {
   buf : int array array;
       (** chunk directory: [stride * chunk] ints per chunk (fewer in the
           last), [[||]] until the ring reaches it *)
-  marks : Event.t array array;
-      (** [Mark] records by slot, chunked like [buf]; [filler] elsewhere *)
+  mutable marks : Event.t array;
+      (** every [Mark] emitted since the last clear, in emission order;
+          only the first [n_marks] entries are meaningful *)
+  mutable n_marks : int;
   cap : int;
   mutable start : int;    (** slot of the oldest retained event *)
   mutable len : int;      (** retained events, <= [cap] *)
@@ -48,9 +52,6 @@ let max_small = (1 lsl 54) - 2
 (* Slot tags are the {!Event.t} constructors numbered in declaration
    order (Prim 0 ... Trust 13); [store] and [load] list them so. *)
 let tag_mark = 12
-
-(* Any event works as the side-array filler; slot tags guard all reads. *)
-let filler = Event.Switch { step = 0; tid = -1; machine = -1; cycle = 0 }
 
 let prims =
   let a = Array.make Event.n_prims Event.Load in
@@ -76,7 +77,8 @@ let create ?(capacity = default_capacity) ?series () =
   let chunks = ((capacity - 1) lsr chunk_bits) + 1 in
   {
     buf = Array.make chunks [||];
-    marks = Array.make chunks [||];
+    marks = [||];
+    n_marks = 0;
     cap = capacity;
     start = 0;
     len = 0;
@@ -88,15 +90,13 @@ let create ?(capacity = default_capacity) ?series () =
 (* Allocate chunk [c]; only the last one may be short. *)
 let grow t c =
   let n = min chunk (t.cap - (c lsl chunk_bits)) in
-  t.buf.(c) <- Array.make (stride * n) 0;
-  t.marks.(c) <- Array.make n filler
+  t.buf.(c) <- Array.make (stride * n) 0
 
 let put t i tag sub small w1 w2 w3 =
   if small < -1 || small > max_small then
     invalid_arg "Obs.Tracer.emit: machine or shard out of range";
   let c = i lsr chunk_bits and j = i land chunk_mask in
   let buf = t.buf.(c) and o = stride * j in
-  if buf.(o) land 15 = tag_mark then t.marks.(c).(j) <- filler;
   buf.(o) <- tag lor (sub lsl 4) lor ((small + 1) lsl 8);
   buf.(o + 1) <- w1;
   buf.(o + 2) <- w2;
@@ -129,9 +129,15 @@ let store t i e =
   | Event.Unavail { shard; cycles; cycle } ->
       put t i 11 0 shard cycles cycle 0
   | Event.Mark _ ->
-      let c = i lsr chunk_bits and j = i land chunk_mask in
-      t.buf.(c).(stride * j) <- tag_mark;
-      t.marks.(c).(j) <- e
+      if t.n_marks = Array.length t.marks then begin
+        (* [e] fills the fresh tail; only [0 .. n_marks - 1] is read *)
+        let a = Array.make (max 256 (2 * t.n_marks)) e in
+        Array.blit t.marks 0 a 0 t.n_marks;
+        t.marks <- a
+      end;
+      t.marks.(t.n_marks) <- e;
+      put t i tag_mark 0 (-1) t.n_marks 0 0;
+      t.n_marks <- t.n_marks + 1
   | Event.Trust { trusted; cycle } -> put t i 13 0 (-1) trusted cycle 0
 
 (* Unpack slot [i]; a mark comes back as the record that was emitted. *)
@@ -164,7 +170,7 @@ let load t i =
         { shard = small; from_machine = w1; to_machine = w2; cycle = w3 }
   | 10 -> Event.Rejoin { shard = small; machine = w1; cycle = w2 }
   | 11 -> Event.Unavail { shard = small; cycles = w1; cycle = w2 }
-  | 12 -> t.marks.(c).(j)
+  | 12 -> t.marks.(w1)
   | _ -> Event.Trust { trusted = w1; cycle = w2 }
 
 (* The slot of the [k]-th oldest retained event. *)
@@ -208,11 +214,9 @@ let iter f t =
     f (load t (slot t k))
   done
 
-let iter_marks f t =
-  for k = 0 to t.len - 1 do
-    let i = slot t k in
-    let c = i lsr chunk_bits and j = i land chunk_mask in
-    if t.buf.(c).(stride * j) land 15 = tag_mark then f t.marks.(c).(j)
+let iter_mark_log f t =
+  for k = 0 to t.n_marks - 1 do
+    f t.marks.(k)
   done
 
 let events t = List.init t.len (fun k -> load t (slot t k))
@@ -222,6 +226,7 @@ let clear t =
   t.len <- 0;
   t.dropped <- 0;
   Array.fill t.buf 0 (Array.length t.buf) [||];
-  Array.fill t.marks 0 (Array.length t.marks) [||];
+  t.marks <- [||];
+  t.n_marks <- 0;
   Report.clear t.report;
   match t.series with None -> () | Some s -> Series.clear s

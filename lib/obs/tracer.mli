@@ -12,21 +12,17 @@
     index, evict kind or fault kind) and one small field stored plus one
     (bits 8 and up: the event's [machine], or [shard] for
     [Failover]/[Rejoin]/[Unavail]); words 1-3 hold the remaining fields
-    unchanged.  [Mark], with ten fields, is the one exception: its slot
-    holds only the tag, and the emitted record is kept as is in the
-    chunk's parallel [Event.t array] (reset to a static filler when a
-    non-mark event reuses the slot).  Retained events are therefore not
-    heap blocks, so the minor GC never promotes them and storing one
-    passes no write barrier.
+    unchanged.  [Mark], with ten fields, is the one exception: the
+    emitted record is appended once to a mark log that the ring never
+    overwrites, and its slot holds the log index in word 1.  So other
+    retained events are not heap blocks the minor GC must promote, and
+    {!Span.assemble} sees every mark of the run.
 
-    Memory: slots come in chunks of {!chunk} events, 4 words plus 1
-    pointer per slot (160 KB a chunk on a 64-bit host).  [create]
-    allocates only a directory with one entry per chunk of capacity; a
-    chunk is allocated the first time the ring reaches it, and {!clear}
-    drops them all.  So a ring costs what it retains, rounded up to a
-    chunk: the [1 lsl 20]-event ring that [cxl0_kv]'s span features and
-    the perfbench [kv-storm] workload use takes 4 KB when created and
-    ≈40 MB only once full (plus the [Mark] records it retains). *)
+    Memory: slots come in chunks of {!chunk} events, 4 words per slot
+    (128 KB a chunk on a 64-bit host), each allocated the first time the
+    ring reaches it and dropped by {!clear}: the default 65,536-event
+    ring takes 2 MB once full.  The mark log is not bounded by the
+    capacity: about 12 words per mark emitted since the last {!clear}. *)
 
 type t
 
@@ -63,19 +59,19 @@ val report : t -> Report.t
 val series : t -> Series.t option
 
 val iter : (Event.t -> unit) -> t -> unit
-(** Oldest to newest.  Every event but a [Mark] is decoded into a fresh
-    record, structurally equal to the one emitted. *)
+(** Oldest to newest over the retained events.  Every event but a
+    [Mark] is decoded into a fresh record, structurally equal to the one
+    emitted; a [Mark] is physically the record that was emitted. *)
 
-val iter_marks : (Event.t -> unit) -> t -> unit
-(** [iter_marks f t] — [f] on every retained [Mark], oldest to newest:
-    exactly the [Mark]s {!iter} would pass, in the same order, but
-    physically the records that were emitted, and without decoding (or
-    allocating) anything for the other slots.  [f] never sees another
-    constructor. *)
+val iter_mark_log : (Event.t -> unit) -> t -> unit
+(** [iter_mark_log f t] — [f] on every [Mark] emitted since the last
+    {!clear}, in emission order, including those the ring has since
+    overwritten: physically the records that were emitted.  [f] never
+    sees another constructor. *)
 
 val events : t -> Event.t list
 (** Oldest to newest. *)
 
 val clear : t -> unit
-(** Empty the buffer, releasing its chunks, and the report (and the
-    attached series). *)
+(** Empty the buffer, releasing its chunks and the mark log, and the
+    report (and the attached series). *)

@@ -51,8 +51,8 @@ let config ?(traffic = small_traffic) ?(crashes = []) ?(faults = [])
   let c = K.default_serve_config ~transform ~traffic in
   { c with K.shards = 3; env = { c.K.env with R.crashes; faults } }
 
-let traced_serve ?series c =
-  let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) ?series () in
+let traced_serve ?(capacity = 1 lsl 18) ?series c =
+  let tracer = Obs.Tracer.create ~capacity ?series () in
   let r = K.serve ~tracer c in
   (r, tracer)
 
@@ -540,6 +540,26 @@ let test_span_determinism () =
   in
   Alcotest.(check string) "run-twice identical" (digest ()) (digest ())
 
+let test_spans_survive_wrap () =
+  (* spans come from the tracer's mark log, not its ring: a ring small
+     enough to wrap many times yields the spans of an uncapped one *)
+  let attributed capacity =
+    let _, tr = traced_serve ~capacity (stormy ()) in
+    let spans = Obs.Span.assemble tr in
+    let a = Obs.Attrib.of_spans spans in
+    ( Obs.Tracer.dropped tr,
+      Obs.Span.digest spans,
+      List.init 3 (fun op -> Obs.Attrib.totals a ~op),
+      Obs.Attrib.incomplete a )
+  in
+  let dropped, d, totals, incomplete = attributed 64 in
+  let dropped', d', totals', incomplete' = attributed (1 lsl 18) in
+  Alcotest.(check bool) "capacity 64 wraps" true (dropped > 0);
+  Alcotest.(check int) "capacity 1 lsl 18 does not" 0 dropped';
+  Alcotest.(check string) "span digest" d' d;
+  Alcotest.(check (list (array int))) "attribution totals" totals' totals;
+  Alcotest.(check int) "incomplete spans" incomplete' incomplete
+
 let test_tracer_inert_serving () =
   (* attaching a tracer must not perturb the serving run: identical
      counters, histograms and failover activity *)
@@ -724,6 +744,8 @@ let () =
             test_span_phase_order;
           Alcotest.test_case "span digest deterministic" `Quick
             test_span_determinism;
+          Alcotest.test_case "spans survive ring wrap" `Quick
+            test_spans_survive_wrap;
           Alcotest.test_case "tracer is inert" `Quick
             test_tracer_inert_serving;
           Alcotest.test_case "series conservation" `Quick

@@ -186,7 +186,14 @@ let test_ring_allocates_as_it_fills () =
   done;
   check "100 events";
   for i = 101 to 5 * Obs.Tracer.chunk do
-    Obs.Tracer.emit tr (ev i)
+    (* every other event a mark, so the mark log must be released too *)
+    Obs.Tracer.emit tr
+      (if i land 1 = 0 then ev i
+       else
+         Obs.Event.Mark
+           { session = 0; seq = i; op = 0; phase = Obs.Event.P_dispatch;
+             replica = -1; t0 = i; wait_lock = 0; wait_degraded = 0;
+             retry = 0; cycle = i })
   done;
   Obs.Tracer.clear tr;
   check "cleared"
@@ -641,14 +648,14 @@ let prop_ring_matches_list =
       let kept = drop (n - cap) all and dropped = max 0 (n - cap) in
       let iterated = ref [] in
       Obs.Tracer.iter (fun e -> iterated := e :: !iterated) tr;
-      let marks = ref [] in
-      Obs.Tracer.iter_marks (fun e -> marks := e :: !marks) tr;
+      let logged = ref [] in
+      Obs.Tracer.iter_mark_log (fun e -> logged := e :: !logged) tr;
       let model_series = Obs.Series.create ~window:series_window in
       List.iter (Obs.Series.observe model_series) all;
       Obs.Tracer.events tr = kept
       && List.rev !iterated = kept
-      && List.rev !marks
-         = List.filter (function Obs.Event.Mark _ -> true | _ -> false) kept
+      && List.rev !logged
+         = List.filter (function Obs.Event.Mark _ -> true | _ -> false) all
       && Obs.Tracer.length tr = List.length kept
       && Obs.Tracer.dropped tr = dropped
       && Obs.Tracer.emitted tr = n
@@ -656,8 +663,9 @@ let prop_ring_matches_list =
          = report_fingerprint (model_report ~dropped all)
       && Obs.Series.to_json series = Obs.Series.to_json model_series)
 
-(* [Span.assemble] as it read the ring before the mark-only walk: a full
-   {!Obs.Tracer.iter} scan, every slot decoded. *)
+(* [Span.assemble] by a full {!Obs.Tracer.iter} scan of the ring, every
+   slot decoded: on a tracer that never wrapped, the spans of every mark
+   emitted since the last clear. *)
 let assemble_full_scan tr =
   let tbl = Hashtbl.create 16 and order = ref [] in
   Obs.Tracer.iter
@@ -687,36 +695,49 @@ let assemble_full_scan tr =
   |> List.sort (fun (a : Obs.Span.t) b ->
          compare (a.arrival, a.session, a.seq) (b.arrival, b.session, b.seq))
 
+(* A tracer of capacity [cap] and one that cannot wrap, both fed [ops]. *)
+let capped_and_uncapped cap ops =
+  let capped = Obs.Tracer.create ~capacity:cap ()
+  and uncapped = Obs.Tracer.create ~capacity:(max 1 (List.length ops)) () in
+  List.iter
+    (fun tr ->
+      List.iter
+        (function None -> Obs.Tracer.clear tr | Some e -> Obs.Tracer.emit tr e)
+        ops)
+    [ capped; uncapped ];
+  (capped, uncapped)
+
 let prop_assemble_mark_walk =
   QCheck.Test.make ~name:"mark-only assemble = full-scan assemble"
     ~count:500 arb_ring_run (fun (cap, ops) ->
-      let tr = Obs.Tracer.create ~capacity:cap () in
-      List.iter
-        (function None -> Obs.Tracer.clear tr | Some e -> Obs.Tracer.emit tr e)
-        ops;
-      Obs.Span.assemble tr = assemble_full_scan tr)
+      let capped, uncapped = capped_and_uncapped cap ops in
+      Obs.Span.assemble capped = assemble_full_scan uncapped)
 
 let test_assemble_wrapped () =
-  (* the properties above, pinned on one ring that certainly wrapped
-     with spans straddling the overwrite point *)
-  let tr = Obs.Tracer.create ~capacity:5 () in
-  List.iter (Obs.Tracer.emit tr)
-    [
-      mark ~session:1 ~seq:0 ~op:1 ~phase:Obs.Event.P_dispatch ~t0:1 10;
-      ev 11;
-      mark ~session:2 ~seq:0 ~op:0 ~phase:Obs.Event.P_dispatch ~t0:5 12;
-      mark ~session:1 ~seq:0 ~op:1 ~phase:Obs.Event.P_ack 13;
-      ev 14;
-      mark ~session:3 ~seq:0 ~op:0 ~phase:Obs.Event.P_dispatch ~t0:9 15;
-      ev 16;
-      mark ~session:2 ~seq:0 ~op:0 ~phase:Obs.Event.P_ack 17;
-    ];
+  (* the property above, pinned on one ring that certainly wrapped with
+     spans straddling the overwrite point: the spans are those of the
+     whole run *)
+  let ops =
+    List.map Option.some
+      [
+        mark ~session:1 ~seq:0 ~op:1 ~phase:Obs.Event.P_dispatch ~t0:1 10;
+        ev 11;
+        mark ~session:2 ~seq:0 ~op:0 ~phase:Obs.Event.P_dispatch ~t0:5 12;
+        mark ~session:1 ~seq:0 ~op:1 ~phase:Obs.Event.P_ack 13;
+        ev 14;
+        mark ~session:3 ~seq:0 ~op:0 ~phase:Obs.Event.P_dispatch ~t0:9 15;
+        ev 16;
+        mark ~session:2 ~seq:0 ~op:0 ~phase:Obs.Event.P_ack 17;
+      ]
+  in
+  let tr, uncapped = capped_and_uncapped 5 ops in
   Alcotest.(check int) "wrapped" 3 (Obs.Tracer.dropped tr);
   let spans = Obs.Span.assemble tr in
-  Alcotest.(check bool) "equals full scan" true
-    (spans = assemble_full_scan tr);
-  (* session 1 lost its dispatch, session 2 kept only its ack *)
-  Alcotest.(check (list int)) "surviving spans" [ 3 ]
+  Alcotest.(check bool) "equals full scan of an uncapped ring" true
+    (spans = assemble_full_scan uncapped);
+  (* the ring lost session 1's dispatch and session 2's dispatch, but
+     the mark log kept them *)
+  Alcotest.(check (list int)) "every span" [ 1; 2; 3 ]
     (List.map (fun s -> s.Obs.Span.session) spans)
 
 let test_packed_small_field_range () =
