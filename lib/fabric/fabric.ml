@@ -125,6 +125,7 @@ type t = {
   faults : Faults.t option;
       (** the RAS fault plan, if one was attached at creation.  [None]
           keeps every primitive on the exact pre-fault code path. *)
+  mutable outcome : int;  (** {!attempt}'s last outcome, a [Faults] code *)
   tracer : Obs.Tracer.t option;
       (** the event tracer, if one was attached at creation.  [None]
           keeps every primitive free of observability work: each
@@ -213,6 +214,7 @@ let create ?(model = Latency.default) ?topology ?(seed = 0)
     evict_prob;
     evict_gap = -1;
     faults;
+    outcome = Faults.ok;
     tracer;
   }
 
@@ -579,130 +581,114 @@ let cas t i x ~expected ~desired ~(kind : store_kind) =
   ok
 
 (* ------------------------------------------------------------------ *)
-(* Typed-fault variants and the RAS plan                               *)
+(* The faultable attempt and the RAS plan                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The [_result] primitives wrap the plain ones with the fault plan's
-   link and poison checks.  With no plan attached they reduce to
-   [Ok (plain op)] — same charges, same stats, same RNG stream — which
-   is the byte-identity invariant the corpus replay gate enforces.
-   FliT-counter metadata traffic ([account_meta_*]) rides along with the
-   data access it accompanies and is not separately faultable. *)
+(* {!attempt} runs one primitive under the fault plan's link and poison
+   checks.  With no plan attached it is the plain primitive — same
+   charges, same stats, same RNG stream — which is the byte-identity
+   invariant the corpus replay gate enforces.  FliT-counter metadata
+   traffic ([account_meta_*]) rides along with the data access it
+   accompanies and is not separately faultable. *)
 
 let count_fault t =
   t.stats.Stats.faults_injected <- t.stats.Stats.faults_injected + 1
 
-(* Outcome of one message from machine [i] to the home agent at [to_m]:
-   a NACK charges the link-retry latency, a down link charges the
-   completion timeout, a delayed delivery charges the delay and
-   proceeds. *)
-let guard t i ~to_m : (unit, Faults.fault) result =
+(* One message from machine [i] to the home agent at [to_m]: [true] when
+   it is delivered.  A delayed delivery charges the delay and proceeds;
+   a NACK charges the link-retry latency and a down link the completion
+   timeout, and both leave their code in [t.outcome]. *)
+let delivered t p i to_m =
+  let c = Faults.crossing p ~cycles:t.stats.Stats.cycles ~from_m:i ~to_m in
+  if c = Faults.ok then true
+  else begin
+    count_fault t;
+    if c = Faults.delayed then begin
+      charge t (Faults.delay_cycles p i to_m);
+      trace_fault t Obs.Event.Delay ~machine:i ~to_machine:to_m ~loc:(-1);
+      true
+    end
+    else begin
+      let nacked = c = Faults.nack in
+      charge t (if nacked then Faults.nack_cycles p else Faults.timeout_cycles p);
+      trace_fault t
+        (if nacked then Obs.Event.Nack else Obs.Event.Timeout)
+        ~machine:i ~to_machine:to_m ~loc:(-1);
+      t.outcome <- c;
+      false
+    end
+  end
+
+(* Does machine [i]'s read of [x] observe poison?  Counted, traced and
+   left in [t.outcome] when it does. *)
+let poison_observed t p i x =
+  Faults.is_poisoned p x
+  && begin
+       count_fault t;
+       trace_fault t Obs.Event.Poison_hit ~machine:i ~to_machine:(-1) ~loc:x;
+       t.outcome <- Faults.poison_hit;
+       true
+     end
+
+let not_faultable () = invalid_arg "Fabric.attempt: metadata is not faultable"
+
+(* The plain primitive named by [prim], its result as an int. *)
+let exec t (prim : Obs.Event.prim) i x a b kind =
+  match prim with
+  | Load -> load t i x
+  | Lstore -> lstore t i x a; 0
+  | Rstore -> rstore t i x a; 0
+  | Mstore -> mstore t i x a; 0
+  | Lflush -> lflush t i x; 0
+  | Rflush -> rflush t i x; 0
+  | Faa -> faa t i x a
+  | Cas -> Bool.to_int (cas t i x ~expected:a ~desired:b ~kind)
+  | Meta_faa | Meta_read -> not_faultable ()
+
+let attempt t (prim : Obs.Event.prim) i x a b kind =
+  t.outcome <- Faults.ok;
   match t.faults with
-  | None -> Ok ()
+  | None -> exec t prim i x a b kind
   | Some p -> (
-      match
-        Faults.crossing p ~cycles:t.stats.Stats.cycles ~from_m:i ~to_m
-      with
-      | `Ok -> Ok ()
-      | `Delay d ->
-          count_fault t;
-          charge t d;
-          trace_fault t Obs.Event.Delay ~machine:i ~to_machine:to_m ~loc:(-1);
-          Ok ()
-      | `Fault (Faults.Nack _ as f) ->
-          count_fault t;
-          charge t (Faults.nack_cycles p);
-          trace_fault t Obs.Event.Nack ~machine:i ~to_machine:to_m ~loc:(-1);
-          Error f
-      | `Fault (Faults.Link_timeout _ as f) ->
-          count_fault t;
-          charge t (Faults.timeout_cycles p);
-          trace_fault t Obs.Event.Timeout ~machine:i ~to_machine:to_m
-            ~loc:(-1);
-          Error f
-      | `Fault f ->
-          count_fault t;
-          Error f)
+      check_loc t x;
+      let to_m =
+        match prim with
+        | Load -> if holds t x i then i else t.owner.(x)
+        | Lstore -> i
+        | Lflush -> if holds t x i then t.owner.(x) else i
+        | Rstore | Mstore | Rflush | Faa | Cas -> t.owner.(x)
+        | Meta_faa | Meta_read -> not_faultable ()
+      in
+      if not (delivered t p i to_m) then 0
+      else
+        match prim with
+        | Load ->
+            (* the load itself executes — poisoned data still travels
+               and caches; only the value delivery is replaced *)
+            let v = load t i x in
+            if poison_observed t p i x then 0 else v
+        | (Faa | Cas) when poison_observed t p i x ->
+            (* the RMW read observed poison: charge the crossing and the
+               RMW surcharge, abort before mutating *)
+            let ow = t.owner.(x) in
+            charge t
+              ((if ow = i then t.lat_local_cache else cost_rc t i ow)
+              + t.lat_atomic_extra);
+            0
+        | _ -> exec t prim i x a b kind)
 
-(* Cost of reaching [x]'s line for an atomic that aborts on poison: the
-   fabric crossing plus the RMW surcharge, without the mutation. *)
-let poisoned_atomic_cost t i x =
-  let ow = t.owner.(x) in
-  (if ow = i then t.lat_local_cache else cost_rc t i ow)
-  + t.lat_atomic_extra
+let outcome t = t.outcome
 
-let check_poison t i x : (unit, Faults.fault) result =
-  match t.faults with
-  | Some p when Faults.is_poisoned p x ->
-      count_fault t;
-      trace_fault t Obs.Event.Poison_hit ~machine:i ~to_machine:(-1) ~loc:x;
-      Error (Faults.Poisoned { loc = x })
-  | _ -> Ok ()
-
-let load_result t i x =
-  check_loc t x;
-  let to_m = if holds t x i then i else t.owner.(x) in
-  match guard t i ~to_m with
-  | Error _ as e -> e
-  | Ok () ->
-      (* the load itself executes — poisoned data still travels and
-         caches; only the value delivery is replaced by the error *)
-      let v = load t i x in
-      (match check_poison t i x with Ok () -> Ok v | Error _ as e -> e)
-
-let lstore_result t i x v =
-  match guard t i ~to_m:i with
-  | Error _ as e -> e
-  | Ok () -> Ok (lstore t i x v)
-
-let rstore_result t i x v =
-  check_loc t x;
-  match guard t i ~to_m:t.owner.(x) with
-  | Error _ as e -> e
-  | Ok () -> Ok (rstore t i x v)
-
-let mstore_result t i x v =
-  check_loc t x;
-  match guard t i ~to_m:t.owner.(x) with
-  | Error _ as e -> e
-  | Ok () -> Ok (mstore t i x v)
-
-let lflush_result t i x =
-  check_loc t x;
-  let to_m = if holds t x i then t.owner.(x) else i in
-  match guard t i ~to_m with
-  | Error _ as e -> e
-  | Ok () -> Ok (lflush t i x)
-
-let rflush_result t i x =
-  check_loc t x;
-  match guard t i ~to_m:t.owner.(x) with
-  | Error _ as e -> e
-  | Ok () -> Ok (rflush t i x)
-
-let faa_result t i x d =
-  check_loc t x;
-  match guard t i ~to_m:t.owner.(x) with
-  | Error _ as e -> e
-  | Ok () -> (
-      match check_poison t i x with
-      | Error _ as e ->
-          (* the RMW read observed poison: charge the crossing, abort
-             before mutating *)
-          charge t (poisoned_atomic_cost t i x);
-          e
-      | Ok () -> Ok (faa t i x d))
-
-let cas_result t i x ~expected ~desired ~kind =
-  check_loc t x;
-  match guard t i ~to_m:t.owner.(x) with
-  | Error _ as e -> e
-  | Ok () -> (
-      match check_poison t i x with
-      | Error _ as e ->
-          charge t (poisoned_atomic_cost t i x);
-          e
-      | Ok () -> Ok (cas t i x ~expected ~desired ~kind))
+(* A link fault only ever stops a message to [x]'s owner: every other
+   destination {!attempt} picks is the issuer itself, which crosses no
+   link. *)
+let fault t i x =
+  let o = t.outcome in
+  if o = Faults.nack then Faults.Nack { from_m = i; to_m = owner t x }
+  else if o = Faults.timeout then
+    Faults.Link_timeout { from_m = i; to_m = owner t x }
+  else if o = Faults.poison_hit then Faults.Poisoned { loc = x }
+  else invalid_arg "Fabric.fault: the last attempt did not fault"
 
 (** [poison t x] — mark the line poisoned (requires a fault plan).  The
     next load observes [Poisoned]; a store of fresh data or an [rflush]

@@ -124,15 +124,16 @@ type store_kind = Cxl0.Label.store_kind
 val cas : t -> int -> loc -> expected:int -> desired:int -> kind:store_kind -> bool
 (** Compare-and-swap whose successful store has strength [kind]. *)
 
-(** {1 Typed-fault variants and the RAS plan}
+(** {1 The faultable attempt and the RAS plan}
 
-    The [_result] primitives are the fault-aware counterparts of the
-    plain ones: identical effects and costs, except that a message
-    crossing a faulted link or a load/RMW observing a poisoned line
-    yields [Error] instead of performing/delivering.  With no plan
-    attached they are exactly [Ok (plain op)].  The plain primitives
-    never consult the plan's link table (tests and internal traffic stay
-    un-faultable); {!Runtime.Ops} is the retry-aware entry point. *)
+    {!attempt} is the one fault-aware entry point: any data primitive,
+    by its {!Obs.Event.prim} code, with the plain one's effects and
+    costs, except that a message crossing a faulted link or a load/RMW
+    observing a poisoned line leaves a fault outcome instead of
+    performing/delivering.  With no plan it is the plain primitive.  The
+    plain primitives never consult the link table (tests and internal
+    traffic stay un-faultable); {!Runtime.Ops} is the retry-aware
+    caller. *)
 
 val faults : t -> Faults.t option
 
@@ -140,23 +141,26 @@ val tracer : t -> Obs.Tracer.t option
 (** The event tracer attached at creation, if any; the scheduler, retry
     engine and FliT instances emit their events through this. *)
 
-val load_result : t -> int -> loc -> (int, Faults.fault) result
-(** The load executes (poisoned data still travels and caches); poison
-    replaces only the delivered value. *)
+val attempt :
+  t -> Obs.Event.prim -> int -> loc -> int -> int -> store_kind -> int
+(** [attempt t prim i x a b kind] — machine [i] issues [prim] on [x]
+    under the plan and leaves the {!outcome}.  [a] is the stored value,
+    FAA delta or CAS expected value, [b] the CAS desired value, [kind]
+    its store's strength (ignored by the rest).  Returns the loaded
+    value, the FAA's previous value, 1/0 for a CAS that did/did not
+    swap, else 0.  A poisoned load still executes (the data travels and
+    caches); an RMW that observes poison charges the crossing and aborts
+    before mutating.  Raises [Invalid_argument] on a bad location and
+    on [Meta_faa]/[Meta_read]. *)
 
-val lstore_result : t -> int -> loc -> int -> (unit, Faults.fault) result
-val rstore_result : t -> int -> loc -> int -> (unit, Faults.fault) result
-val mstore_result : t -> int -> loc -> int -> (unit, Faults.fault) result
-val lflush_result : t -> int -> loc -> (unit, Faults.fault) result
-val rflush_result : t -> int -> loc -> (unit, Faults.fault) result
+val outcome : t -> int
+(** The last {!attempt}'s outcome: {!Faults.ok}, {!Faults.nack},
+    {!Faults.timeout} or {!Faults.poison_hit}. *)
 
-val faa_result : t -> int -> loc -> int -> (int, Faults.fault) result
-(** Aborts before mutating when the line is poisoned (the RMW read
-    observed poison); still charges the crossing. *)
-
-val cas_result :
-  t -> int -> loc -> expected:int -> desired:int -> kind:store_kind ->
-  (bool, Faults.fault) result
+val fault : t -> int -> loc -> Faults.fault
+(** [fault t i x] — the fault machine [i]'s last {!attempt} on [x] left,
+    with its endpoints or line.  Raises [Invalid_argument] when its
+    outcome is {!Faults.ok}. *)
 
 val poison : t -> loc -> unit
 (** Mark the line poisoned.  Raises [Invalid_argument] without a fault

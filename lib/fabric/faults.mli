@@ -28,9 +28,6 @@ type fault =
   | Poisoned of { loc : int }
       (** the data itself is poisoned; not retryable *)
 
-val is_transient : fault -> bool
-(** NACKs and timeouts are worth retrying; poison is not. *)
-
 val pp_fault : fault Fmt.t
 
 type retry_policy = {
@@ -42,9 +39,15 @@ type retry_policy = {
 val default_retry : retry_policy
 (** [{ retries = 4; backoff_base = 8; backoff_max = 256 }]. *)
 
-type link_fault =
-  | Degraded of { nack_prob : float; delay_prob : float; delay_cycles : int }
-  | Down of { from_cycle : int; until_cycle : int }
+(** Int-coded outcomes of a {!crossing} and of a {!Fabric.attempt}
+    (which never leaves [delayed]: a delayed message is delivered).
+    [nack] and [timeout] are transient; [poison_hit] is not. *)
+
+val ok : int
+val nack : int
+val timeout : int
+val poison_hit : int
+val delayed : int
 
 type t
 (** A fault plan.  Mutable: poisoning/healing and the plan's RNG evolve
@@ -58,7 +61,6 @@ val plan :
     the completion timeout charged when a down link swallows a message. *)
 
 val retry : t -> retry_policy
-val seed : t -> int
 val nack_cycles : t -> int
 val timeout_cycles : t -> int
 
@@ -81,16 +83,18 @@ val max_machine : t -> int
 
 val link_faulty : t -> cycles:int -> int -> int -> bool
 (** Is there a standing fault on the link between the two machines right
-    now ([Degraded] always; [Down] only inside its window)?  Pure: no RNG
-    draw.  FliT's degraded mode keys off this. *)
+    now (a degraded link always; a down one only inside its window)?
+    Pure: no RNG draw.  FliT's degraded mode keys off this. *)
 
-val crossing :
-  t -> cycles:int -> from_m:int -> to_m:int ->
-  [ `Ok | `Delay of int | `Fault of fault ]
-(** Outcome of one message crossing the fabric right now.  Draws from
-    the plan's RNG only when the link is degraded; a down link yields
-    [`Fault (Link_timeout _)] deterministically; a clean link is [`Ok]
-    with no draw. *)
+val crossing : t -> cycles:int -> from_m:int -> to_m:int -> int
+(** Outcome code of one message crossing the fabric right now: {!ok},
+    {!delayed}, {!nack} or {!timeout}, read from a dense per-pair link
+    table.  Draws two floats from the plan's RNG only when the link is
+    degraded (the only allocation); a down link yields {!timeout}
+    deterministically; a clean link is {!ok} with no draw. *)
+
+val delay_cycles : t -> int -> int -> int
+(** What a {!delayed} crossing of the link between two machines charges. *)
 
 (** {1 Poison} *)
 
@@ -102,6 +106,3 @@ val heal : t -> int -> unit
     writing a clean copy back). *)
 
 val is_poisoned : t -> int -> bool
-
-val poisoned : t -> int list
-(** Currently-poisoned lines, ascending (diagnostics). *)

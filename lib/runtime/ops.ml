@@ -12,10 +12,12 @@
     timeouts) are transparently retried with exponential backoff in
     simulated cycles plus jitter drawn from the sched seed's dedicated
     retry stream; only exhausted retries and non-transient faults
-    (poison) surface, as the {!Fault} exception.  Without a plan each
-    primitive is the fabric's un-faultable call plus one yield: the
-    instruction stream, charges, and RNG draws are byte-identical to the
-    pre-fault runtime. *)
+    (poison) surface, as the {!Fault} exception.  Under a plan every
+    primitive is one loop over its {!Obs.Event.prim} code around
+    {!Fabric.attempt}, the fabric's one faultable entry point.  Without
+    a plan each primitive is the fabric's un-faultable call plus one
+    yield: the instruction stream, charges, and RNG draws are
+    byte-identical to the pre-fault runtime. *)
 
 type loc = Fabric.loc
 
@@ -28,52 +30,53 @@ let () =
     | Fault f -> Some (Fmt.str "Ops.Fault(%a)" Fabric.Faults.pp_fault f)
     | _ -> None)
 
-(* One primitive under the plan's retry policy.  Each attempt —
-   including the last, failed one — ends in exactly one yield, so a
-   faulted primitive is still one scheduling point per fabric access.  A
-   fault that survives the policy (or is not retryable, like poison)
-   raises {!Fault}.  Only reached when a plan is attached: without one,
+module Faults = Fabric.Faults
+
+(* One primitive, named by its code: a {!Fabric.attempt} per try, under
+   the plan's retry policy.  Each attempt — including the last, failed
+   one — ends in exactly one yield, so a faulted primitive is still one
+   scheduling point per fabric access.  A fault that survives the policy
+   (or is not retryable, like poison) raises {!Fault}; its value is
+   built only then.  Only reached when a plan is attached: without one,
    every primitive below is the un-faultable fabric call plus one
    yield. *)
-let protect (ctx : Sched.ctx) plan
-    (f : unit -> ('a, Fabric.Faults.fault) result) : 'a =
-  let pol = Fabric.Faults.retry plan in
-  let rec attempt n =
-    match f () with
-    | Ok v ->
-        yield ctx;
-        v
-    | Error e
-      when Fabric.Faults.is_transient e && n < pol.Fabric.Faults.retries ->
-        let st = Fabric.stats ctx.fab in
-        st.Fabric.Stats.retries <- st.Fabric.Stats.retries + 1;
-        let backoff =
-          min pol.Fabric.Faults.backoff_max
-            (pol.Fabric.Faults.backoff_base lsl n)
-        in
-        let charged =
-          backoff + Sched.jitter ctx pol.Fabric.Faults.backoff_base
-        in
-        Fabric.charge ctx.fab charged;
-        (match Fabric.tracer ctx.fab with
-        | None -> ()
-        | Some tr ->
-            Sched.note_retry_cycles ctx charged;
-            Obs.Tracer.emit tr
-              (Obs.Event.Retry
-                 {
-                   machine = ctx.machine;
-                   attempt = n;
-                   backoff;
-                   cycle = Fabric.cycles ctx.fab;
-                 }));
-        yield ctx;
-        attempt (n + 1)
-    | Error e ->
-        yield ctx;
-        raise (Fault e)
-  in
-  attempt 0
+let rec issue (ctx : Sched.ctx) prim x a b kind n =
+  let fab = ctx.fab in
+  let v = Fabric.attempt fab prim ctx.machine x a b kind in
+  let o = Fabric.outcome fab in
+  if o = Faults.ok then begin
+    yield ctx;
+    v
+  end
+  else
+    let pol = Faults.retry (Option.get (Fabric.faults fab)) in
+    (* NACKs and timeouts are transient; poison is not *)
+    if o <> Faults.poison_hit && n < pol.Faults.retries then begin
+      let st = Fabric.stats fab in
+      st.Fabric.Stats.retries <- st.Fabric.Stats.retries + 1;
+      let backoff = min pol.Faults.backoff_max (pol.Faults.backoff_base lsl n) in
+      let charged = backoff + Sched.jitter ctx pol.Faults.backoff_base in
+      Fabric.charge fab charged;
+      (match Fabric.tracer fab with
+      | None -> ()
+      | Some tr ->
+          Sched.note_retry_cycles ctx charged;
+          Obs.Tracer.emit tr
+            (Obs.Event.Retry
+               {
+                 machine = ctx.machine;
+                 attempt = n;
+                 backoff;
+                 cycle = Fabric.cycles fab;
+               }));
+      yield ctx;
+      issue ctx prim x a b kind (n + 1)
+    end
+    else begin
+      let f = Fabric.fault fab ctx.machine x in
+      yield ctx;
+      raise (Fault f)
+    end
 
 (** [load ctx x] — coherent load (the model's single [Load]). *)
 let load (ctx : Sched.ctx) x =
@@ -82,55 +85,39 @@ let load (ctx : Sched.ctx) x =
       let v = Fabric.load ctx.fab ctx.machine x in
       yield ctx;
       v
-  | Some plan ->
-      protect ctx plan (fun () -> Fabric.load_result ctx.fab ctx.machine x)
+  | Some _ -> issue ctx Load x 0 0 L 0
 
 (** [lstore ctx x v] — LStore: complete once in the local cache. *)
 let lstore (ctx : Sched.ctx) x v =
   match Fabric.faults ctx.fab with
-  | None ->
-      Fabric.lstore ctx.fab ctx.machine x v;
-      yield ctx
-  | Some plan ->
-      protect ctx plan (fun () -> Fabric.lstore_result ctx.fab ctx.machine x v)
+  | None -> Fabric.lstore ctx.fab ctx.machine x v; yield ctx
+  | Some _ -> ignore (issue ctx Lstore x v 0 L 0)
 
 (** [rstore ctx x v] — RStore: complete once at the owner's cache. *)
 let rstore (ctx : Sched.ctx) x v =
   match Fabric.faults ctx.fab with
-  | None ->
-      Fabric.rstore ctx.fab ctx.machine x v;
-      yield ctx
-  | Some plan ->
-      protect ctx plan (fun () -> Fabric.rstore_result ctx.fab ctx.machine x v)
+  | None -> Fabric.rstore ctx.fab ctx.machine x v; yield ctx
+  | Some _ -> ignore (issue ctx Rstore x v 0 L 0)
 
 (** [mstore ctx x v] — MStore: complete once in the owner's physical
     memory. *)
 let mstore (ctx : Sched.ctx) x v =
   match Fabric.faults ctx.fab with
-  | None ->
-      Fabric.mstore ctx.fab ctx.machine x v;
-      yield ctx
-  | Some plan ->
-      protect ctx plan (fun () -> Fabric.mstore_result ctx.fab ctx.machine x v)
+  | None -> Fabric.mstore ctx.fab ctx.machine x v; yield ctx
+  | Some _ -> ignore (issue ctx Mstore x v 0 L 0)
 
 (** [lflush ctx x] — LFlush: write the line back one hierarchy level. *)
 let lflush (ctx : Sched.ctx) x =
   match Fabric.faults ctx.fab with
-  | None ->
-      Fabric.lflush ctx.fab ctx.machine x;
-      yield ctx
-  | Some plan ->
-      protect ctx plan (fun () -> Fabric.lflush_result ctx.fab ctx.machine x)
+  | None -> Fabric.lflush ctx.fab ctx.machine x; yield ctx
+  | Some _ -> ignore (issue ctx Lflush x 0 0 L 0)
 
 (** [rflush ctx x] — RFlush: force the line into the owner's physical
     memory. *)
 let rflush (ctx : Sched.ctx) x =
   match Fabric.faults ctx.fab with
-  | None ->
-      Fabric.rflush ctx.fab ctx.machine x;
-      yield ctx
-  | Some plan ->
-      protect ctx plan (fun () -> Fabric.rflush_result ctx.fab ctx.machine x)
+  | None -> Fabric.rflush ctx.fab ctx.machine x; yield ctx
+  | Some _ -> ignore (issue ctx Rflush x 0 0 L 0)
 
 (** [rflush_all ctx locs] — RFlush every location in order.  Without a
     plan the flushes run back to back and end in a {e single} scheduling
@@ -165,8 +152,7 @@ let faa (ctx : Sched.ctx) x d =
       let v = Fabric.faa ctx.fab ctx.machine x d in
       yield ctx;
       v
-  | Some plan ->
-      protect ctx plan (fun () -> Fabric.faa_result ctx.fab ctx.machine x d)
+  | Some _ -> issue ctx Faa x d 0 L 0
 
 (** [cas ctx x ~expected ~desired ~kind] — atomic compare-and-swap whose
     successful store has strength [kind]. *)
@@ -176,9 +162,7 @@ let cas (ctx : Sched.ctx) x ~expected ~desired ~kind =
       let ok = Fabric.cas ctx.fab ctx.machine x ~expected ~desired ~kind in
       yield ctx;
       ok
-  | Some plan ->
-      protect ctx plan (fun () ->
-          Fabric.cas_result ctx.fab ctx.machine x ~expected ~desired ~kind)
+  | Some _ -> issue ctx Cas x expected desired kind 0 = 1
 
 (** [alloc ctx ~owner] — allocate a fresh zero-initialised location on
     machine [owner]. *)

@@ -533,20 +533,28 @@ let faulty_fabric ?(nack = 0.0) ?(delay = 0.0) ?(delay_cycles = 0) ?down () =
   | None -> ());
   F.uniform ~seed:7 ~evict_prob:0.0 ~faults:p 2
 
+(* One {!F.attempt} of [prim], with the [_] arguments it ignores *)
+let attempt ?(a = 0) ?(b = 0) ?(kind = Cxl0.Label.R) f prim i x =
+  F.attempt f prim i x a b kind
+
+let check_outcome what code f =
+  Alcotest.(check int) what code (F.outcome f)
+
 let test_nack_delivers_error () =
   let f = faulty_fabric ~nack:1.0 () in
   let x = F.alloc f ~owner:1 in
   let before = F.cycles f in
-  (match F.load_result f 0 x with
-  | Error (F.Faults.Nack { from_m = 0; to_m = 1 }) -> ()
-  | _ -> Alcotest.fail "expected a NACK");
+  ignore (attempt f Load 0 x);
+  check_outcome "expected a NACK" F.Faults.nack f;
+  (match F.fault f 0 x with
+  | F.Faults.Nack { from_m = 0; to_m = 1 } -> ()
+  | _ -> Alcotest.fail "expected Nack 0->1");
   Alcotest.(check int) "NACK charged" (F.Faults.nack_cycles (Option.get (F.faults f)))
     (F.cycles f - before);
   Alcotest.(check int) "fault counted" 1 (F.stats f).F.Stats.faults_injected;
   (* local traffic never crosses the faulted link *)
-  (match F.lstore_result f 1 x 5 with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "owner-local store crossed no link");
+  ignore (attempt f Lstore 1 x ~a:5);
+  check_outcome "owner-local store crossed no link" F.Faults.ok f;
   (* the plain primitives never consult the link table *)
   Alcotest.(check int) "plain load unaffected" 5 (F.load f 0 x)
 
@@ -554,24 +562,24 @@ let test_down_link_times_out () =
   let f = faulty_fabric ~down:(0, 5_000) () in
   let x = F.alloc f ~owner:1 in
   Alcotest.(check bool) "degraded while down" true (F.link_degraded f 0 1);
-  (match F.rstore_result f 0 x 5 with
-  | Error (F.Faults.Link_timeout { from_m = 0; to_m = 1 }) -> ()
-  | _ -> Alcotest.fail "expected a timeout");
+  ignore (attempt f Rstore 0 x ~a:5);
+  check_outcome "expected a timeout" F.Faults.timeout f;
+  (match F.fault f 0 x with
+  | F.Faults.Link_timeout { from_m = 0; to_m = 1 } -> ()
+  | _ -> Alcotest.fail "expected Link_timeout 0->1");
   (* burn simulated time past the window: the link heals *)
   F.charge f 10_000;
   Alcotest.(check bool) "healed after window" false (F.link_degraded f 0 1);
-  (match F.rstore_result f 0 x 5 with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "link recovered");
+  ignore (attempt f Rstore 0 x ~a:5);
+  check_outcome "link recovered" F.Faults.ok f;
   Alcotest.(check int) "value arrived" 5 (F.load f 1 x)
 
 let test_delay_charges_then_succeeds () =
   let f = faulty_fabric ~delay:1.0 ~delay_cycles:500 () in
   let x = F.alloc f ~owner:1 in
   let before = F.cycles f in
-  (match F.load_result f 0 x with
-  | Ok 0 -> ()
-  | _ -> Alcotest.fail "delayed load still completes");
+  Alcotest.(check int) "delayed load still completes" 0 (attempt f Load 0 x);
+  check_outcome "delayed load delivered" F.Faults.ok f;
   Alcotest.(check bool) "delay charged on top" true
     (F.cycles f - before >= 500);
   Alcotest.(check int) "delay counted as a fault" 1
@@ -583,22 +591,22 @@ let test_poison_load_and_heal () =
   F.lstore f 1 x 5;
   F.poison f x;
   Alcotest.(check bool) "marked" true (F.poisoned f x);
-  (match F.load_result f 0 x with
-  | Error (F.Faults.Poisoned { loc }) -> Alcotest.(check int) "loc" x loc
-  | _ -> Alcotest.fail "expected poison");
+  ignore (attempt f Load 0 x);
+  check_outcome "expected poison" F.Faults.poison_hit f;
+  (match F.fault f 0 x with
+  | F.Faults.Poisoned { loc } -> Alcotest.(check int) "loc" x loc
+  | _ -> Alcotest.fail "expected Poisoned");
   Alcotest.(check int) "observation counted" 1
     (F.stats f).F.Stats.faults_injected;
   (* a store of fresh data heals the line *)
   F.lstore f 1 x 7;
   Alcotest.(check bool) "healed" false (F.poisoned f x);
-  (match F.load_result f 0 x with
-  | Ok 7 -> ()
-  | _ -> Alcotest.fail "healed load");
+  Alcotest.(check int) "healed load" 7 (attempt f Load 0 x);
+  check_outcome "healed load delivered" F.Faults.ok f;
   (* an rflush write-back of a dirty copy heals too *)
   F.poison f x;
-  (match F.rflush_result f 1 x with
-  | Ok () -> ()
-  | _ -> Alcotest.fail "rflush");
+  ignore (attempt f Rflush 1 x);
+  check_outcome "rflush" F.Faults.ok f;
   Alcotest.(check bool) "write-back healed" false (F.poisoned f x)
 
 let test_poison_atomics_abort () =
@@ -606,12 +614,13 @@ let test_poison_atomics_abort () =
   let x = F.alloc f ~owner:1 in
   F.mstore f 1 x 5;
   F.poison f x;
-  (match F.faa_result f 0 x 3 with
-  | Error (F.Faults.Poisoned _) -> ()
-  | _ -> Alcotest.fail "faa must observe poison");
-  (match F.cas_result f 0 x ~expected:5 ~desired:9 ~kind:Cxl0.Label.R with
-  | Error (F.Faults.Poisoned _) -> ()
-  | _ -> Alcotest.fail "cas must observe poison");
+  ignore (attempt f Faa 0 x ~a:3);
+  check_outcome "faa must observe poison" F.Faults.poison_hit f;
+  ignore (attempt f Cas 0 x ~a:5 ~b:9);
+  check_outcome "cas must observe poison" F.Faults.poison_hit f;
+  (match F.fault f 0 x with
+  | F.Faults.Poisoned { loc } -> Alcotest.(check int) "cas loc" x loc
+  | _ -> Alcotest.fail "expected Poisoned");
   (* neither RMW mutated: heal and look *)
   F.mstore f 1 x 5;
   Alcotest.(check int) "value untouched by aborted RMWs" 5 (F.load f 0 x)
@@ -670,6 +679,53 @@ let test_gc_pressure () =
   Alcotest.(check bool)
     (Printf.sprintf "minor words per primitive (%.4f) within budget" per_prim)
     true (per_prim <= 0.5)
+
+(* The faultable path's budget: a warm one-fibre loop of every
+   Runtime.Ops primitive under a plan whose crossed links are clean
+   allocates at most 0.5 words per primitive more than the same loop
+   with no plan — no closure, result box or fault value per attempt.
+   (A degraded link is left out: its two float draws box.) *)
+let test_gc_pressure_clean_plan () =
+  let words_per_prim faults =
+    let f = F.uniform ~seed:1 ~evict_prob:0.0 ?faults 3 in
+    let x = F.alloc f ~owner:1 in
+    let s = Runtime.Sched.create ~seed:1 f in
+    let module O = Runtime.Ops in
+    let round ctx i =
+      O.rstore ctx x i;
+      ignore (O.load ctx x);
+      O.rflush ctx x;
+      O.lstore ctx x i;
+      O.lflush ctx x;
+      O.mstore ctx x i;
+      ignore (O.faa ctx x 1);
+      ignore (O.cas ctx x ~expected:(i + 1) ~desired:i ~kind:Cxl0.Label.R)
+    in
+    let iters = 5_000 in
+    let words = ref nan in
+    ignore
+      (Runtime.Sched.spawn s ~machine:0 ~name:"loop" (fun ctx ->
+           for i = 1 to 100 do
+             round ctx i
+           done;
+           let w0 = Gc.minor_words () in
+           for i = 1 to iters do
+             round ctx i
+           done;
+           words := (Gc.minor_words () -. w0) /. float_of_int (8 * iters)));
+    ignore (Runtime.Sched.run s);
+    !words
+  in
+  let none = words_per_prim None in
+  let p = F.Faults.plan ~seed:3 () in
+  (* the only faulted link, 1<->2, is never crossed from machine 0 *)
+  F.Faults.degrade_link p 1 2 ~nack_prob:0.5 ~delay_prob:0.5 ~delay_cycles:9;
+  let clean = words_per_prim (Some p) in
+  Alcotest.(check bool)
+    (Printf.sprintf "words per primitive: clean plan %.4f, no plan %.4f"
+       clean none)
+    true
+    (clean <= none +. 0.5)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation against the formal semantics                       *)
@@ -926,7 +982,11 @@ let () =
             test_crash_heals_volatile_owner;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "gc pressure" `Quick test_gc_pressure ] );
+        [
+          Alcotest.test_case "gc pressure" `Quick test_gc_pressure;
+          Alcotest.test_case "gc pressure, clean plan" `Quick
+            test_gc_pressure_clean_plan;
+        ] );
       ("cross-validation", [ QCheck_alcotest.to_alcotest prop_cross_validation ]);
       ( "data-plane pin",
         [

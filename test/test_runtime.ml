@@ -825,6 +825,59 @@ let test_retry_exhaustion_raises () =
     (F.Faults.default_retry.F.Faults.retries + 1)
     s.F.Stats.faults_injected
 
+(* A plan whose only fault is a down-link window the run never reaches
+   leaves a seeded multi-fibre run exactly as it is without a plan: the
+   faultable path ({!F.attempt} under {!O}'s retry loop) adds no charge,
+   stat, draw or yield of its own.  ([O.rflush_all] is left out: it is
+   one sweep without a plan and a flush per line with one, by design.) *)
+let test_unreached_plan_is_inert () =
+  let far = 1 lsl 40 in
+  let run seed ~plan =
+    let faults =
+      if plan then begin
+        let p = F.Faults.plan ~seed () in
+        F.Faults.down_link p 0 1 ~from_cycle:far ~until_cycle:(far + 1);
+        Some p
+      end
+      else None
+    in
+    let fab = F.uniform ~seed ~evict_prob:0.3 ?faults 3 in
+    let s = S.create ~seed fab in
+    let xs = Array.init 4 (fun i -> F.alloc fab ~owner:(i mod 3)) in
+    let seen = ref [] in
+    for m = 0 to 2 do
+      ignore
+        (S.spawn s ~machine:m ~name:"mix" (fun ctx ->
+             let note v = seen := (m, v) :: !seen in
+             for i = 1 to 12 do
+               let x = xs.((i + m) mod 4) and y = xs.((i * m) mod 4) in
+               O.store ctx (if i mod 3 = 0 then L else if i mod 3 = 1 then R else M)
+                 x (i + (100 * m));
+               note (O.load ctx y);
+               note (O.faa ctx x m);
+               note
+                 (Bool.to_int
+                    (O.cas ctx y ~expected:(O.load ctx y) ~desired:i
+                       ~kind:(if i land 1 = 0 then L else R)));
+               O.flush ctx (if i land 1 = 0 then LF else RF) x
+             done))
+    done;
+    let steps = S.run s in
+    Alcotest.(check bool) "window never reached" true (F.cycles fab < far);
+    Alcotest.(check bool) "evictions interleaved" true
+      (F.Stats.evictions (F.stats fab) > 0);
+    (List.rev !seen, F.cycles fab, F.Stats.fields (F.stats fab), steps)
+  in
+  for seed = 1 to 6 do
+    let vs, cyc, st, steps = run seed ~plan:false in
+    let vs', cyc', st', steps' = run seed ~plan:true in
+    let tag what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check (list (pair int int))) (tag "values") vs vs';
+    Alcotest.(check int) (tag "cycles") cyc cyc';
+    Alcotest.(check (list (pair string int))) (tag "stats") st st';
+    Alcotest.(check int) (tag "steps") steps steps'
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Restart                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1040,6 +1093,8 @@ let () =
             test_retry_absorbs_transient;
           Alcotest.test_case "exhaustion raises" `Quick
             test_retry_exhaustion_raises;
+          Alcotest.test_case "unreached plan is inert" `Quick
+            test_unreached_plan_is_inert;
         ] );
       ( "restart",
         [
