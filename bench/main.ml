@@ -325,11 +325,11 @@ let e12_adaptive () =
                         (fun ctx ->
                           let rng = Random.State.make [| m |] in
                           for _ = 1 to 300 do
-                            let op, args =
+                            let op =
                               Harness.Objects.ratio_op Harness.Objects.Register
                                 rng ~read_ratio:0.5
                             in
-                            ignore (inst.Harness.Objects.dispatch ctx op args);
+                            ignore (inst.Harness.Objects.apply ctx op);
                             incr ops
                           done))
                  done));

@@ -19,8 +19,6 @@ module K = Harness.Kv
 module T = Harness.Traffic
 module R = Harness.Runcore
 
-let op_names = [| "read"; "update"; "insert" |]
-
 (* One combo's deterministic signature: counters, clock, per-op
    histogram shapes, and the full fabric stats JSON.  `dune runtest`
    pins these lines in test/data/kv-sig.expected; any nondeterminism
@@ -93,7 +91,8 @@ let print_combo transform mix (r : K.serve_result) =
       if Obs.Hist.count h > 0 then
         Fmt.pr
           "    %-7s n=%-6d mean=%-8.1f p50=%-6d p90=%-6d p99=%-6d max=%d@."
-          op_names.(i) (Obs.Hist.count h) (Obs.Hist.mean h) (Obs.Hist.p50 h)
+          (Obs.Span.op_name i) (Obs.Hist.count h) (Obs.Hist.mean h)
+          (Obs.Hist.p50 h)
           (Obs.Hist.p90 h) (Obs.Hist.p99 h) (Obs.Hist.max_value h))
     r.K.latencies
 

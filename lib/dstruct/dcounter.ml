@@ -39,9 +39,3 @@ let get t ctx =
   let v = t.flit.FI.shared_load ctx t.cell ~pflag:t.pflag in
   t.flit.FI.complete_op ctx;
   v
-
-let dispatch t ctx op args =
-  match (op, args) with
-  | "inc", [] -> inc t ctx
-  | "get", [] -> get t ctx
-  | _ -> invalid_arg "Dcounter.dispatch"

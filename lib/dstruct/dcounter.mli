@@ -24,6 +24,3 @@ val inc : t -> Runtime.Sched.ctx -> int
 (** Atomically increment; returns the previous value. *)
 
 val get : t -> Runtime.Sched.ctx -> int
-
-val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
-(** ["inc" []], ["get" []] — {!Lincheck.Specs.Counter}. *)

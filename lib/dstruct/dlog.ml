@@ -98,10 +98,3 @@ let size t ctx =
   let n = t.flit.FI.shared_load ctx (len_of t) ~pflag:t.pflag in
   t.flit.FI.complete_op ctx;
   n
-
-let dispatch t ctx op args =
-  match (op, args) with
-  | "append", [ v ] -> append t ctx v
-  | "read", [ i ] -> read t ctx i
-  | "size", [] -> size t ctx
-  | _ -> invalid_arg "Dlog.dispatch"

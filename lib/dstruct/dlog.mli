@@ -35,6 +35,3 @@ val read : t -> Runtime.Sched.ctx -> int -> int
     {!Absent.absent}. *)
 
 val size : t -> Runtime.Sched.ctx -> int
-
-val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
-(** ["append" [v]], ["read" [i]], ["size" []] — {!Lincheck.Specs.Log}. *)

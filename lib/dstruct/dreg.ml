@@ -34,13 +34,3 @@ let read t ctx =
 let write t ctx v =
   t.flit.FI.shared_store ctx t.cell v ~pflag:t.pflag;
   t.flit.FI.complete_op ctx
-
-(** Uniform op dispatcher for the generic test harness; the op
-    vocabulary matches {!Lincheck.Specs.Register}. *)
-let dispatch t ctx op args =
-  match (op, args) with
-  | "read", [] -> read t ctx
-  | "write", [ v ] ->
-      write t ctx v;
-      0
-  | _ -> invalid_arg "Dreg.dispatch"

@@ -28,7 +28,3 @@ val attach :
 
 val read : t -> Runtime.Sched.ctx -> int
 val write : t -> Runtime.Sched.ctx -> int -> unit
-
-val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
-(** Uniform dispatcher; vocabulary of {!Lincheck.Specs.Register}:
-    ["read" []], ["write" [v]]. *)

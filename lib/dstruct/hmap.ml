@@ -81,10 +81,3 @@ let get t ctx k =
 
 (** [del t ctx k] — 1 if [k] was bound (now removed), 0 otherwise. *)
 let del t ctx k = Listset.remove (chain t k) ctx k
-
-let dispatch t ctx op args =
-  match (op, args) with
-  | "put", [ k; v ] -> put t ctx k v
-  | "get", [ k ] -> get t ctx k
-  | "del", [ k ] -> del t ctx k
-  | _ -> invalid_arg "Hmap.dispatch"

@@ -33,6 +33,3 @@ val get : t -> Runtime.Sched.ctx -> int -> int
 
 val del : t -> Runtime.Sched.ctx -> int -> int
 (** 1 if the key was bound (now removed), else 0. *)
-
-val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
-(** ["put" [k; v]], ["get" [k]], ["del" [k]] — {!Lincheck.Specs.Map_}. *)

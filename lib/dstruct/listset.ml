@@ -142,10 +142,3 @@ let contains t ctx k =
   let r = if lookup t ctx k < 0 then 0 else 1 in
   t.flit.FI.complete_op ctx;
   r
-
-let dispatch t ctx op args =
-  match (op, args) with
-  | "add", [ k ] -> add t ctx k
-  | "remove", [ k ] -> remove t ctx k
-  | "contains", [ k ] -> contains t ctx k
-  | _ -> invalid_arg "Listset.dispatch"

@@ -52,6 +52,3 @@ val remove : t -> Runtime.Sched.ctx -> int -> int
 
 val contains : t -> Runtime.Sched.ctx -> int -> int
 (** 1 if {!lookup} finds the key, else 0. *)
-
-val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
-(** ["add"/"remove"/"contains" [k]] — {!Lincheck.Specs.Set_}. *)

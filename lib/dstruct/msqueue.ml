@@ -113,11 +113,3 @@ let deq t ctx =
   let r = loop () in
   t.flit.FI.complete_op ctx;
   r
-
-let dispatch t ctx op args =
-  match (op, args) with
-  | "enq", [ v ] ->
-      enq t ctx v;
-      0
-  | "deq", [] -> deq t ctx
-  | _ -> invalid_arg "Msqueue.dispatch"

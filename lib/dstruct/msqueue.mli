@@ -24,6 +24,3 @@ val enq : t -> Runtime.Sched.ctx -> int -> unit
 
 val deq : t -> Runtime.Sched.ctx -> int
 (** The head value, or {!Absent.absent} when empty. *)
-
-val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
-(** ["enq" [v]], ["deq" []] — {!Lincheck.Specs.Queue}. *)

@@ -74,11 +74,3 @@ let pop t ctx =
   let r = loop () in
   t.flit.FI.complete_op ctx;
   r
-
-let dispatch t ctx op args =
-  match (op, args) with
-  | "push", [ v ] ->
-      push t ctx v;
-      0
-  | "pop", [] -> pop t ctx
-  | _ -> invalid_arg "Tstack.dispatch"

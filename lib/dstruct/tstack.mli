@@ -27,6 +27,3 @@ val push : t -> Runtime.Sched.ctx -> int -> unit
 
 val pop : t -> Runtime.Sched.ctx -> int
 (** The top value, or {!Absent.absent} when empty. *)
-
-val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
-(** ["push" [v]], ["pop" []] — {!Lincheck.Specs.Stack}. *)

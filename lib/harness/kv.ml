@@ -405,33 +405,29 @@ let under_lock t ctx i sh body =
   in
   attempt ()
 
-type write_op = Put of int * int | Del of int
-
-let key_of_op = function Put (k, _) | Del k -> k
-
-let apply_op op map ctx =
-  match op with
-  | Put (k, v) -> Dstruct.Hmap.put map ctx k v
-  | Del k -> Dstruct.Hmap.del map ctx k
-
 (* Replicated write: write-all under the shard lock, once every replica
    is trusted.  An op only acknowledges when every replica applied it
    and none crashed while it was in flight, so every acknowledged write
    lives on all [replicas] distinct machines — that is the invariant
    that makes acknowledged updates survive any single home crash.  The
    primary applies *last*: a value readable there lock-free is already
-   on every backup. *)
-let replicated_write t ctx i sh op =
+   on every backup.  [op] is a [Put] or a [Del]. *)
+let replicated_write t ctx i sh (op : Lincheck.Op.t) =
   under_lock t ctx i sh (fun st ->
       if not (Array.for_all (trusted ctx sh) sh.reps) then None
       else begin
         let epochs0 = Array.map (fun rep -> epoch ctx rep.r_home) sh.reps in
-        log_push sh (key_of_op op);
+        log_push sh (match op with Put (k, _) | Del k -> k | _ -> assert false);
         let ret = ref Dstruct.Absent.absent in
         let fault = ref None in
         let apply_to j =
           let rep = sh.reps.(j) in
-          match apply_op op rep.map ctx with
+          match
+            match op with
+            | Put (k, v) -> Dstruct.Hmap.put rep.map ctx k v
+            | Del k -> Dstruct.Hmap.del rep.map ctx k
+            | _ -> assert false
+          with
           | v ->
               rep.watermark <- sh.log_len;
               if j = 0 then ret := v;
@@ -606,13 +602,6 @@ let op_index = function
   | Traffic.Update -> 1
   | Traffic.Insert -> 2
 
-(* Requests carry 0-based key ranks; Hmap keys must be positive. *)
-let map_op (r : Traffic.request) =
-  match r.Traffic.op with
-  | Traffic.Read -> ("get", [ r.Traffic.key + 1 ])
-  | Traffic.Update | Traffic.Insert ->
-      ("put", [ r.Traffic.key + 1; r.Traffic.value ])
-
 let serve ?tracer (c : serve_config) : serve_result =
   (match Traffic.validate c.traffic with
   | Ok () -> ()
@@ -693,10 +682,18 @@ let serve ?tracer (c : serve_config) : serve_result =
     record (Lincheck.History.Res { tid = ctx.Runtime.Sched.tid; ret })
   in
   let serve_one kv ctx (r : Traffic.request) =
-    if c.record_history then begin
-      let op, args = map_op r in
-      record (Lincheck.History.Inv { tid = ctx.Runtime.Sched.tid; op; args })
-    end;
+    (* requests carry 0-based key ranks; Hmap keys must be positive *)
+    let k = r.Traffic.key + 1 in
+    if c.record_history then
+      record
+        (Lincheck.History.Inv
+           {
+             tid = ctx.Runtime.Sched.tid;
+             op =
+               (match r.Traffic.op with
+               | Traffic.Read -> Get_key k
+               | Traffic.Update | Traffic.Insert -> Put (k, r.Traffic.value));
+           });
     let oi = op_index r.Traffic.op in
     (* span open: register the request on this fibre and emit the
        dispatch mark (which carries the arrival stamp — marks ride the
@@ -715,8 +712,6 @@ let serve ?tracer (c : serve_config) : serve_result =
           };
         mark ctx (span_st kv ctx) Obs.Event.P_dispatch ~replica:(-1)
           ~t0:r.Traffic.arrival ());
-    (* [map_op]'s keys, without its pair *)
-    let k = r.Traffic.key + 1 in
     match
       match r.Traffic.op with
       | Traffic.Read -> get kv ctx k
@@ -802,8 +797,7 @@ let serve ?tracer (c : serve_config) : serve_result =
     while !preloaded < c.traffic.Traffic.keyspace do
       let k = !preloaded + 1 in
       record
-        (Lincheck.History.Inv
-           { tid = ctx.Runtime.Sched.tid; op = "put"; args = [ k; k ] });
+        (Lincheck.History.Inv { tid = ctx.Runtime.Sched.tid; op = Put (k, k) });
       let ret =
         try Lincheck.History.Ret (put kv ctx k k)
         with Runtime.Ops.Fault _ | Unavailable -> Lincheck.History.Faulted

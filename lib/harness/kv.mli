@@ -96,9 +96,10 @@ val get : t -> Runtime.Sched.ctx -> int -> int
 val del : t -> Runtime.Sched.ctx -> int -> int
 
 val dispatch : t -> Runtime.Sched.ctx -> string -> int list -> int
-(** ["put" [k; v]], ["get" [k]], ["del" [k]] — the map-spec op surface,
-    routed to the owning shard (and, when replicated, through the read
-    rule or the write-all path).
+(** ["put" [k; v]], ["get" [k]], ["del" [k]] by name: {!put}, {!get} and
+    {!del}.  Only perfbench's kv rung calls it; everything else applies
+    a typed {!Lincheck.Op.t} ({!Objects.create}).  It goes once that
+    rung calls {!put} and {!get} directly.
     @raise Unavailable when the per-request deadline expires. *)
 
 val heal : t -> Runtime.Sched.ctx -> unit

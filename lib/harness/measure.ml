@@ -90,10 +90,10 @@ let run ?tracer (c : config) : point =
                       Random.State.make [| c.seed; m; t |]
                     in
                     for i = 1 to c.ops_per_thread do
-                      let op, args =
+                      let op =
                         Objects.ratio_op c.kind rng ~read_ratio:c.read_ratio
                       in
-                      ignore (inst.Objects.dispatch ctx op args);
+                      ignore (inst.Objects.apply ctx op);
                       incr total_ops;
                       if c.sync_every > 0 && i mod c.sync_every = 0 then
                         sync ctx

@@ -13,9 +13,9 @@ val kind_of_name : string -> kind option
 
 val spec : kind -> Lincheck.Spec.t
 
-type instance = {
-  dispatch : Runtime.Sched.ctx -> string -> int list -> int;
-}
+type instance = { apply : Runtime.Sched.ctx -> Lincheck.Op.t -> int }
+(** Applies an operation of its kind's spec; raises [Invalid_argument]
+    on any other operation. *)
 
 val create :
   kind ->
@@ -32,9 +32,9 @@ val create :
     shard on [replicas] distinct machines with failover
     ({!Kv.create}). *)
 
-val random_op : ?range:int -> kind -> Random.State.t -> string * int list
+val random_op : ?range:int -> kind -> Random.State.t -> Lincheck.Op.t
 (** Payloads and keys drawn from [1, range] (default 3) — small ranges
     because contention is the point. *)
 
-val ratio_op : kind -> Random.State.t -> read_ratio:float -> string * int list
+val ratio_op : kind -> Random.State.t -> read_ratio:float -> Lincheck.Op.t
 (** Read-ratio-controlled generator for benches; [read_ratio] in [0,1]. *)

@@ -119,10 +119,10 @@ let worker (c : config) ~record ~ops ~rng_seed (instance : Objects.instance)
     ctx =
   let rng = Random.State.make [| rng_seed |] in
   for _ = 1 to ops do
-    let op, args = Objects.random_op ~range:c.value_range c.kind rng in
-    record (Lincheck.History.Inv { tid = ctx.Runtime.Sched.tid; op; args });
+    let op = Objects.random_op ~range:c.value_range c.kind rng in
+    record (Lincheck.History.Inv { tid = ctx.Runtime.Sched.tid; op });
     let ret =
-      try Lincheck.History.Ret (instance.Objects.dispatch ctx op args)
+      try Lincheck.History.Ret (instance.Objects.apply ctx op)
       with
       | Invalid_argument _ -> Lincheck.History.Corrupt
       | Runtime.Ops.Fault _ ->

@@ -122,28 +122,21 @@ let search (module M : Spec.S) ~budget ~crash (ops : History.op list) :
              [o] into the cut *)
           if droppable land bit = 0 || earliest cut > o.History.inv_at
           then begin
-            let results = M.step state o.History.name o.History.args in
-            match o.History.ret with
-            | Some History.Corrupt | Some History.Faulted ->
-                (* a corrupted response matches no specification result:
-                   this branch is dead, so the op can only be dropped.
+            match (o.History.ret, M.step state o.History.op) with
+            | (Some History.Corrupt | Some History.Faulted), _ | _, None ->
+                (* no legal step, or a corrupted response, which matches
+                   no specification result: this branch is dead, so the
+                   op can only be dropped.
                    Faulted responses were demoted to pending at entry,
                    so that case is unreachable. *)
                 ()
-            | Some (History.Ret r) ->
-                (* completed op: its recorded result must be legal *)
-                List.iter
-                  (fun (r', state') ->
-                    if r' = r then
-                      dfs mask' cut state' ((o, r) :: acc) dropped)
-                  results
-            | None ->
-                (* pending op: completing it with any legal result is one
+            | Some (History.Ret r), Some (r', state') ->
+                (* completed op: its recorded result must be the legal one *)
+                if r' = r then dfs mask' cut state' ((o, r) :: acc) dropped
+            | None, Some (r', state') ->
+                (* pending op: completing it with the legal result is one
                    branch; omitting it is simply never choosing j *)
-                List.iter
-                  (fun (r', state') ->
-                    dfs mask' cut state' ((o, r') :: acc) dropped)
-                  results
+                dfs mask' cut state' ((o, r') :: acc) dropped
           end;
           if droppable land bit <> 0 then
             if drops cut >= budget then cut_off := true

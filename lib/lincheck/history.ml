@@ -32,13 +32,12 @@ let pp_res ppf = function
   | Faulted -> Fmt.string ppf "FAULT"
 
 type event =
-  | Inv of { tid : int; op : string; args : int list }
+  | Inv of { tid : int; op : Op.t }
   | Res of { tid : int; ret : res }
   | Crash of { machine : int }
 
 let pp_event ppf = function
-  | Inv { tid; op; args } ->
-      Fmt.pf ppf "inv  t%d %s(%a)" tid op Fmt.(list ~sep:comma int) args
+  | Inv { tid; op } -> Fmt.pf ppf "inv  t%d %a" tid Op.pp op
   | Res { tid; ret } -> Fmt.pf ppf "res  t%d -> %a" tid pp_res ret
   | Crash { machine } -> Fmt.pf ppf "CRASH M%d" (machine + 1)
 
@@ -51,17 +50,14 @@ let pp ppf (h : t) = Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_event) h
 type op = {
   id : int;             (** index among extracted ops (stable) *)
   tid : int;
-  name : string;
-  args : int list;
+  op : Op.t;
   ret : res option;     (** [None] = pending (no response recorded) *)
   inv_at : int;         (** event index of the invocation *)
   res_at : int option;  (** event index of the response *)
 }
 
 let pp_op ppf o =
-  Fmt.pf ppf "t%d %s(%a)%a" o.tid o.name
-    Fmt.(list ~sep:comma int)
-    o.args
+  Fmt.pf ppf "t%d %a%a" o.tid Op.pp o.op
     Fmt.(option (fun ppf r -> Fmt.pf ppf " -> %a" pp_res r))
     o.ret
 
@@ -109,44 +105,34 @@ let well_formed (h : t) =
 
 (** [ops h] — extract the high-level operations of [h], pending ones
     included, in invocation order.  Raises [Invalid_argument] on
-    ill-formed histories. *)
+    ill-formed histories.  One pass over [h] collects the invocations
+    and files each response under its op's id; a last pass over the
+    invocations attaches the responses. *)
 let ops (h : t) : op list =
   if not (well_formed h) then invalid_arg "History.ops: ill-formed history";
-  let arr = Array.of_list h in
-  let open_inv : (int, op) Hashtbl.t = Hashtbl.create 8 in
-  let acc = ref [] in
-  let next_id = ref 0 in
-  Array.iteri
+  let open_inv = Hashtbl.create 8 (* tid -> id of its open op *) in
+  let responses = Hashtbl.create 16 (* id -> (ret, event index) *) in
+  let invs = ref [] and next_id = ref 0 in
+  List.iteri
     (fun idx ev ->
       match ev with
-      | Inv { tid; op; args } ->
-          let o =
-            {
-              id = !next_id;
-              tid;
-              name = op;
-              args;
-              ret = None;
-              inv_at = idx;
-              res_at = None;
-            }
-          in
-          incr next_id;
-          Hashtbl.replace open_inv tid o;
-          acc := o :: !acc
+      | Inv { tid; op } ->
+          invs :=
+            { id = !next_id; tid; op; ret = None; inv_at = idx; res_at = None }
+            :: !invs;
+          Hashtbl.replace open_inv tid !next_id;
+          incr next_id
       | Res { tid; ret } ->
-          let o = Hashtbl.find open_inv tid in
-          Hashtbl.remove open_inv tid;
-          acc :=
-            List.map
-              (fun o' ->
-                if o'.id = o.id then
-                  { o' with ret = Some ret; res_at = Some idx }
-                else o')
-              !acc
+          Hashtbl.replace responses (Hashtbl.find open_inv tid) (ret, idx);
+          Hashtbl.remove open_inv tid
       | Crash _ -> ())
-    arr;
-  List.sort (fun a b -> compare a.id b.id) !acc
+    h;
+  List.rev_map
+    (fun o ->
+      match Hashtbl.find_opt responses o.id with
+      | Some (ret, idx) -> { o with ret = Some ret; res_at = Some idx }
+      | None -> o)
+    !invs
 
 (** [strip_crashes h] — the crash-free history checked for
     linearizability (the §4.2 definition: a history is durably

@@ -17,7 +17,7 @@ type res = Ret of int | Corrupt | Faulted
 val pp_res : res Fmt.t
 
 type event =
-  | Inv of { tid : int; op : string; args : int list }
+  | Inv of { tid : int; op : Op.t }
   | Res of { tid : int; ret : res }
   | Crash of { machine : int }
 
@@ -31,8 +31,7 @@ val pp : t Fmt.t
 type op = {
   id : int;             (** index among extracted ops (stable) *)
   tid : int;
-  name : string;
-  args : int list;
+  op : Op.t;
   ret : res option;     (** [None] = pending (no response recorded) *)
   inv_at : int;         (** event index of the invocation *)
   res_at : int option;  (** event index of the response *)
@@ -56,7 +55,8 @@ val well_formed : t -> bool
 
 val ops : t -> op list
 (** The history's operations, pending included, in invocation order.
-    Raises [Invalid_argument] on ill-formed histories.  Crash events
+    Raises [Invalid_argument] on ill-formed histories.  Linear in the
+    history's length.  Crash events
     produce no operations, so checking these ops is checking the
     crash-free projection. *)
 

@@ -5,41 +5,39 @@
     - "empty/missing" results are {!Spec.absent} ([-1]);
     - payload values are positive. *)
 
-(** Read/write register: ["write" [v] -> 0], ["read" [] -> current]. *)
+(** Read/write register: [Write v -> 0], [Read -> current]. *)
 module Register : Spec.S = struct
   type state = int
 
   let name = "register"
   let init = 0
 
-  let step s op args =
-    match (op, args) with
-    | "write", [ v ] -> [ (0, v) ]
-    | "read", [] -> [ (s, s) ]
-    | _ -> []
+  let step s : Op.t -> _ = function
+    | Write v -> Some (0, v)
+    | Read -> Some (s, s)
+    | _ -> None
 
   let equal = Int.equal
   let hash = Hashtbl.hash
 end
 
-(** Monotonic counter: ["inc" [] -> previous value], ["get" [] -> value]. *)
+(** Monotonic counter: [Inc -> previous value], [Get -> value]. *)
 module Counter : Spec.S = struct
   type state = int
 
   let name = "counter"
   let init = 0
 
-  let step s op args =
-    match (op, args) with
-    | "inc", [] -> [ (s, s + 1) ]
-    | "get", [] -> [ (s, s) ]
-    | _ -> []
+  let step s : Op.t -> _ = function
+    | Inc -> Some (s, s + 1)
+    | Get -> Some (s, s)
+    | _ -> None
 
   let equal = Int.equal
   let hash = Hashtbl.hash
 end
 
-(** LIFO stack: ["push" [v] -> 0], ["pop" [] -> top | absent]. *)
+(** LIFO stack: [Push v -> 0], [Pop -> top | absent]. *)
 module Stack : Spec.S = struct
   type state = int list
   (* top first *)
@@ -47,18 +45,18 @@ module Stack : Spec.S = struct
   let name = "stack"
   let init = []
 
-  let step s op args =
-    match (op, args, s) with
-    | "push", [ v ], _ -> [ (0, v :: s) ]
-    | "pop", [], [] -> [ (Spec.absent, []) ]
-    | "pop", [], top :: rest -> [ (top, rest) ]
-    | _ -> []
+  let step s (op : Op.t) =
+    match (op, s) with
+    | Push v, _ -> Some (0, v :: s)
+    | Pop, [] -> Some (Spec.absent, [])
+    | Pop, top :: rest -> Some (top, rest)
+    | _ -> None
 
   let equal = ( = )
   let hash = Hashtbl.hash
 end
 
-(** FIFO queue: ["enq" [v] -> 0], ["deq" [] -> head | absent]. *)
+(** FIFO queue: [Enq v -> 0], [Deq -> head | absent]. *)
 module Queue : Spec.S = struct
   type state = int list
   (* head first *)
@@ -66,19 +64,19 @@ module Queue : Spec.S = struct
   let name = "queue"
   let init = []
 
-  let step s op args =
-    match (op, args, s) with
-    | "enq", [ v ], _ -> [ (0, s @ [ v ]) ]
-    | "deq", [], [] -> [ (Spec.absent, []) ]
-    | "deq", [], h :: rest -> [ (h, rest) ]
-    | _ -> []
+  let step s (op : Op.t) =
+    match (op, s) with
+    | Enq v, _ -> Some (0, s @ [ v ])
+    | Deq, [] -> Some (Spec.absent, [])
+    | Deq, h :: rest -> Some (h, rest)
+    | _ -> None
 
   let equal = ( = )
   let hash = Hashtbl.hash
 end
 
-(** Integer set: ["add"/"remove" [v] -> 1 if changed else 0],
-    ["contains" [v] -> 1/0]. *)
+(** Integer set: [Add v]/[Remove v -> 1 if changed else 0],
+    [Contains v -> 1/0]. *)
 module Set_ : Spec.S = struct
   type state = int list
   (* sorted *)
@@ -90,19 +88,18 @@ module Set_ : Spec.S = struct
   let add v s = List.sort_uniq compare (v :: s)
   let remove v s = List.filter (fun x -> x <> v) s
 
-  let step s op args =
-    match (op, args) with
-    | "add", [ v ] -> [ ((if mem v s then 0 else 1), add v s) ]
-    | "remove", [ v ] -> [ ((if mem v s then 1 else 0), remove v s) ]
-    | "contains", [ v ] -> [ ((if mem v s then 1 else 0), s) ]
-    | _ -> []
+  let step s : Op.t -> _ = function
+    | Add v -> Some ((if mem v s then 0 else 1), add v s)
+    | Remove v -> Some ((if mem v s then 1 else 0), remove v s)
+    | Contains v -> Some ((if mem v s then 1 else 0), s)
+    | _ -> None
 
   let equal = ( = )
   let hash = Hashtbl.hash
 end
 
-(** Key-value map: ["put" [k; v] -> 0], ["get" [k] -> v | absent],
-    ["del" [k] -> 1 if present else 0]. *)
+(** Key-value map: [Put (k, v) -> 0], [Get_key k -> v | absent],
+    [Del k -> 1 if present else 0]. *)
 module Map_ : Spec.S = struct
   type state = (int * int) list
   (* sorted by key, unique keys *)
@@ -110,25 +107,21 @@ module Map_ : Spec.S = struct
   let name = "map"
   let init = []
 
-  let step s op args =
-    match (op, args) with
-    | "put", [ k; v ] ->
-        [ (0, List.sort compare ((k, v) :: List.remove_assoc k s)) ]
-    | "get", [ k ] ->
-        [ ((match List.assoc_opt k s with Some v -> v | None -> Spec.absent), s) ]
-    | "del", [ k ] ->
-        [
-          ( (if List.mem_assoc k s then 1 else 0),
-            List.remove_assoc k s );
-        ]
-    | _ -> []
+  let step s : Op.t -> _ = function
+    | Put (k, v) ->
+        Some (0, List.sort compare ((k, v) :: List.remove_assoc k s))
+    | Get_key k ->
+        Some (Option.value ~default:Spec.absent (List.assoc_opt k s), s)
+    | Del k ->
+        Some ((if List.mem_assoc k s then 1 else 0), List.remove_assoc k s)
+    | _ -> None
 
   let equal = ( = )
   let hash = Hashtbl.hash
 end
 
-(** Append-only log: ["append" [v] -> index], ["read" [i] -> v | absent],
-    ["size" [] -> length]. *)
+(** Append-only log: [Append v -> index], [Read_at i -> v | absent],
+    [Size -> length]. *)
 module Log : Spec.S = struct
   type state = int list
   (* oldest first *)
@@ -136,16 +129,13 @@ module Log : Spec.S = struct
   let name = "log"
   let init = []
 
-  let step s op args =
-    match (op, args) with
-    | "append", [ v ] -> [ (List.length s, s @ [ v ]) ]
-    | "read", [ i ] ->
-        [
-          ( (if i >= 0 && i < List.length s then List.nth s i else Spec.absent),
-            s );
-        ]
-    | "size", [] -> [ (List.length s, s) ]
-    | _ -> []
+  let step s : Op.t -> _ = function
+    | Append v -> Some (List.length s, s @ [ v ])
+    | Read_at i ->
+        let n = List.length s in
+        Some ((if i >= 0 && i < n then List.nth s i else Spec.absent), s)
+    | Size -> Some (List.length s, s)
+    | _ -> None
 
   let equal = ( = )
   let hash = Hashtbl.hash

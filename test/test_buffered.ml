@@ -21,7 +21,7 @@ module R = Harness.Runcore
 module O = Harness.Objects
 module S = Runtime.Sched
 
-let inv tid op args = Lincheck.History.Inv { tid; op; args }
+let inv tid op = Lincheck.History.Inv { tid; op }
 let res tid r = Lincheck.History.Res { tid; ret = Lincheck.History.Ret r }
 let crash m = Lincheck.History.Crash { machine = m }
 
@@ -35,7 +35,7 @@ let buffered spec h =
 let test_dl_implies_buffered () =
   (* a durably linearizable history needs no drops *)
   let h =
-    [ inv 0 "write" [ 1 ]; res 0 0; crash 1; inv 0 "read" []; res 0 1 ]
+    [ inv 0 (Lincheck.Op.Write 1); res 0 0; crash 1; inv 0 Lincheck.Op.Read; res 0 1 ]
   in
   let v = Lincheck.Buffered.check Lincheck.Specs.register h in
   Alcotest.(check bool) "buffered" true v.Lincheck.Buffered.buffered_durable;
@@ -45,7 +45,7 @@ let test_drop_lost_write () =
   (* completed write lost across the crash: NOT durable, but buffered
      (drop the write) *)
   let h =
-    [ inv 0 "write" [ 1 ]; res 0 0; crash 1; inv 1 "read" []; res 1 0 ]
+    [ inv 0 (Lincheck.Op.Write 1); res 0 0; crash 1; inv 1 Lincheck.Op.Read; res 1 0 ]
   in
   Alcotest.(check bool) "not plain durable" false
     (Lincheck.Durable.check Lincheck.Specs.register h).Lincheck.Durable.durable;
@@ -58,10 +58,10 @@ let test_drop_must_be_suffix () =
   (* w(1); w(2); crash; read 1 — dropping only w(2) is a legal cut *)
   let h =
     [
-      inv 0 "write" [ 1 ]; res 0 0;
-      inv 0 "write" [ 2 ]; res 0 0;
+      inv 0 (Lincheck.Op.Write 1); res 0 0;
+      inv 0 (Lincheck.Op.Write 2); res 0 0;
       crash 1;
-      inv 1 "read" []; res 1 1;
+      inv 1 Lincheck.Op.Read; res 1 1;
     ]
   in
   Alcotest.(check bool) "suffix drop ok" true
@@ -73,11 +73,11 @@ let test_cut_violation_rejected () =
      too, yet get(2)=6 requires it — no consistent cut exists *)
   let h =
     [
-      inv 0 "put" [ 1; 5 ]; res 0 0;
-      inv 0 "put" [ 2; 6 ]; res 0 0;
+      inv 0 (Lincheck.Op.Put (1, 5)); res 0 0;
+      inv 0 (Lincheck.Op.Put (2, 6)); res 0 0;
       crash 1;
-      inv 1 "get" [ 1 ]; res 1 Lincheck.Spec.absent;
-      inv 1 "get" [ 2 ]; res 1 6;
+      inv 1 (Lincheck.Op.Get_key 1); res 1 Lincheck.Spec.absent;
+      inv 1 (Lincheck.Op.Get_key 2); res 1 6;
     ]
   in
   Alcotest.(check bool) "hole in the cut rejected" false
@@ -88,13 +88,13 @@ let test_cut_violation_concurrent_ok () =
      put(1,5) is now a legal cut *)
   let h =
     [
-      inv 0 "put" [ 1; 5 ];
-      inv 1 "put" [ 2; 6 ];
+      inv 0 (Lincheck.Op.Put (1, 5));
+      inv 1 (Lincheck.Op.Put (2, 6));
       res 0 0;
       res 1 0;
       crash 1;
-      inv 2 "get" [ 1 ]; res 2 Lincheck.Spec.absent;
-      inv 2 "get" [ 2 ]; res 2 6;
+      inv 2 (Lincheck.Op.Get_key 1); res 2 Lincheck.Spec.absent;
+      inv 2 (Lincheck.Op.Get_key 2); res 2 6;
     ]
   in
   Alcotest.(check bool) "concurrent ops cut independently" true
@@ -102,13 +102,13 @@ let test_cut_violation_concurrent_ok () =
 
 let test_post_crash_ops_not_droppable () =
   (* an impossible post-crash result cannot be "dropped" away *)
-  let h = [ crash 1; inv 0 "read" []; res 0 7 ] in
+  let h = [ crash 1; inv 0 Lincheck.Op.Read; res 0 7 ] in
   Alcotest.(check bool) "post-crash garbage rejected" false
     (buffered Lincheck.Specs.register h)
 
 let test_no_crash_equals_linearizability () =
   (* without crashes there are no candidates: buffered = plain *)
-  let h = [ inv 0 "write" [ 1 ]; res 0 0; inv 0 "read" []; res 0 0 ] in
+  let h = [ inv 0 (Lincheck.Op.Write 1); res 0 0; inv 0 Lincheck.Op.Read; res 0 0 ] in
   Alcotest.(check bool) "no crash, no drops" false
     (buffered Lincheck.Specs.register h)
 
@@ -117,10 +117,10 @@ let test_dropped_reads_allowed () =
      w(1); r=1; crash; r=0 — drop {w(1), r=1} *)
   let h =
     [
-      inv 0 "write" [ 1 ]; res 0 0;
-      inv 0 "read" []; res 0 1;
+      inv 0 (Lincheck.Op.Write 1); res 0 0;
+      inv 0 Lincheck.Op.Read; res 0 1;
       crash 1;
-      inv 1 "read" []; res 1 0;
+      inv 1 Lincheck.Op.Read; res 1 0;
     ]
   in
   Alcotest.(check bool) "observer dropped with its write" true
@@ -133,9 +133,9 @@ let test_many_candidates_decided () =
      its ops could be dropped. *)
   let h =
     List.concat_map
-      (fun v -> [ inv 0 "write" [ v ]; res 0 0 ])
+      (fun v -> [ inv 0 (Lincheck.Op.Write v); res 0 0 ])
       (List.init 20 (fun i -> i + 1))
-    @ [ crash 1; inv 1 "read" []; res 1 10 ]
+    @ [ crash 1; inv 1 Lincheck.Op.Read; res 1 10 ]
   in
   let v = Lincheck.Buffered.check Lincheck.Specs.register h in
   Alcotest.(check bool) "buffered" true v.Lincheck.Buffered.buffered_durable;
@@ -144,7 +144,7 @@ let test_many_candidates_decided () =
   Alcotest.(check (list int)) "exactly writes 11..20"
     (List.init 10 (fun i -> i + 11))
     (List.concat_map
-       (fun (o : Lincheck.History.op) -> o.Lincheck.History.args)
+       (fun (o : Lincheck.History.op) -> Lincheck.Op.args o.op)
        v.Lincheck.Buffered.dropped)
 
 let test_too_long_is_undecided () =
@@ -154,11 +154,11 @@ let test_too_long_is_undecided () =
      as the durable checker's is — never a violation. *)
   let probe read =
     List.concat_map
-      (fun v -> [ inv 0 "write" [ v ]; res 0 0 ])
+      (fun v -> [ inv 0 (Lincheck.Op.Write v); res 0 0 ])
       (List.init 10 (fun i -> i + 1))
     @ [ crash 1 ]
     @ List.concat_map
-        (fun _ -> [ inv 0 "read" []; res 0 read ])
+        (fun _ -> [ inv 0 Lincheck.Op.Read; res 0 read ])
         (List.init 60 Fun.id)
   in
   let h = probe 10 in
@@ -262,14 +262,14 @@ let random_history rng ~register =
         open_op.(t) <- false
       end
       else begin
-        let op, args =
+        let op =
           match (register, Random.State.bool rng) with
-          | true, true -> ("write", [ 1 + Random.State.int rng 3 ])
-          | true, false -> ("read", [])
-          | false, true -> ("inc", [])
-          | false, false -> ("get", [])
+          | true, true -> Lincheck.Op.Write (1 + Random.State.int rng 3)
+          | true, false -> Read
+          | false, true -> Inc
+          | false, false -> Get
         in
-        events := inv t op args :: !events;
+        events := inv t op :: !events;
         open_op.(t) <- true
       end
     end

@@ -5,6 +5,7 @@
 module S = Runtime.Sched
 module W = Harness.Workload
 module O = Harness.Objects
+module Op = Lincheck.Op
 module FI = Flit.Flit_intf
 
 (* ------------------------------------------------------------------ *)
@@ -44,10 +45,7 @@ let run_script kind transform script =
   ignore
     (S.spawn s ~machine:0 ~name:"seq" (fun ctx ->
          let inst = O.create kind flit ctx ~home:1 ~pflag:true in
-         List.iter
-           (fun (op, args) ->
-             out := (op, args, inst.O.dispatch ctx op args) :: !out)
-           script));
+         List.iter (fun op -> out := (op, inst.O.apply ctx op) :: !out) script));
   ignore (S.run s);
   List.rev !out
 
@@ -59,46 +57,39 @@ let check_script kind transform script =
     (Lincheck.Spec.conforms (O.spec kind) trace)
 
 let stack_script =
-  [
-    ("pop", []); ("push", [ 1 ]); ("push", [ 2 ]); ("push", [ 3 ]);
-    ("pop", []); ("pop", []); ("push", [ 4 ]); ("pop", []); ("pop", []);
-    ("pop", []);
-  ]
+  Op.[ Pop; Push 1; Push 2; Push 3; Pop; Pop; Push 4; Pop; Pop; Pop ]
 
 let queue_script =
-  [
-    ("deq", []); ("enq", [ 1 ]); ("enq", [ 2 ]); ("deq", []); ("enq", [ 3 ]);
-    ("deq", []); ("deq", []); ("deq", []);
-  ]
+  Op.[ Deq; Enq 1; Enq 2; Deq; Enq 3; Deq; Deq; Deq ]
 
 let set_script =
-  [
-    ("contains", [ 2 ]); ("add", [ 2 ]); ("add", [ 2 ]); ("add", [ 1 ]);
-    ("add", [ 3 ]); ("contains", [ 2 ]); ("remove", [ 2 ]); ("contains", [ 2 ]);
-    ("remove", [ 2 ]); ("add", [ 2 ]); ("contains", [ 2 ]); ("remove", [ 1 ]);
-    ("remove", [ 3 ]); ("remove", [ 2 ]); ("contains", [ 1 ]);
-  ]
+  Op.
+    [
+      Contains 2; Add 2; Add 2; Add 1; Add 3; Contains 2; Remove 2;
+      Contains 2; Remove 2; Add 2; Contains 2; Remove 1; Remove 3; Remove 2;
+      Contains 1;
+    ]
 
 let map_script =
-  [
-    ("get", [ 1 ]); ("put", [ 1; 10 ]); ("get", [ 1 ]); ("put", [ 1; 20 ]);
-    ("get", [ 1 ]); ("put", [ 2; 30 ]); ("get", [ 2 ]); ("del", [ 1 ]);
-    ("get", [ 1 ]); ("del", [ 1 ]); ("put", [ 9; 40 ]); ("get", [ 9 ]);
-    ("del", [ 9 ]); ("get", [ 9 ]);
-  ]
+  Op.
+    [
+      Get_key 1; Put (1, 10); Get_key 1; Put (1, 20); Get_key 1; Put (2, 30);
+      Get_key 2; Del 1; Get_key 1; Del 1; Put (9, 40); Get_key 9; Del 9;
+      Get_key 9;
+    ]
 
 let log_script =
-  [
-    ("size", []); ("read", [ 0 ]); ("append", [ 7 ]); ("size", []);
-    ("read", [ 0 ]); ("append", [ 8 ]); ("append", [ 9 ]); ("read", [ 1 ]);
-    ("read", [ 2 ]); ("read", [ 3 ]); ("size", []);
-  ]
+  Op.
+    [
+      Size; Read_at 0; Append 7; Size; Read_at 0; Append 8; Append 9;
+      Read_at 1; Read_at 2; Read_at 3; Size;
+    ]
 
 let register_script =
-  [ ("read", []); ("write", [ 5 ]); ("read", []); ("write", [ 2 ]); ("read", []) ]
+  Op.[ Read; Write 5; Read; Write 2; Read ]
 
 let counter_script =
-  [ ("get", []); ("inc", []); ("inc", []); ("get", []); ("inc", []); ("get", []) ]
+  Op.[ Get; Inc; Inc; Get; Inc; Get ]
 
 let script_for = function
   | O.Register -> register_script
@@ -141,31 +132,32 @@ let random_sequential kind =
 let test_stack_interleaved_push_pop () =
   let trace =
     run_script O.Stack Flit.Registry.alg2_mstore
-      [ ("push", [ 9 ]); ("pop", []); ("pop", []); ("push", [ 8 ]); ("pop", []) ]
+      Op.[ Push 9; Pop; Pop; Push 8; Pop ]
   in
   Alcotest.(check (list int)) "returns"
     [ 0; 9; Lincheck.Spec.absent; 0; 8 ]
-    (List.map (fun (_, _, r) -> r) trace)
+    (List.map snd trace)
 
 let test_queue_fifo_order () =
   let trace =
     run_script O.Queue Flit.Registry.alg2_mstore
-      [ ("enq", [ 5 ]); ("enq", [ 6 ]); ("enq", [ 7 ]); ("deq", []);
-        ("deq", []); ("deq", []) ]
+      Op.[ Enq 5; Enq 6; Enq 7; Deq; Deq; Deq ]
   in
   Alcotest.(check (list int)) "fifo" [ 0; 0; 0; 5; 6; 7 ]
-    (List.map (fun (_, _, r) -> r) trace)
+    (List.map snd trace)
 
 let test_set_monotone_keys () =
   (* insertion in descending order still yields correct membership *)
   let trace =
     run_script O.Set Flit.Registry.alg2_mstore
-      [ ("add", [ 3 ]); ("add", [ 2 ]); ("add", [ 1 ]); ("contains", [ 1 ]);
-        ("contains", [ 2 ]); ("contains", [ 3 ]); ("remove", [ 2 ]);
-        ("contains", [ 1 ]); ("contains", [ 2 ]); ("contains", [ 3 ]) ]
+      Op.
+        [
+          Add 3; Add 2; Add 1; Contains 1; Contains 2; Contains 3; Remove 2;
+          Contains 1; Contains 2; Contains 3;
+        ]
   in
   Alcotest.(check (list int)) "membership" [ 1; 1; 1; 1; 1; 1; 1; 1; 0; 1 ]
-    (List.map (fun (_, _, r) -> r) trace)
+    (List.map snd trace)
 
 let test_map_bucket_collisions () =
   (* a 1-bucket map forces every key into the same chain *)
@@ -186,15 +178,16 @@ let test_map_bucket_collisions () =
          Alcotest.(check int) "get 3" 30 (M.get m ctx 3)));
   ignore (S.run s)
 
-let test_dispatch_rejects_unknown () =
+let test_apply_rejects_foreign () =
   let fab = Fabric.uniform ~seed:3 2 in
   let flit = FI.instantiate Flit.Registry.alg2_mstore fab in
   let s = S.create fab in
   ignore
     (S.spawn s ~machine:0 ~name:"t" (fun ctx ->
          let inst = O.create O.Stack flit ctx ~home:1 ~pflag:true in
-         Alcotest.check_raises "bad op" (Invalid_argument "Tstack.dispatch")
-           (fun () -> ignore (inst.O.dispatch ctx "frobnicate" []))));
+         Alcotest.check_raises "bad op"
+           (Invalid_argument "Objects: put on a stack")
+           (fun () -> ignore (inst.O.apply ctx (Op.Put (1, 2))))));
   ignore (S.run s)
 
 (* ------------------------------------------------------------------ *)
@@ -445,7 +438,7 @@ let () =
             test_set_monotone_keys;
           Alcotest.test_case "map collisions" `Quick test_map_bucket_collisions;
           Alcotest.test_case "dispatch unknown" `Quick
-            test_dispatch_rejects_unknown;
+            test_apply_rejects_foreign;
         ] );
       ( "log",
         [

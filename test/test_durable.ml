@@ -122,7 +122,7 @@ let test_noflush_crafted_violation () =
     (S.spawn sched ~machine:0 ~name:"writer" (fun ctx ->
          let r = R.create ctx ~flit ~home:1 () in
          reg := Some r;
-         record (Lincheck.History.Inv { tid = ctx.S.tid; op = "write"; args = [ 1 ] });
+         record (Lincheck.History.Inv { tid = ctx.S.tid; op = Lincheck.Op.Write 1 });
          R.write r ctx 1;
          record (Lincheck.History.Res { tid = ctx.S.tid; ret = Lincheck.History.Ret 0 })));
   S.at_step sched 50
@@ -144,7 +144,7 @@ let test_noflush_crafted_violation () =
                 match !reg with
                 | Some r ->
                     record
-                      (Lincheck.History.Inv { tid = ctx.S.tid; op = "read"; args = [] });
+                      (Lincheck.History.Inv { tid = ctx.S.tid; op = Lincheck.Op.Read });
                     let v = R.read r ctx in
                     record (Lincheck.History.Res { tid = ctx.S.tid; ret = Lincheck.History.Ret v })
                 | None -> ()))));
@@ -168,7 +168,7 @@ let test_weakest_same_scenario_survives () =
     (S.spawn sched ~machine:0 ~name:"writer" (fun ctx ->
          let r = R.create ctx ~flit ~home:1 () in
          reg := Some r;
-         record (Lincheck.History.Inv { tid = ctx.S.tid; op = "write"; args = [ 1 ] });
+         record (Lincheck.History.Inv { tid = ctx.S.tid; op = Lincheck.Op.Write 1 });
          R.write r ctx 1;
          record (Lincheck.History.Res { tid = ctx.S.tid; ret = Lincheck.History.Ret 0 })));
   S.at_step sched 50
@@ -189,7 +189,7 @@ let test_weakest_same_scenario_survives () =
                 | Some r ->
                     let v = R.read r ctx in
                     record
-                      (Lincheck.History.Inv { tid = ctx.S.tid; op = "read"; args = [] });
+                      (Lincheck.History.Inv { tid = ctx.S.tid; op = Lincheck.Op.Read });
                     record (Lincheck.History.Res { tid = ctx.S.tid; ret = Lincheck.History.Ret v });
                     Alcotest.(check int) "read the persisted value" 1 v
                 | None -> ()))));

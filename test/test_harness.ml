@@ -26,13 +26,14 @@ let test_specs_match_kinds () =
       let module S = (val O.spec kind : Lincheck.Spec.S) in
       let rng = Random.State.make [| 7 |] in
       for _ = 1 to 50 do
-        let op, args = O.random_op kind rng in
+        let op = O.random_op kind rng in
         (* queue/stack/map reads from empty are legal; every generated op
-           must have at least one legal outcome from the initial state *)
+           must have a legal outcome from the initial state *)
         Alcotest.(check bool)
-          (Fmt.str "%s: %s legal from init" (O.kind_name kind) op)
+          (Fmt.str "%s: %a legal from init" (O.kind_name kind) Lincheck.Op.pp
+             op)
           true
-          (S.step S.init op args <> [])
+          (S.step S.init op <> None)
       done)
     O.all_kinds
 
@@ -42,16 +43,19 @@ let prop_ratio_op_extremes =
     (fun seed ->
       let writes_of kind ratio =
         let rng = Random.State.make [| seed |] in
-        let ops = List.init 30 (fun _ -> O.ratio_op kind rng ~read_ratio:ratio) in
-        List.map fst ops
+        List.init 30 (fun _ -> O.ratio_op kind rng ~read_ratio:ratio)
       in
       List.for_all
         (fun kind ->
           let reads k = writes_of k 1.0 in
           let writes k = writes_of k 0.0 in
-          let is_write op =
-            List.mem op [ "write"; "inc"; "push"; "enq"; "add"; "remove";
-                          "put"; "del"; "append" ]
+          let is_write : Lincheck.Op.t -> bool = function
+            | Write _ | Inc | Push _ | Enq _ | Add _ | Remove _ | Put _
+            | Del _ | Append _ ->
+                true
+            | Read | Get | Pop | Deq | Contains _ | Get_key _ | Read_at _
+            | Size ->
+                false
           in
           List.for_all (fun op -> not (is_write op)) (reads kind)
           && List.for_all is_write (writes kind))

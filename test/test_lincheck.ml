@@ -4,7 +4,7 @@
 
 open Lincheck
 
-let inv tid op args = History.Inv { tid; op; args }
+let inv tid op = History.Inv { tid; op }
 let res tid r = History.Res { tid; ret = History.Ret r }
 let crash m = History.Crash { machine = m }
 
@@ -14,19 +14,19 @@ let crash m = History.Crash { machine = m }
 
 let test_well_formed () =
   Alcotest.(check bool) "alternating ok" true
-    (History.well_formed [ inv 0 "read" []; res 0 1; inv 0 "read" []; res 0 2 ]);
+    (History.well_formed [ inv 0 Op.Read; res 0 1; inv 0 Op.Read; res 0 2 ]);
   Alcotest.(check bool) "pending tail ok" true
-    (History.well_formed [ inv 0 "read" [] ]);
+    (History.well_formed [ inv 0 Op.Read ]);
   Alcotest.(check bool) "double invoke bad" false
-    (History.well_formed [ inv 0 "read" []; inv 0 "read" [] ]);
+    (History.well_formed [ inv 0 Op.Read; inv 0 Op.Read ]);
   Alcotest.(check bool) "orphan response bad" false
     (History.well_formed [ res 0 1 ]);
   Alcotest.(check bool) "crashes transparent" true
-    (History.well_formed [ inv 0 "read" []; crash 1; res 0 1 ])
+    (History.well_formed [ inv 0 Op.Read; crash 1; res 0 1 ])
 
 let test_ops_extraction () =
   let h =
-    [ inv 0 "write" [ 1 ]; inv 1 "read" []; res 0 0; crash 0; inv 2 "read" [] ]
+    [ inv 0 (Op.Write 1); inv 1 Op.Read; res 0 0; crash 0; inv 2 Op.Read ]
   in
   let ops = History.ops h in
   Alcotest.(check int) "three ops" 3 (List.length ops);
@@ -38,7 +38,7 @@ let test_ops_extraction () =
     (o0.History.inv_at < o1.History.inv_at && o1.History.inv_at < o2.History.inv_at)
 
 let test_strip_and_count () =
-  let h = [ inv 0 "read" []; crash 0; res 0 0; crash 1 ] in
+  let h = [ inv 0 Op.Read; crash 0; res 0 0; crash 1 ] in
   Alcotest.(check int) "two crashes" 2 (History.crash_count h);
   Alcotest.(check int) "stripped" 2 (List.length (History.strip_crashes h))
 
@@ -53,36 +53,36 @@ let test_ops_rejects_ill_formed () =
 let test_spec_conforms () =
   Alcotest.(check bool) "register trace" true
     (Spec.conforms Specs.register
-       [ ("read", [], 0); ("write", [ 5 ], 0); ("read", [], 5) ]);
+       [ (Op.Read, 0); (Op.Write 5, 0); (Op.Read, 5) ]);
   Alcotest.(check bool) "register bad read" false
-    (Spec.conforms Specs.register [ ("write", [ 5 ], 0); ("read", [], 4) ]);
+    (Spec.conforms Specs.register [ (Op.Write 5, 0); (Op.Read, 4) ]);
   Alcotest.(check bool) "counter" true
     (Spec.conforms Specs.counter
-       [ ("inc", [], 0); ("inc", [], 1); ("get", [], 2) ]);
+       [ (Op.Inc, 0); (Op.Inc, 1); (Op.Get, 2) ]);
   Alcotest.(check bool) "stack lifo" true
     (Spec.conforms Specs.stack
        [
-         ("push", [ 1 ], 0); ("push", [ 2 ], 0); ("pop", [], 2); ("pop", [], 1);
-         ("pop", [], Spec.absent);
+         (Op.Push 1, 0); (Op.Push 2, 0); (Op.Pop, 2); (Op.Pop, 1);
+         (Op.Pop, Spec.absent);
        ]);
   Alcotest.(check bool) "stack not fifo" false
     (Spec.conforms Specs.stack
-       [ ("push", [ 1 ], 0); ("push", [ 2 ], 0); ("pop", [], 1) ]);
+       [ (Op.Push 1, 0); (Op.Push 2, 0); (Op.Pop, 1) ]);
   Alcotest.(check bool) "queue fifo" true
     (Spec.conforms Specs.queue
-       [ ("enq", [ 1 ], 0); ("enq", [ 2 ], 0); ("deq", [], 1); ("deq", [], 2) ]);
+       [ (Op.Enq 1, 0); (Op.Enq 2, 0); (Op.Deq, 1); (Op.Deq, 2) ]);
   Alcotest.(check bool) "set" true
     (Spec.conforms Specs.set
        [
-         ("add", [ 3 ], 1); ("add", [ 3 ], 0); ("contains", [ 3 ], 1);
-         ("remove", [ 3 ], 1); ("contains", [ 3 ], 0); ("remove", [ 3 ], 0);
+         (Op.Add 3, 1); (Op.Add 3, 0); (Op.Contains 3, 1);
+         (Op.Remove 3, 1); (Op.Contains 3, 0); (Op.Remove 3, 0);
        ]);
   Alcotest.(check bool) "map" true
     (Spec.conforms Specs.map
        [
-         ("get", [ 1 ], Spec.absent); ("put", [ 1; 9 ], 0); ("get", [ 1 ], 9);
-         ("put", [ 1; 8 ], 0); ("get", [ 1 ], 8); ("del", [ 1 ], 1);
-         ("get", [ 1 ], Spec.absent); ("del", [ 1 ], 0);
+         (Op.Get_key 1, Spec.absent); (Op.Put (1, 9), 0); (Op.Get_key 1, 9);
+         (Op.Put (1, 8), 0); (Op.Get_key 1, 8); (Op.Del 1, 1);
+         (Op.Get_key 1, Spec.absent); (Op.Del 1, 0);
        ])
 
 let test_absent_constant_agrees () =
@@ -100,23 +100,23 @@ let lin spec h =
 
 let test_lin_concurrent_register () =
   (* w(1) overlaps r->1 and r->0: both readable depending on order *)
-  let h = [ inv 0 "write" [ 1 ]; inv 1 "read" []; res 1 1; res 0 0 ] in
+  let h = [ inv 0 (Op.Write 1); inv 1 Op.Read; res 1 1; res 0 0 ] in
   Alcotest.(check bool) "r=1 during write ok" true (lin Specs.register h);
-  let h = [ inv 0 "write" [ 1 ]; inv 1 "read" []; res 1 0; res 0 0 ] in
+  let h = [ inv 0 (Op.Write 1); inv 1 Op.Read; res 1 0; res 0 0 ] in
   Alcotest.(check bool) "r=0 during write ok" true (lin Specs.register h)
 
 let test_lin_realtime_violation () =
   (* write(1) fully precedes read->0: forbidden *)
-  let h = [ inv 0 "write" [ 1 ]; res 0 0; inv 1 "read" []; res 1 0 ] in
+  let h = [ inv 0 (Op.Write 1); res 0 0; inv 1 Op.Read; res 1 0 ] in
   Alcotest.(check bool) "stale read flagged" false (lin Specs.register h)
 
 let test_lin_fig5_anomaly () =
   (* the Fig. 5 inconsistency as a register history: r1=1 then r2=0 *)
   let h =
     [
-      inv 0 "write" [ 1 ]; res 0 0;
-      inv 0 "read" []; res 0 1;
-      inv 0 "read" []; res 0 0;
+      inv 0 (Op.Write 1); res 0 0;
+      inv 0 Op.Read; res 0 1;
+      inv 0 Op.Read; res 0 0;
     ]
   in
   Alcotest.(check bool) "non-monotone reads flagged" false
@@ -125,43 +125,43 @@ let test_lin_fig5_anomaly () =
 let test_lin_queue_fifo_violation () =
   let h =
     [
-      inv 0 "enq" [ 1 ]; res 0 0;
-      inv 0 "enq" [ 2 ]; res 0 0;
-      inv 1 "deq" []; res 1 2;
-      inv 1 "deq" []; res 1 1;
+      inv 0 (Op.Enq 1); res 0 0;
+      inv 0 (Op.Enq 2); res 0 0;
+      inv 1 Op.Deq; res 1 2;
+      inv 1 Op.Deq; res 1 1;
     ]
   in
   Alcotest.(check bool) "out-of-order dequeue flagged" false (lin Specs.queue h)
 
 let test_lin_pending_completion () =
   (* a pending enq's value is dequeued: checker must complete it *)
-  let h = [ inv 0 "enq" [ 7 ]; inv 1 "deq" []; res 1 7 ] in
+  let h = [ inv 0 (Op.Enq 7); inv 1 Op.Deq; res 1 7 ] in
   Alcotest.(check bool) "pending completed" true (lin Specs.queue h)
 
 let test_lin_pending_omission () =
   (* a pending push never observed: checker must be able to omit it *)
-  let h = [ inv 0 "push" [ 7 ]; inv 1 "pop" []; res 1 Spec.absent ] in
+  let h = [ inv 0 (Op.Push 7); inv 1 Op.Pop; res 1 Spec.absent ] in
   Alcotest.(check bool) "pending omitted" true (lin Specs.stack h)
 
 let test_lin_pending_cannot_rescue () =
   (* a pending write cannot explain a *completed* earlier contradiction:
      read->5 with no write(5) anywhere *)
-  let h = [ inv 0 "read" []; res 0 5 ] in
+  let h = [ inv 0 Op.Read; res 0 5 ] in
   Alcotest.(check bool) "impossible value flagged" false (lin Specs.register h)
 
 let test_lin_counter_concurrent_incs () =
   (* two overlapping incs both returning 0 is NOT linearizable (FAA) *)
-  let h = [ inv 0 "inc" []; inv 1 "inc" []; res 0 0; res 1 0 ] in
+  let h = [ inv 0 Op.Inc; inv 1 Op.Inc; res 0 0; res 1 0 ] in
   Alcotest.(check bool) "duplicate faa result flagged" false
     (lin Specs.counter h);
-  let h = [ inv 0 "inc" []; inv 1 "inc" []; res 0 1; res 1 0 ] in
+  let h = [ inv 0 Op.Inc; inv 1 Op.Inc; res 0 1; res 1 0 ] in
   Alcotest.(check bool) "distinct results fine" true (lin Specs.counter h)
 
 let test_lin_set_semantics () =
   let h =
     [
-      inv 0 "add" [ 2 ]; res 0 1;
-      inv 1 "add" [ 2 ]; res 1 1;
+      inv 0 (Op.Add 2); res 0 1;
+      inv 1 (Op.Add 2); res 1 1;
     ]
   in
   Alcotest.(check bool) "both adds succeeding flagged" false (lin Specs.set h)
@@ -172,8 +172,8 @@ let test_lin_empty_history () =
 let test_witness_is_valid () =
   let h =
     [
-      inv 0 "enq" [ 1 ]; res 0 0; inv 1 "deq" []; res 1 1;
-      inv 0 "deq" []; res 0 Spec.absent;
+      inv 0 (Op.Enq 1); res 0 0; inv 1 Op.Deq; res 1 1;
+      inv 0 Op.Deq; res 0 Spec.absent;
     ]
   in
   let out =
@@ -185,12 +185,86 @@ let test_witness_is_valid () =
   Alcotest.(check int) "all completed ops in witness" 3
     (List.length out.Check.witness);
   (* and the witness results replay against the spec *)
-  let trace =
-    List.map
-      (fun (o, r) -> (o.History.name, o.History.args, r))
-      out.Check.witness
-  in
+  let trace = List.map (fun (o, r) -> (o.History.op, r)) out.Check.witness in
   Alcotest.(check bool) "replays" true (Spec.conforms Specs.queue trace)
+
+(* ------------------------------------------------------------------ *)
+(* History.ops against its quadratic reference                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The extraction [History.ops] used to do: every response rebuilds the
+   whole op list.  Kept as the reference the one-pass version must
+   agree with. *)
+let reference_ops (h : History.t) : History.op list =
+  if not (History.well_formed h) then
+    invalid_arg "History.ops: ill-formed history";
+  let arr = Array.of_list h in
+  let open_inv : (int, History.op) Hashtbl.t = Hashtbl.create 8 in
+  let acc = ref [] in
+  let next_id = ref 0 in
+  Array.iteri
+    (fun idx ev ->
+      match ev with
+      | History.Inv { tid; op } ->
+          let o =
+            { History.id = !next_id; tid; op; ret = None; inv_at = idx;
+              res_at = None }
+          in
+          incr next_id;
+          Hashtbl.replace open_inv tid o;
+          acc := o :: !acc
+      | History.Res { tid; ret } ->
+          let o = Hashtbl.find open_inv tid in
+          Hashtbl.remove open_inv tid;
+          acc :=
+            List.map
+              (fun (o' : History.op) ->
+                if o'.id = o.History.id then
+                  { o' with ret = Some ret; res_at = Some idx }
+                else o')
+              !acc
+      | History.Crash _ -> ())
+    arr;
+  List.sort (fun a b -> compare a.History.id b.History.id) !acc
+
+(* A well-formed history from arbitrary [(tid, choice, value)] steps:
+   choice 0 crashes a machine; otherwise a thread with an open
+   invocation responds (a value, [Corrupt] or [Faulted]) and an idle one
+   invokes.  Threads interleave, and whatever is open at the end stays
+   pending. *)
+let history_of_steps steps =
+  let open_inv = Hashtbl.create 4 in
+  List.map
+    (fun (tid, choice, v) ->
+      let tid = tid mod 4 in
+      if choice mod 6 = 0 then crash (v mod 3)
+      else if Hashtbl.mem open_inv tid then begin
+        Hashtbl.remove open_inv tid;
+        History.Res
+          {
+            tid;
+            ret =
+              (match v mod 7 with
+              | 0 -> History.Corrupt
+              | 1 -> History.Faulted
+              | _ -> History.Ret v);
+          }
+      end
+      else begin
+        Hashtbl.add open_inv tid ();
+        inv tid
+          (List.nth
+             [ Op.Read; Op.Write v; Op.Get_key v; Op.Put (v, tid); Op.Size ]
+             (v mod 5))
+      end)
+    steps
+
+let prop_ops_matches_reference =
+  QCheck.Test.make ~name:"History.ops = quadratic reference" ~count:500
+    QCheck.(list (triple small_nat small_nat small_nat))
+    (fun steps ->
+      let h = history_of_steps steps in
+      History.well_formed h && History.ops h = reference_ops h)
 
 (* ------------------------------------------------------------------ *)
 (* Durable wrapper                                                     *)
@@ -200,7 +274,7 @@ let test_durable_crash_transparent () =
   (* crash events do not break an otherwise linearizable history *)
   let h =
     [
-      inv 0 "write" [ 1 ]; res 0 0; crash 1; inv 0 "read" []; res 0 1;
+      inv 0 (Op.Write 1); res 0 0; crash 1; inv 0 Op.Read; res 0 1;
     ]
   in
   let v = Durable.check Specs.register h in
@@ -210,18 +284,18 @@ let test_durable_crash_transparent () =
 let test_durable_detects_loss () =
   (* completed write lost across a crash *)
   let h =
-    [ inv 0 "write" [ 1 ]; res 0 0; crash 1; inv 0 "read" []; res 0 0 ]
+    [ inv 0 (Op.Write 1); res 0 0; crash 1; inv 0 Op.Read; res 0 0 ]
   in
   Alcotest.(check bool) "loss flagged" false
     (Durable.check Specs.register h).Durable.durable
 
 let test_durable_pending_at_crash_ok () =
   (* write pending at crash; post-crash read sees 0: allowed (omitted) *)
-  let h = [ inv 0 "write" [ 1 ]; crash 0; inv 1 "read" []; res 1 0 ] in
+  let h = [ inv 0 (Op.Write 1); crash 0; inv 1 Op.Read; res 1 0 ] in
   Alcotest.(check bool) "omission allowed" true
     (Durable.check Specs.register h).Durable.durable;
   (* ... and seeing 1 is also allowed (completed) *)
-  let h = [ inv 0 "write" [ 1 ]; crash 0; inv 1 "read" []; res 1 1 ] in
+  let h = [ inv 0 (Op.Write 1); crash 0; inv 1 Op.Read; res 1 1 ] in
   Alcotest.(check bool) "completion allowed" true
     (Durable.check Specs.register h).Durable.durable
 
@@ -235,7 +309,7 @@ let test_durable_ill_formed () =
 
 (* [n] sequential completed writes by thread 0. *)
 let long_history n =
-  List.concat (List.init n (fun _ -> [ inv 0 "write" [ 1 ]; res 0 0 ]))
+  List.concat (List.init n (fun _ -> [ inv 0 (Op.Write 1); res 0 0 ]))
 
 let test_too_long_rejected () =
   let n = Check.max_ops + 1 in
@@ -266,7 +340,7 @@ let test_corrupt_never_durable () =
   (* a Corrupt response matches no specification result, whatever the
      object: the checker must flag the history *)
   let h =
-    [ inv 0 "read" []; History.Res { tid = 0; ret = History.Corrupt } ]
+    [ inv 0 Op.Read; History.Res { tid = 0; ret = History.Corrupt } ]
   in
   let o = List.hd (History.ops h) in
   Alcotest.(check bool) "op is corrupt" true (History.is_corrupt o);
@@ -278,7 +352,7 @@ let test_minus_99_is_an_ordinary_value () =
   (* -99 used to be the harness's corruption sentinel; with the typed
      [Corrupt] result it must behave like any other integer *)
   let h =
-    [ inv 0 "write" [ -99 ]; res 0 0; inv 0 "read" []; res 0 (-99) ]
+    [ inv 0 (Op.Write (-99)); res 0 0; inv 0 Op.Read; res 0 (-99) ]
   in
   Alcotest.(check bool) "durable" true
     (Durable.check Specs.register h).Durable.durable
@@ -294,7 +368,7 @@ let test_pp_verdict_branches () =
   let ok =
     render
       (Durable.check ~provenance:"cfg-42" Specs.register
-         [ inv 0 "write" [ 1 ]; res 0 0 ])
+         [ inv 0 (Op.Write 1); res 0 0 ])
   in
   Alcotest.(check bool) "durable branch" true
     (contains ~sub:"durably linearizable" ok);
@@ -303,7 +377,7 @@ let test_pp_verdict_branches () =
   let bad =
     render
       (Durable.check Specs.register
-         [ inv 0 "write" [ 1 ]; res 0 0; crash 1; inv 0 "read" []; res 0 0 ])
+         [ inv 0 (Op.Write 1); res 0 0; crash 1; inv 0 Op.Read; res 0 0 ])
   in
   Alcotest.(check bool) "violation branch" true
     (contains ~sub:"NOT durably linearizable" bad);
@@ -332,6 +406,7 @@ let () =
           Alcotest.test_case "strip/count" `Quick test_strip_and_count;
           Alcotest.test_case "ill-formed rejected" `Quick
             test_ops_rejects_ill_formed;
+          QCheck_alcotest.to_alcotest prop_ops_matches_reference;
         ] );
       ( "specs",
         [
